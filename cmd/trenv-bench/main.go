@@ -9,8 +9,6 @@
 //	            [-report bundle.json] [-report-lean]
 //	            [-chaos spec] [-prefetch] [-alerts out.json] [-rules spec]
 //	            [-shards N]
-//	trenv-bench -selfbench report.json [-seed N] [-scale F]
-//	trenv-bench -selfbench-shard report.json [-seed N] [-scale F]
 //	trenv-bench -version
 //
 // -json prints the results as a JSON array instead of paper-style text;
@@ -31,8 +29,7 @@
 // analytics, and the flattened virtual-time-ordered span list. Bundles
 // are what cmd/trenv-diff compares; same-seed runs write byte-identical
 // bundles. -report-lean shrinks the bundle to committed-baseline size
-// (spans and sampled series omitted); combined with -selfbench,
-// -report converts the wall-clock artifact into a bundle instead.
+// (spans and sampled series omitted).
 //
 // -alerts attaches the alert engine to every run (one engine per run,
 // evaluated on the virtual clock at each flight-recorder sample) and
@@ -42,23 +39,12 @@
 // bundles, where cmd/trenv-diff compares them against a baseline.
 // Same-seed runs write byte-identical alert JSON.
 //
-// -selfbench switches to the wall-clock self-benchmark: instead of
-// paper figures it measures the simulator itself (events/sec,
-// invocations/sec, spans/sec, allocations per event, observability
-// overhead) and writes the schema-stable report JSON that
-// scripts/bench-compare.sh regression-gates against the committed
-// BENCH_pr6.json baseline. Wall-clock readings are host-dependent;
-// the work counts inside the report are deterministic per seed/scale.
-//
-// -selfbench-shard runs the sharded variant of the suite: the same
-// 4-rack fleet workload at worker counts 1, 2, and 4, gated by
-// scripts/bench-compare.sh against the committed BENCH_shard.json.
-// The deterministic work totals must be identical across the rows
-// (the suite aborts otherwise), so the artifact doubles as a
-// worker-invariance proof. -shards sets the worker parallelism for
-// sharded-fleet experiment runs (the "sharding" experiment executes
-// its reference run at that count and checks it against the fixed
-// worker-count sweep); every emitted line is invariant of the flag.
+// -shards sets the worker parallelism for sharded-fleet experiment
+// runs (the "sharding" experiment executes its reference run at that
+// count and checks it against the fixed worker-count sweep); every
+// emitted line is invariant of the flag. The simulator's own
+// wall-clock cost is measured by the bench module (bench/run.sh), not
+// by this command.
 package main
 
 import (
@@ -74,43 +60,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/report"
-	"repro/internal/selfbench"
 )
-
-// runSelfBench executes a wall-clock suite and writes the
-// schema-stable report, echoing a human summary to stdout. When
-// reportPath is set, the artifact is additionally converted into a
-// trenv-report/v1 bundle and written there.
-func runSelfBench(path, reportPath string, seed int64, scale float64,
-	suite func(selfbench.Options) *selfbench.Report) error {
-	rep := suite(selfbench.Options{Seed: seed, Scale: scale})
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	if path != "-" {
-		for _, line := range rep.Summary() {
-			fmt.Println(line)
-		}
-		fmt.Fprintf(os.Stderr, "trenv-bench: wrote self-benchmark report to %s\n", path)
-	}
-	if reportPath != "" {
-		if err := report.FromSelfbench(rep).WriteFile(reportPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trenv-bench: wrote run bundle to %s\n", reportPath)
-	}
-	return nil
-}
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment IDs (table1..fig26) or 'all'")
@@ -128,8 +78,6 @@ func main() {
 	rulesSpec := flag.String("rules", "", "with -alerts or -report: alerting rules as a compact spec or @file (empty = built-in default set)")
 	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching on every TrEnv platform the experiments build")
 	hedgeSpec := flag.String("hedge", "", "request-hedging policy armed on every cluster the experiments build, e.g. 'delay:50ms', 'p95', 'clone:2' (see README for the grammar)")
-	selfbenchPath := flag.String("selfbench", "", "run the wall-clock self-benchmark suite instead of experiments and write the report JSON to this file ('-' for stdout)")
-	selfbenchShard := flag.String("selfbench-shard", "", "run the sharded wall-clock suite (cluster-azure at worker counts 1/2/4) instead of experiments and write the report JSON to this file ('-' for stdout)")
 	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet experiment runs (0 = sequential; all outputs are invariant of it)")
 	reportPath := flag.String("report", "", "write the schema-stable trenv-report/v1 run bundle (figures, metrics, series, spans, analysis) to this file")
 	reportLean := flag.Bool("report-lean", false, "with -report: omit spans and sampled series, producing a committed-baseline-sized bundle")
@@ -138,20 +86,6 @@ func main() {
 
 	if *version {
 		fmt.Printf("trenv-bench %s %s %s/%s\n", trenv.Version(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
-		return
-	}
-	if *selfbenchPath != "" {
-		if err := runSelfBench(*selfbenchPath, *reportPath, *seed, *scale, selfbench.RunSuite); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: selfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *selfbenchShard != "" {
-		if err := runSelfBench(*selfbenchShard, *reportPath, *seed, *scale, selfbench.RunShardSuite); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: selfbench-shard: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/report"
-	"repro/internal/selfbench"
 )
 
 // writeBundle renders r into dir under name and returns the path.
@@ -140,33 +139,37 @@ func TestJSONFormatDeterministic(t *testing.T) {
 	}
 }
 
+// TestSelfbenchArtifactsCompare pins the loader contract: only
+// trenv-report/v1 bundles compare. A file of any other schema (retired
+// wall-clock artifacts, diff results, other bundle layouts) exits 2 on
+// either side, and a bundle from another source exits 3.
 func TestSelfbenchArtifactsCompare(t *testing.T) {
 	dir := t.TempDir()
-	rep := selfbench.RunSuite(selfbench.Options{Seed: 5, Scale: 0.01})
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "sb.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, errOut := runCLI(path, path)
-	if code != 0 {
-		t.Fatalf("identical selfbench artifacts rejected (exit %d):\n%s%s", code, out, errOut)
-	}
-	for _, want := range []string{"events_per_sec", "invocations_per_sec", "allocs_per_event"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary lacks gate %s:\n%s", want, out)
+	base := writeBundle(t, dir, "base.json", bundle())
+	for _, schema := range []string{"trenv-diff/v1", "trenv-report/v0", "trenv-report/v2"} {
+		path := filepath.Join(dir, "foreign.json")
+		if err := os.WriteFile(path, []byte(`{"schema":"`+schema+`"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{path, base}, {base, path}} {
+			code, _, errOut := runCLI(args...)
+			if code != 2 {
+				t.Fatalf("%s: exit %d, want 2:\n%s", schema, code, errOut)
+			}
+			if !strings.Contains(errOut, schema) {
+				t.Fatalf("%s: stderr does not name the schema:\n%s", schema, errOut)
+			}
 		}
 	}
 
-	// Selfbench artifacts refuse comparison against run bundles.
-	other := writeBundle(t, dir, "bundle.json", func() *report.Report {
-		r := report.New("selfbench", 5, 0.01)
-		return r
-	}())
-	if code, _, _ := runCLI(path, other); code != 3 {
-		t.Fatalf("cross-kind comparison exit = %d, want 3", code)
+	other := bundle()
+	other.Source = "other"
+	fresh := writeBundle(t, dir, "other.json", other)
+	code, _, errOut := runCLI(base, fresh)
+	if code != 3 {
+		t.Fatalf("source mismatch exit = %d, want 3:\n%s", code, errOut)
+	}
+	if !strings.Contains(errOut, "source mismatch") {
+		t.Fatalf("stderr lacks refusal reason:\n%s", errOut)
 	}
 }

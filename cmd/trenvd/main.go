@@ -161,7 +161,6 @@ func newServerWith(o serverOptions) *server {
 	reg.GaugeFunc("trenv_breaker_state", "Circuit-breaker position (0 closed, 1 open, 2 half-open).", labels,
 		func() float64 { return float64(breaker.State()) })
 	reg.CounterFunc("trenv_breaker_opens_total", "Circuit-breaker trips to open.", labels, breaker.Opens)
-	trenv.RegisterSchedulerTraceLog(reg, labels, pl.Engine().AttachTraceLog(4096))
 	trenv.RegisterTracerDrops(reg, labels, tracer)
 	trenv.RegisterBuildInfo(reg, labels)
 	recorder := trenv.NewFlightRecorder(reg, 0)
@@ -692,7 +691,7 @@ func (s *server) selfstats(w http.ResponseWriter, r *http.Request) {
 		"pprof_enabled":  s.pprof,
 		"engine": map[string]any{
 			"events":              events,
-			"events_per_wall_sec": trenv.WallRate(float64(events), uptime),
+			"events_per_wall_sec": perWallSec(float64(events), uptime),
 			"virtual_time":        virtual.String(),
 		},
 		"invocations":     invocations,
@@ -704,6 +703,16 @@ func (s *server) selfstats(w http.ResponseWriter, r *http.Request) {
 		"num_gc":          ms.NumGC,
 		"gc_pause_ns_sum": ms.PauseTotalNs,
 	})
+}
+
+// perWallSec returns n per second over a wall-clock interval, or 0 when
+// the interval is zero or negative: a coarse clock can report no
+// elapsed time, and that must read as "no rate" rather than +Inf.
+func perWallSec(n float64, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return n / elapsed.Seconds()
 }
 
 // healthz reports node, breaker, and pool status. "ok" degrades to

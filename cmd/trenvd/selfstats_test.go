@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	trenv "repro"
 )
@@ -55,6 +56,23 @@ func TestSelfStatsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /selfstats status = %d, want 405", resp.StatusCode)
+	}
+}
+
+func TestRateGuards(t *testing.T) {
+	cases := []struct {
+		n       float64
+		elapsed time.Duration
+		want    float64
+	}{
+		{10, 0, 0},
+		{10, -time.Second, 0},
+		{10, 2 * time.Second, 5},
+	}
+	for _, c := range cases {
+		if got := perWallSec(c.n, c.elapsed); got != c.want {
+			t.Errorf("perWallSec(%v, %v) = %v, want %v", c.n, c.elapsed, got, c.want)
+		}
 	}
 }
 

@@ -132,7 +132,6 @@ func TestNodeLabelAndSLOMetrics(t *testing.T) {
 		`trenv_invocations_total{node="n7"} 4`,
 		`trenv_node_mem_peak_bytes{node="n7"}`,
 		`trenv_e2e_latency_ms_count{function="JS",node="n7"}`,
-		`trenv_sim_trace_dropped_total{node="n7"}`,
 		`trenv_spans_dropped_total{node="n7"}`,
 		`trenv_slo_target_ms{function="JS",node="n7"} 1`,
 		`trenv_slo_breaches_total{function="JS",node="n7"}`,

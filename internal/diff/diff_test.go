@@ -221,44 +221,6 @@ func TestMetricToleranceAndDirection(t *testing.T) {
 	}
 }
 
-func TestBenchGates(t *testing.T) {
-	base := report.New("selfbench", 1, 0.1)
-	base.Bench = map[string]float64{
-		"events_per_sec":      1e6,
-		"invocations_per_sec": 1e4,
-		"allocs_per_event":    10,
-	}
-	fresh := clone(t, base)
-	fresh.Bench["events_per_sec"] = 4e5 // -60%, beyond the 30% floor
-	fresh.Bench["allocs_per_event"] = 15
-	res, err := Compare(base, fresh, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := map[string]bool{}
-	for _, g := range res.Gates {
-		if !g.Pass {
-			failed[g.Name] = true
-		}
-	}
-	if !failed["events_per_sec"] || !failed["allocs_per_event"] || failed["invocations_per_sec"] {
-		t.Fatalf("failed gates = %v", failed)
-	}
-	if !res.Regressed() {
-		t.Fatal("failed gates did not regress the result")
-	}
-
-	// A 10% dip passes the default band but fails a 5% override.
-	fresh = clone(t, base)
-	fresh.Bench["events_per_sec"] = 9e5
-	if res, _ = Compare(base, fresh, Options{}); res.Regressed() {
-		t.Fatal("10% dip failed the default 30% band")
-	}
-	if res, _ = Compare(base, fresh, Options{EventsTol: 0.05}); !res.Regressed() {
-		t.Fatal("10% dip passed a 5% band")
-	}
-}
-
 func TestFigureAndSeriesDiffs(t *testing.T) {
 	base := mkReport()
 	fresh := clone(t, base)

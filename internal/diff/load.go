@@ -1,58 +1,17 @@
 package diff
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
+import "repro/internal/report"
 
-	"repro/internal/report"
-	"repro/internal/selfbench"
-)
-
-// LoadFile reads one comparable artifact, sniffing its schema: a
-// trenv-report/v1 bundle loads as-is; a trenv-selfbench/v1 wall-clock
-// artifact is converted into a bundle whose Schema stays
-// trenv-selfbench/v1, so the identity check refuses to gate a selfbench
-// artifact against a run report (and vice versa). Anything else —
-// unknown schema, unreadable file, malformed JSON — is an error.
-func LoadFile(path string) (*report.Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("diff: %w", err)
-	}
-	var head struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("diff: %s: %w", path, err)
-	}
-	switch head.Schema {
-	case report.Schema:
-		var r report.Report
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("diff: %s: %w", path, err)
-		}
-		return &r, nil
-	case selfbench.Schema:
-		var sb selfbench.Report
-		if err := json.Unmarshal(data, &sb); err != nil {
-			return nil, fmt.Errorf("diff: %s: %w", path, err)
-		}
-		r := report.FromSelfbench(&sb)
-		r.Schema = selfbench.Schema
-		return r, nil
-	default:
-		return nil, fmt.Errorf("diff: %s: unsupported schema %q", path, head.Schema)
-	}
-}
-
-// CompareFiles loads both artifacts and diffs fresh against base.
+// CompareFiles loads both trenv-report/v1 bundles and diffs fresh
+// against base. Unreadable files, malformed JSON and any other schema
+// are plain errors; a source, seed or scale disagreement is a
+// *MismatchError.
 func CompareFiles(basePath, freshPath string, o Options) (*Result, error) {
-	base, err := LoadFile(basePath)
+	base, err := report.ReadFile(basePath)
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := LoadFile(freshPath)
+	fresh, err := report.ReadFile(freshPath)
 	if err != nil {
 		return nil, err
 	}

@@ -77,14 +77,14 @@ func runSharded(o Options, racks, nodesPerRack, workers int) shardedRun {
 // -shards flag can never change a single output byte: two invocations
 // at -shards 1 and -shards 4 physically schedule differently and must
 // still render identically. Wall-clock scaling is deliberately
-// excluded (it belongs in the selfbench shard suite, BENCH_shard.json);
-// these lines gate logical equivalence only.
+// excluded (the bench module's azure-fleet-sharded workload reports it
+// as sim.shard_speedup); these lines gate logical equivalence only.
 func Sharding(o Options) *Result {
 	o = o.normalize()
 	r := &Result{
 		ID:    "sharding",
 		Title: "Worker-count invariance of the sharded fleet (4 racks x 2 nodes, Azure trace)",
-		Notes: "identical rows = identical logical schedule; wall-clock scaling lives in the selfbench shard suite",
+		Notes: "identical rows = identical logical schedule; wall-clock scaling is bench/'s azure-fleet-sharded sim.shard_speedup",
 	}
 	base := runSharded(o, 4, 2, o.workers())
 	const row = "%-10s %12d %12d %10d %9d %10d %16x"

@@ -9,11 +9,9 @@
 //
 // Bundles are producible from every run shape in the repo: experiments
 // (experiments.BuildReport), a single node (FromPlatform), a rack
-// (FromCluster), the wall-clock self-benchmark (FromSelfbench), and a
-// live daemon (trenvd GET /report). Only FromSelfbench carries
-// host-dependent numbers, and those live in the clearly-marked Bench
-// block that internal/diff gates with tolerance bands instead of
-// equality.
+// (FromCluster), a sharded fleet (FromShardedFleet), and a live daemon
+// (trenvd GET /report). Bundles carry no wall-clock readings: the
+// simulator's own host cost is measured by the separate bench module.
 package report
 
 import (
@@ -28,7 +26,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faas"
 	"repro/internal/obs"
-	"repro/internal/selfbench"
 )
 
 // Schema identifies the bundle layout; bump the suffix on any
@@ -102,11 +99,6 @@ type Report struct {
 	GoVersion string            `json:"go_version"`
 	Version   string            `json:"version"`
 	Flags     map[string]string `json:"flags,omitempty"`
-
-	// Bench carries wall-clock readings (selfbench aggregates). They are
-	// host-dependent by definition, so internal/diff gates them with
-	// tolerance bands and never includes them in determinism triage.
-	Bench map[string]float64 `json:"bench,omitempty"`
 
 	Figures  []Figure      `json:"figures,omitempty"`
 	Metrics  []Metric      `json:"metrics,omitempty"`
@@ -435,36 +427,6 @@ func FromShardedFleet(source string, scale float64, f *cluster.ShardedFleet) *Re
 	if roots := f.Spans(); len(roots) > 0 {
 		r.AddSpans(roots)
 		r.Analyze(roots, 0)
-	}
-	r.Sort()
-	return r
-}
-
-// FromSelfbench converts a wall-clock self-benchmark artifact: the
-// host-dependent aggregate lands in Bench (tolerance-gated, never
-// triaged) and each run's deterministic work counts become metrics
-// (equality-gated — count drift means the workload changed, which is a
-// different failure than a slow host).
-func FromSelfbench(sb *selfbench.Report) *Report {
-	r := New("selfbench", sb.Seed, sb.Scale)
-	r.Bench = map[string]float64{
-		"events_per_sec":      sb.Aggregate.EventsPerSec,
-		"invocations_per_sec": sb.Aggregate.InvocationsPerSec,
-		"spans_per_sec":       sb.Aggregate.SpansPerSec,
-		"allocs_per_event":    sb.Aggregate.AllocsPerEvent,
-		"bytes_per_event":     sb.Aggregate.BytesPerEvent,
-		"wall_ms_per_sim_sec": sb.Aggregate.WallMSPerSimSec,
-		"obs_overhead_pct":    sb.Aggregate.ObsOverheadPct,
-	}
-	for _, run := range sb.Runs {
-		for key, v := range map[string]float64{
-			"events":      float64(run.Events),
-			"invocations": float64(run.Invocations),
-			"spans":       float64(run.Spans),
-			"sim_seconds": run.SimSeconds,
-		} {
-			r.Metrics = append(r.Metrics, Metric{Run: run.Name, Key: key, Name: key, Value: v})
-		}
 	}
 	r.Sort()
 	return r

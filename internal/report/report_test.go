@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/obs"
-	"repro/internal/selfbench"
 	"repro/internal/workload"
 )
 
@@ -139,31 +138,5 @@ func TestThinPointsDeterministicAndBounded(t *testing.T) {
 	short := thinPoints(pts[:10], 24)
 	if len(short) != 10 {
 		t.Fatalf("short series thinned from 10 to %d", len(short))
-	}
-}
-
-func TestFromSelfbenchSplitsBenchAndCounts(t *testing.T) {
-	sb := selfbench.RunSuite(selfbench.Options{Seed: 11, Scale: 0.01})
-	r := FromSelfbench(sb)
-	if r.Source != "selfbench" || r.Seed != 11 || r.Scale != 0.01 {
-		t.Fatalf("identity = %q/%d/%g", r.Source, r.Seed, r.Scale)
-	}
-	for _, key := range []string{"events_per_sec", "invocations_per_sec", "allocs_per_event"} {
-		if _, ok := r.Bench[key]; !ok {
-			t.Fatalf("bench block missing %s", key)
-		}
-	}
-	// Every run contributes its deterministic work counts as metrics.
-	runs := map[string]int{}
-	for _, m := range r.Metrics {
-		runs[m.Run]++
-	}
-	if len(runs) != len(sb.Runs) {
-		t.Fatalf("metrics cover %d runs, want %d", len(runs), len(sb.Runs))
-	}
-	for run, n := range runs {
-		if n != 4 {
-			t.Fatalf("run %s has %d count metrics, want 4", run, n)
-		}
 	}
 }

@@ -34,7 +34,6 @@ type Engine struct {
 	procSeq  int
 	EventCap int64 // optional safety valve; 0 means unlimited
 	events   int64
-	tracer   func(at time.Duration, kind, name string)
 	free     []*event // recycled event structs for the hot push/pop path
 }
 
@@ -165,9 +164,6 @@ func (e *Engine) At(t time.Duration, name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	}()
 	e.push(e.newEvent(t, p, nil))
-	if e.tracer != nil {
-		e.tracer(e.now, "spawn", name)
-	}
 	return p
 }
 
@@ -273,15 +269,9 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 		e.recycle(ev)
 		if proc != nil {
 			if !proc.done {
-				if e.tracer != nil {
-					e.tracer(e.now, "resume", proc.name)
-				}
 				e.resume(proc)
 			}
 			continue
-		}
-		if e.tracer != nil {
-			e.tracer(e.now, "callback", "")
 		}
 		fn()
 	}

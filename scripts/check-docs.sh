@@ -15,8 +15,10 @@
 #      trenv-diff flag table;
 #   7. ARCHITECTURE.md carries the "Engine internals & sharding"
 #      chapter and the shard-count-invariance determinism paragraph;
-#   8. every committed BENCH_*.json baseline appears in EXPERIMENTS.md's
-#      "Regenerating baselines" section.
+#   8. every committed BENCH_*.json baseline (each a lean
+#      trenv-report/v1 bundle that trenv-diff gates) appears in
+#      EXPERIMENTS.md's "Regenerating baselines" section.
+# The simulator's host cost is not checked here: bench/ measures it.
 # Exits non-zero listing everything that is missing.
 set -eu
 
