@@ -2,6 +2,7 @@ package alert
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -178,16 +179,18 @@ func parseSelector(s string) (string, map[string]string, error) {
 		return "", nil, fmt.Errorf("bad selector %q", s)
 	}
 	name := s[:open]
-	labels := make(map[string]string)
 	body := s[open+1 : len(s)-1]
-	if body != "" {
-		for _, pair := range strings.Split(body, ",") {
-			k, v, ok := strings.Cut(pair, "=")
-			if !ok || k == "" {
-				return "", nil, fmt.Errorf("bad label %q in selector %q", pair, s)
-			}
-			labels[strings.TrimSpace(k)] = strings.TrimSpace(v)
+	if body == "" {
+		return name, nil, nil // "g{}" selects what "g" does
+	}
+	labels := make(map[string]string)
+	for _, pair := range strings.Split(body, ",") {
+		k, v, ok := strings.Cut(pair, "=")
+		k = strings.TrimSpace(k)
+		if !ok || k == "" {
+			return "", nil, fmt.Errorf("bad label %q in selector %q", pair, s)
 		}
+		labels[k] = strings.TrimSpace(v)
 	}
 	return name, labels, nil
 }
@@ -213,7 +216,7 @@ func parseBound(p []string, r *Rule) error {
 	for _, op := range []Op{OpGE, OpLE, OpGT, OpLT} { // two-char ops first
 		if strings.HasPrefix(cond, string(op)) {
 			v, err := strconv.ParseFloat(strings.TrimPrefix(cond, string(op)), 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) {
 				return fmt.Errorf("bad bound %q", cond)
 			}
 			r.Op, r.Value = op, v
@@ -241,8 +244,8 @@ func parseBurn(p []string, r *Rule) error {
 			return err
 		}
 		f, err := strconv.ParseFloat(strings.TrimSuffix(fac, "x"), 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("bad burn factor %q (want > 0)", fac)
+		if err != nil || !(f > 0) || math.IsInf(f, 0) { // written to reject NaN
+			return fmt.Errorf("bad burn factor %q (want finite > 0)", fac)
 		}
 		if w <= 0 {
 			return fmt.Errorf("bad burn window %q (want > 0)", win)

@@ -3,6 +3,7 @@ package alert
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,9 @@ func TestParseSpecErrors(t *testing.T) {
 		{"burn:a:*:0s@2x", "bad burn window"},
 		{"absence:a:g:0s", "bad window"},
 		{"absence:a:g:shortly", "invalid duration"},
+		{"threshold:t:x:>NaN", "bad bound"},
+		{"burn:b:*:1m@NaNx", "bad burn factor"},
+		{"burn:b:*:1m@Infx", "bad burn factor"},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.spec)
@@ -98,6 +102,38 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.spec, err, tc.wantErr)
 		}
 	}
+}
+
+// FuzzAlertParseSpec: every rule the parser accepts renders, through
+// Spec, a clause that parses back to exactly one equal rule.
+func FuzzAlertParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		`threshold:hot:g{node=n0,pool=cxl}:>=5:for=2s`,
+		`rate:errs:trenv_errors_total:>0.5:over=10s:for=1s`,
+		`burn:slo:IR:1m@14x|5m@2x:for=30s`,
+		`absence:pulse:trenv_invocations_total:30s`,
+		`threshold:t:x:>NaN`,
+		`burn:b:*:1m@NaNx`,
+		`burn:b:*:1m@Infx`,
+		`threshold:0:0{}:>0`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, want := range rules {
+			again, err := ParseSpec(want.Spec())
+			if err != nil {
+				t.Fatalf("%q: rendered clause %q does not parse: %v", spec, want.Spec(), err)
+			}
+			if len(again) != 1 || !reflect.DeepEqual(again[0], want) {
+				t.Fatalf("%q: rule %+v renders %q, which parses to %+v", spec, want, want.Spec(), again)
+			}
+		}
+	})
 }
 
 func TestParseSpecSkipsBlankClauses(t *testing.T) {

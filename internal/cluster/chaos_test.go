@@ -235,29 +235,3 @@ func TestBreakerOpensUnderOutage(t *testing.T) {
 		t.Fatal("outage produced no local-cold-start fallbacks")
 	}
 }
-
-func TestMultiRackKillNodeGuards(t *testing.T) {
-	m := newMultiRack(t, 2, 1)
-	js, _ := workload.ProfileByName("JS")
-	if err := m.Register(js, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.KillNode("bogus"); err == nil {
-		t.Fatal("unknown node name accepted")
-	}
-	if err := m.KillNode("r0n0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.KillNode("r0n0"); err == nil {
-		t.Fatal("double kill accepted")
-	}
-	if err := m.KillNode("r1n0"); err == nil {
-		t.Fatal("killed the last node")
-	}
-	// Traffic still flows on the survivor.
-	m.Invoke(0, "JS")
-	m.Engine().Run()
-	if m.Wedged() != 0 || m.Invocations() != 1 {
-		t.Fatalf("wedged=%d invocations=%d after kill", m.Wedged(), m.Invocations())
-	}
-}

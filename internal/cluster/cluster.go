@@ -33,8 +33,8 @@ type Cluster struct {
 	breakers []*fault.Breaker
 	chaos    *fault.Injector
 
-	// hedge owns dispatch, hedging/cloning, crash re-dispatch, and the
-	// no-loss accounting shared with MultiRack.
+	// hedge owns dispatch, hedging/cloning within this rack, crash
+	// re-dispatch, and the no-loss accounting.
 	hedge *hedger
 
 	// resultHook, when non-nil, observes every node's terminal outcomes
@@ -87,20 +87,7 @@ func New(n int, cfg faas.Config) (*Cluster, error) {
 		c.nodes = append(c.nodes, faas.New(nodeCfg))
 		c.breakers = append(c.breakers, fault.NewBreaker(fault.DefaultBreakerConfig(), eng.Now))
 	}
-	c.hedge = newHedger(eng, hedgeHooks{
-		pick: func(fn string, exclude map[string]bool, _ bool) (*faas.Platform, string) {
-			return c.pickExcluding(fn, exclude), ""
-		},
-		nodes:   func() []*faas.Platform { return c.nodes },
-		deliver: c.deliver,
-		breaker: func(i int) *fault.Breaker {
-			if i < 0 {
-				return nil
-			}
-			return c.breakers[i]
-		},
-		tracer: func() *obs.Tracer { return c.nodes[0].Tracer() },
-	})
+	c.hedge = newHedger(c)
 	return c, nil
 }
 
@@ -108,12 +95,6 @@ func New(n int, cfg faas.Config) (*Cluster, error) {
 // breaker feeding, hedge-race settlement, and crash re-dispatch — never
 // silently completed, never lost.
 func (c *Cluster) onResult(node int, r faas.InvocationResult) { c.hedge.onResult(node, r) }
-
-func (c *Cluster) deliver(node int, r faas.InvocationResult) {
-	if c.resultHook != nil {
-		c.resultHook(node, r)
-	}
-}
 
 // SetHedgePolicy arms request hedging/cloning for every invocation
 // dispatched after the call; the policy's deadline (when set) pushes

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -62,11 +63,33 @@ func TestParseHedgePolicyRejects(t *testing.T) {
 		"delay:10ms,deadline=0s",
 		"p95,unknown=1",
 		"p95,noequals",
+		"pNaN",
 	} {
 		if _, err := ParseHedgePolicy(spec); err == nil {
 			t.Errorf("ParseHedgePolicy(%q) accepted, want error", spec)
 		}
 	}
+}
+
+// FuzzParseHedgePolicy: the parser never panics, and every policy it
+// accepts survives a Spec round trip unchanged.
+func FuzzParseHedgePolicy(f *testing.F) {
+	for _, seed := range []string{"off", "delay:10ms", "clone:3", "p99.9,min=2ms", "p90,min=1ms,fallback=50ms,samples=10,deadline=1s", "pNaN"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		hp, err := ParseHedgePolicy(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseHedgePolicy(hp.Spec())
+		if err != nil {
+			t.Fatalf("%q: rendered %q does not parse: %v", spec, hp.Spec(), err)
+		}
+		if !reflect.DeepEqual(again, hp) {
+			t.Fatalf("%q: %+v renders %q, which parses to %+v", spec, hp, hp.Spec(), again)
+		}
+	})
 }
 
 // hedgeCluster builds an n-node rack with JS registered and both hooks

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -78,8 +76,8 @@ func registerFleetAggregates(reg *obs.Registry, nodes []*faas.Platform, alive fu
 	reg.GaugeFunc("trenv_cluster_nodes_alive", "Nodes currently in rotation.", nil, alive)
 }
 
-// registerHedger publishes the dispatch-layer counters every topology
-// shares: crash re-dispatch, hedging, cancellation, and exhaustion.
+// registerHedger publishes a rack hedger's dispatch-layer counters:
+// crash re-dispatch, hedging, cancellation, and exhaustion.
 // labels distinguishes multiple hedgers in one registry (the sharded
 // fleet has one per rack); nil keeps the classic unlabeled series.
 func registerHedger(reg *obs.Registry, h *hedger, labels map[string]string) {
@@ -117,52 +115,5 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 	registerHedger(reg, c.hedge, nil)
 	if c.chaos != nil {
 		c.chaos.RegisterMetrics(reg, nil)
-	}
-}
-
-// RegisterMetrics publishes the multi-rack fleet into reg: nodes under
-// rack="r<i>",node="r<i>n<j>" labels, each rack's CXL pool and template
-// registry under scope="rack", the inter-rack fabric under
-// scope="fabric", per-rack invocation roll-ups, and the same
-// trenv_cluster_* fleet aggregates the single-rack Cluster exports.
-func (m *MultiRack) RegisterMetrics(reg *obs.Registry) {
-	for ri, rk := range m.racks {
-		rackName := fmt.Sprintf("r%d", ri)
-		for ni, node := range rk.nodes {
-			node.RegisterMetricsLabeled(reg, map[string]string{
-				"rack": rackName,
-				"node": fmt.Sprintf("%sn%d", rackName, ni),
-			})
-		}
-		rackLabels := map[string]string{"scope": "rack", "rack": rackName}
-		rk.cxl.RegisterMetricsLabeled(reg, rackLabels)
-		rk.store.Registry().RegisterMetrics(reg, rackLabels)
-	}
-	fabric := map[string]string{"scope": "fabric"}
-	m.fabric.RegisterMetricsLabeled(reg, fabric)
-	m.fabricStore.Registry().RegisterMetrics(reg, fabric)
-	reg.CounterSetFunc("trenv_rack_invocations_total", "Recorded invocations summed per rack.",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, 0, len(m.racks))
-			for ri, rk := range m.racks {
-				var n int64
-				for _, node := range rk.nodes {
-					n += int64(node.Metrics().Invocations())
-				}
-				out = append(out, obs.LabeledValue{
-					Labels: map[string]string{"rack": fmt.Sprintf("r%d", ri)},
-					Value:  float64(n),
-				})
-			}
-			return out
-		})
-	nodes := m.Nodes()
-	registerFleetAggregates(reg, nodes, func() float64 { return float64(len(nodes) - len(m.down)) })
-	reg.CounterFunc("trenv_cluster_spillovers_total", "Invocations dispatched off their home rack.", nil,
-		m.spillovers.Value)
-	registerBreakers(reg, m.breakers, func(i int) string { return nodes[i].NodeName() })
-	registerHedger(reg, m.hedge, nil)
-	if m.chaos != nil {
-		m.chaos.RegisterMetrics(reg, nil)
 	}
 }

@@ -172,46 +172,39 @@ func TestClusterRecorderDeterministic(t *testing.T) {
 	}
 }
 
-func TestMultiRackMetricsLabelsAndAggregates(t *testing.T) {
-	m := newMultiRack(t, 2, 2)
-	for i, p := range workload.Table4() {
-		if err := m.Register(p, i%2); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestShardedFleetMetricsLabelsAndAggregates: the fleet export labels
+// every node by rack, publishes each rack's CXL pool under scope="rack"
+// and its fabric window under scope="fabric", and its trenv_cluster_*
+// roll-ups still equal the sum of the node series.
+func TestShardedFleetMetricsLabelsAndAggregates(t *testing.T) {
+	f := newShardedFleet(t, 2, 1)
 	reg := obs.NewRegistry()
-	m.RegisterMetrics(reg)
-	tr := workload.Trace{}
-	for i, p := range workload.Table4() {
-		tr = append(tr, workload.Invocation{At: time.Duration(i) * time.Second, Function: p.Name})
-	}
-	m.RunTrace(tr)
+	f.RegisterMetrics(reg)
+	f.RunTrace(shardedTestTrace())
 
 	samples := reg.Gather()
-	agg := one(t, samples, "trenv_cluster_invocations_total")
-	if int(agg) != m.Invocations() {
-		t.Fatalf("aggregate %v != invocations %d", agg, m.Invocations())
+	if f.Invocations() == 0 {
+		t.Fatal("trace ran nothing")
 	}
-	nodeSum, n := sumWhere(samples, "trenv_invocations_total", "node")
-	if n != 4 {
-		t.Fatalf("node series = %d, want 4", n)
+	pairs := []struct{ agg, per string }{
+		{"trenv_cluster_invocations_total", "trenv_invocations_total"},
+		{"trenv_cluster_warm_hits_total", "trenv_warm_hits_total"},
+		{"trenv_cluster_major_faults_total", "trenv_page_major_faults_total"},
+		{"trenv_cluster_pages_fetched_total", "trenv_page_fetched_total"},
+		{"trenv_cluster_mem_peak_bytes", "trenv_node_mem_peak_bytes"},
 	}
-	if nodeSum != agg {
-		t.Fatalf("node sum %v != aggregate %v", nodeSum, agg)
-	}
-	var rackSum float64
-	rackSeries := 0
-	for _, s := range samples {
-		if s.Name == "trenv_rack_invocations_total" {
-			rackSum += s.Value
-			rackSeries++
+	for _, p := range pairs {
+		agg := one(t, samples, p.agg)
+		sum, n := sumWhere(samples, p.per, "node")
+		if n != 4 {
+			t.Fatalf("%s: %d node series, want 4", p.per, n)
+		}
+		if agg != sum {
+			t.Fatalf("%s = %v, sum of %s over nodes = %v", p.agg, agg, p.per, sum)
 		}
 	}
-	if rackSeries != 2 {
-		t.Fatalf("rack roll-up series = %d, want 2", rackSeries)
-	}
-	if rackSum != agg {
-		t.Fatalf("rack sum %v != aggregate %v", rackSum, agg)
+	if got := one(t, samples, "trenv_cluster_invocations_total"); int(got) != f.Invocations() {
+		t.Fatalf("aggregate invocations %v != %d", got, f.Invocations())
 	}
 
 	var buf bytes.Buffer
@@ -223,8 +216,10 @@ func TestMultiRackMetricsLabelsAndAggregates(t *testing.T) {
 		`trenv_invocations_total{node="r0n0",rack="r0"}`,
 		`trenv_invocations_total{node="r1n1",rack="r1"}`,
 		`trenv_pool_used_bytes{pool="cxl",rack="r0",scope="rack"}`,
-		`trenv_pool_used_bytes{pool="rdma",scope="fabric"}`,
-		`trenv_rack_invocations_total{rack="r0"}`,
+		`trenv_pool_used_bytes{pool="rdma",rack="r0",scope="fabric"}`,
+		`trenv_pool_used_bytes{pool="rdma",rack="r1",scope="fabric"}`,
+		`trenv_templates{rack="r1",scope="fabric"}`,
+		`trenv_rack_spillovers_total{rack="r0"}`,
 		"trenv_cluster_spillovers_total",
 	} {
 		if !strings.Contains(out, want) {

@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faas"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // TestPickTieBreaksToLowestIndex: with every node idle, cold, and
@@ -62,52 +60,6 @@ func TestPickExcludingPrefersWarmElsewhere(t *testing.T) {
 	c.Engine().Run()
 	if !done {
 		t.Fatal("probe never ran")
-	}
-}
-
-// TestMultiRackPickTieBreaksDeterministically: the fleet-wide scan has
-// the same guarantee — idle equal fleet picks the home rack's first
-// node, every call; excluding it moves to the next home node without
-// counting as a spill.
-func TestMultiRackPickTieBreaksDeterministically(t *testing.T) {
-	m, err := NewMultiRack(2, 2, faas.DefaultConfig(faas.PolicyTrEnvCXL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := workload.ProfileByName("JS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(prof, 1); err != nil { // homed on rack 1
-		t.Fatal(err)
-	}
-	home := m.Nodes()[2] // rack-major order: r1's first node is index 2
-	for i := 0; i < 100; i++ {
-		node, spilled := m.pickExcluding("JS", nil)
-		if node != home || spilled {
-			t.Fatalf("call %d: pick chose %s spilled=%v, want %s on the home rack", i, node.NodeName(), spilled, home.NodeName())
-		}
-	}
-	node, spilled := m.pickExcluding("JS", map[string]bool{home.NodeName(): true})
-	if node != m.Nodes()[3] || spilled {
-		t.Fatalf("with %s excluded pick chose %s spilled=%v, want its home-rack sibling", home.NodeName(), node.NodeName(), spilled)
-	}
-	node, spilled = m.pickExcluding("JS", map[string]bool{
-		home.NodeName(): true, m.Nodes()[3].NodeName(): true,
-	})
-	if node == nil || node.NodeName() == home.NodeName() {
-		t.Fatal("excluding the home rack must spill to another rack, not fail")
-	}
-	if !spilled {
-		t.Fatal("off-home dispatch not reported as a spill")
-	}
-	var none *faas.Platform
-	all := map[string]bool{}
-	for _, n := range m.Nodes() {
-		all[n.NodeName()] = true
-	}
-	if none, _ = m.pickExcluding("JS", all); none != nil {
-		t.Fatalf("pick chose %s with the whole fleet excluded, want nil", none.NodeName())
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/mem"
+	"repro/internal/mmtemplate"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
@@ -22,8 +25,8 @@ const DefaultSpillDelay = 200 * time.Microsecond
 // ShardedConfig sizes a ShardedFleet.
 type ShardedConfig struct {
 	// Racks is the number of shards; each rack is a full Cluster (own
-	// CXL pool, snapshot store, nodes, breakers, hedger) on its own
-	// simulation engine.
+	// CXL pool, snapshot store, nodes, breakers, hedger) plus a fabric
+	// window, on its own simulation engine.
 	Racks int
 	// NodesPerRack sizes each rack.
 	NodesPerRack int
@@ -41,22 +44,28 @@ type ShardedConfig struct {
 	Workers int
 }
 
-// ShardedFleet is the parallel counterpart of MultiRack: racks become
-// independently-advancing event queues (one sim.Engine each, own heap,
-// sequence counter, and rng stream) coordinated by a sim.ShardGroup, and
-// the only cross-rack coupling — spillover dispatch from a saturated
-// home rack — travels as a timestamped message delivered at a
-// deterministic synchronization horizon.
+// ShardedFleet is the multi-rack topology of §8.2. Each function's
+// consolidated image lives once, in its home rack's CXL pool; every other
+// rack reaches the same bytes through a read-only window over the
+// inter-rack RDMA fabric, so home-rack instances get direct reads and
+// spilled instances pay lazy fabric fetches.
 //
-// Two deliberate departures from MultiRack keep the shards causally
-// closed: every rack holds its own consolidated replica of each function
-// image (a cross-rack pool read would couple two shards below the
-// lookahead), and spillover targets are chosen blindly by per-home-rack
-// round robin (reading another rack's load would do the same). Hedging,
-// crash re-dispatch, and breaker routing all stay intra-rack.
+// Racks are independently-advancing event queues (one sim.Engine each,
+// own heap, sequence counter, and rng stream) coordinated by a
+// sim.ShardGroup, and the only cross-rack coupling — spillover dispatch
+// from a saturated home rack — travels as a timestamped message
+// delivered at a deterministic synchronization horizon. Two choices keep
+// the shards causally closed. Each rack's fabric window (an RDMA pool and
+// snapshot store) is owned by that rack's shard: checkpointed pages are
+// immutable, so a fabric read never touches the home rack's state, and
+// fabric contention is modelled locally. Spillover targets are chosen
+// blindly by per-home-rack round robin, since reading another rack's
+// load would couple two shards below the lookahead. Hedging, crash
+// re-dispatch, and breaker routing all stay intra-rack.
 type ShardedFleet struct {
 	group      *sim.ShardGroup
 	racks      []*Cluster
+	fabric     []*snapshot.Store // rack i's window onto images homed elsewhere
 	tracers    []*obs.Tracer
 	homes      map[string]int
 	regOrder   int
@@ -107,6 +116,11 @@ func NewShardedFleet(sc ShardedConfig, cfg faas.Config) (*ShardedFleet, error) {
 			return nil, fmt.Errorf("cluster: rack %d: %w", ri, err)
 		}
 		f.racks = append(f.racks, rack)
+		// A window, not a copy: pages preprocessed here stand for the
+		// home rack's CXL bytes and count against no pool capacity.
+		window := mem.NewPool(mem.RDMA, 0, mem.DefaultLatencyModel())
+		window.SetHome("fabric")
+		f.fabric = append(f.fabric, snapshot.NewStore(mem.NewBlockStore(window), mmtemplate.NewRegistry()))
 	}
 	return f, nil
 }
@@ -120,20 +134,35 @@ func (f *ShardedFleet) Racks() []*Cluster { return f.racks }
 // Seed returns the fleet's base seed (rack i's engine derives from it).
 func (f *ShardedFleet) Seed() int64 { return f.seed }
 
-// Register deploys a function on every rack (one consolidated replica
-// each) and homes its dispatch on racks in registration round-robin
+// Register homes a function on a rack in registration round-robin
 // order — a pure function of registration sequence, so homing never
-// depends on map iteration.
+// depends on map iteration. The home rack holds the one consolidated CXL
+// copy; every other rack's nodes attach to the image through that rack's
+// fabric window.
 func (f *ShardedFleet) Register(prof workload.FunctionProfile) error {
 	if _, ok := f.homes[prof.Name]; ok {
 		return fmt.Errorf("cluster: function %q already registered", prof.Name)
 	}
+	home := f.regOrder % len(f.racks)
+	if err := f.racks[home].Register(prof); err != nil {
+		return fmt.Errorf("cluster: rack %d: %w", home, err)
+	}
 	for ri, rack := range f.racks {
-		if err := rack.Register(prof); err != nil {
-			return fmt.Errorf("cluster: rack %d: %w", ri, err)
+		if ri == home {
+			continue
+		}
+		window := f.fabric[ri]
+		img, err := window.Preprocess(prof.Snapshot(), snapshot.Placement{Hot: window.Blocks().Pool(), HotFraction: 1})
+		if err != nil {
+			return fmt.Errorf("cluster: rack %d fabric: %w", ri, err)
+		}
+		for _, node := range rack.nodes {
+			if err := node.RegisterWithImage(prof, img); err != nil {
+				return fmt.Errorf("cluster: rack %d: %w", ri, err)
+			}
 		}
 	}
-	f.homes[prof.Name] = f.regOrder % len(f.racks)
+	f.homes[prof.Name] = home
 	f.regOrder++
 	return nil
 }
@@ -195,10 +224,10 @@ func (f *ShardedFleet) nextSpillTarget(ri int) int {
 }
 
 // RunTrace dispatches a trace across the fleet and advances every rack
-// in synchronization windows to completion. Unlike Cluster and
-// MultiRack, the sharded fleet has no recorder pump: sampling one
-// registry across concurrently-advancing shards would need a global
-// clock inside windows. Gather metrics after the run instead.
+// in synchronization windows to completion. Unlike Cluster, the sharded
+// fleet has no recorder pump: sampling one registry across
+// concurrently-advancing shards would need a global clock inside
+// windows. Gather metrics after the run instead.
 func (f *ShardedFleet) RunTrace(tr workload.Trace) {
 	for _, inv := range tr {
 		f.Invoke(inv.At, inv.Function)
@@ -261,9 +290,10 @@ func (f *ShardedFleet) Spans() []*obs.Span {
 
 // RegisterMetrics publishes the fleet into reg: every node under
 // rack/node labels, each rack's pool, registry, breakers, and hedger
-// under its rack label, per-rack spill counters, fleet-wide
-// trenv_cluster_* aggregates, and the shard coordinator's window and
-// message counters under scope="shard".
+// under its rack label, each rack's fabric window under
+// scope="fabric", per-rack spill counters, fleet-wide trenv_cluster_*
+// aggregates, and the shard coordinator's window and message counters
+// under scope="shard".
 func (f *ShardedFleet) RegisterMetrics(reg *obs.Registry) {
 	var nodes []*faas.Platform
 	for ri, rack := range f.racks {
@@ -274,6 +304,9 @@ func (f *ShardedFleet) RegisterMetrics(reg *obs.Registry) {
 		rackLabels := map[string]string{"scope": "rack", "rack": rackName}
 		rack.cxl.RegisterMetricsLabeled(reg, rackLabels)
 		rack.store.Registry().RegisterMetrics(reg, rackLabels)
+		fabricLabels := map[string]string{"scope": "fabric", "rack": rackName}
+		f.fabric[ri].Blocks().Pool().RegisterMetricsLabeled(reg, fabricLabels)
+		f.fabric[ri].Registry().RegisterMetrics(reg, fabricLabels)
 		registerBreakers(reg, rack.breakers, func(i int) string { return rack.nodes[i].NodeName() })
 		registerHedger(reg, rack.hedge, map[string]string{"rack": rackName})
 		ri := ri

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -156,5 +157,195 @@ func TestShardedFleetHomingDeterministic(t *testing.T) {
 	}
 	if err := f.Register(workload.Table4()[0]); err == nil {
 		t.Fatal("duplicate registration accepted")
+	}
+}
+
+func TestNewShardedFleetValidation(t *testing.T) {
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	if _, err := NewShardedFleet(ShardedConfig{Racks: 0, NodesPerRack: 1}, cfg); err == nil {
+		t.Fatal("zero racks accepted")
+	}
+	if _, err := NewShardedFleet(ShardedConfig{Racks: 2, NodesPerRack: 2}, faas.DefaultConfig(faas.PolicyCRIU)); err == nil {
+		t.Fatal("non-TrEnv policy accepted")
+	}
+	withEngine := cfg
+	withEngine.Engine = sim.NewEngine(1)
+	if _, err := NewShardedFleet(ShardedConfig{Racks: 2, NodesPerRack: 2}, withEngine); err == nil {
+		t.Fatal("caller-owned engine accepted")
+	}
+}
+
+// newFleetWith builds an untraced fleet and registers the named functions.
+func newFleetWith(t *testing.T, sc ShardedConfig, cfg faas.Config, fns ...string) *ShardedFleet {
+	t.Helper()
+	f, err := NewShardedFleet(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range fns {
+		prof, err := workload.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Register(prof); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// The home rack holds the function's only CXL copy; other racks reach it
+// through their fabric windows.
+func TestRegisterHomesOneCXLCopy(t *testing.T) {
+	f := newFleetWith(t, ShardedConfig{Racks: 3, NodesPerRack: 2}, faas.DefaultConfig(faas.PolicyTrEnvCXL), "JS")
+	home := f.Home("JS")
+	for ri, rack := range f.Racks() {
+		used := rack.Pool().Tracker().Used()
+		if ri == home && used == 0 {
+			t.Fatalf("home rack %d holds no image", ri)
+		}
+		if ri != home && used != 0 {
+			t.Fatalf("non-home rack %d holds a CXL copy (%d bytes)", ri, used)
+		}
+		if ri != home && f.fabric[ri].Image("JS") == nil {
+			t.Fatalf("non-home rack %d has no fabric window onto JS", ri)
+		}
+	}
+	js, _ := workload.ProfileByName("JS")
+	if err := f.Register(js); err == nil {
+		t.Fatal("duplicate register accepted")
+	}
+}
+
+// Each rack's CXL pool holds exactly what a lone rack registering only
+// the functions homed there would hold, so the fleet stores Table 4 once
+// (blocks shared between functions dedup only within a rack). Every
+// invocation of a trace still runs.
+func TestShardedFleetRunTraceHoldsOneCopy(t *testing.T) {
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	f := newFleetWith(t, ShardedConfig{Racks: 2, NodesPerRack: 2}, cfg)
+	var tr workload.Trace
+	for i, p := range workload.Table4() {
+		if err := f.Register(p); err != nil {
+			t.Fatal(err)
+		}
+		tr = append(tr, workload.Invocation{At: time.Duration(i) * time.Second, Function: p.Name})
+	}
+	for ri, rack := range f.Racks() {
+		lone, err := New(2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range workload.Table4() {
+			if f.Home(p.Name) != ri {
+				continue
+			}
+			if err := lone.Register(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := rack.Pool().Tracker().Used(), lone.Pool().Tracker().Used(); got != want {
+			t.Fatalf("rack %d holds %d CXL bytes, its homed functions alone need %d", ri, got, want)
+		}
+	}
+	f.RunTrace(tr)
+	if f.Invocations() != len(tr) || f.Wedged() != 0 {
+		t.Fatalf("invocations=%d wedged=%d, want %d/0", f.Invocations(), f.Wedged(), len(tr))
+	}
+}
+
+func TestHomeRackPreferredNoSpillWhenIdle(t *testing.T) {
+	f := newFleetWith(t, ShardedConfig{Racks: 2, NodesPerRack: 2}, faas.DefaultConfig(faas.PolicyTrEnvCXL), "JS")
+	var tr workload.Trace
+	for i := 0; i < 3; i++ {
+		tr = append(tr, workload.Invocation{At: time.Duration(i) * 20 * time.Second, Function: "JS"})
+	}
+	f.RunTrace(tr)
+	if f.Invocations() != 3 {
+		t.Fatalf("invocations = %d", f.Invocations())
+	}
+	if f.Spillovers() != 0 {
+		t.Fatalf("spilled %d invocations with an idle home rack", f.Spillovers())
+	}
+	for ri, rack := range f.Racks() {
+		if ri != f.Home("JS") && rack.Invocations() != 0 {
+			t.Fatalf("non-home rack %d served traffic without saturation", ri)
+		}
+	}
+}
+
+// Spilled instances fault their pages in over the fabric window, so they
+// run slower than the home rack's direct CXL reads.
+func TestSaturatedHomeRackSpillsOverRDMA(t *testing.T) {
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	cfg.Cores = 2 // tiny nodes: easy to saturate
+	f := newFleetWith(t, ShardedConfig{Racks: 2, NodesPerRack: 1}, cfg, "JS")
+	home := f.Home("JS")
+	target := (home + 1) % 2
+	var tr workload.Trace
+	for i := 0; i < 8; i++ {
+		tr = append(tr, workload.Invocation{At: time.Duration(i+1) * time.Millisecond, Function: "JS"})
+	}
+	f.RunTrace(tr)
+	if f.Invocations() != 8 {
+		t.Fatalf("invocations = %d", f.Invocations())
+	}
+	if f.Spillovers() == 0 {
+		t.Fatal("no spillover despite a saturated home rack")
+	}
+	spillNode := f.Racks()[target].Nodes()[0]
+	if spillNode.Metrics().Invocations() == 0 {
+		t.Fatal("spill rack served nothing")
+	}
+	homeExec := f.Racks()[home].Nodes()[0].Metrics().Fn("JS").Exec.Min()
+	spillExec := spillNode.Metrics().Fn("JS").Exec.Min()
+	if spillExec <= homeExec {
+		t.Fatalf("spill exec %.1fms not slower than home %.1fms (fabric fetches missing)", spillExec, homeExec)
+	}
+	if f.fabric[target].Blocks().Pool().Fetches() == 0 {
+		t.Fatal("target rack's fabric window saw no fetches")
+	}
+}
+
+// A one-rack fleet is the single-rack model: against a plain Cluster with
+// the same seed, config, and trace it settles every invocation with the
+// same latency and outcome, and executes the same number of events.
+func TestShardedFleetOneRackMatchesCluster(t *testing.T) {
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	cfg.Seed = 1
+	settles := func(lines *[]string) func(string, time.Duration, faas.InvocationResult) {
+		return func(fn string, latency time.Duration, r faas.InvocationResult) {
+			*lines = append(*lines, fmt.Sprintf("%s %s %s", fn, latency, r.Outcome))
+		}
+	}
+	f := newFleetWith(t, ShardedConfig{Racks: 1, NodesPerRack: 2}, cfg)
+	c, err := New(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range workload.Table4() {
+		if err := f.Register(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fleetLines, rackLines []string
+	f.Racks()[0].SetSettleHook(settles(&fleetLines))
+	c.SetSettleHook(settles(&rackLines))
+	f.RunTrace(shardedTestTrace())
+	c.RunTrace(shardedTestTrace())
+
+	if len(fleetLines) == 0 || len(fleetLines) != len(rackLines) {
+		t.Fatalf("fleet settled %d invocations, cluster %d", len(fleetLines), len(rackLines))
+	}
+	for i := range fleetLines {
+		if fleetLines[i] != rackLines[i] {
+			t.Fatalf("settle %d: fleet %q, cluster %q", i, fleetLines[i], rackLines[i])
+		}
+	}
+	if f.Events() != c.Engine().Events() {
+		t.Fatalf("fleet ran %d events, cluster %d", f.Events(), c.Engine().Events())
 	}
 }

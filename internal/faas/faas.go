@@ -508,9 +508,10 @@ func (pl *Platform) Register(prof workload.FunctionProfile) error {
 }
 
 // RegisterWithImage deploys a function whose consolidated image and
-// templates were preprocessed elsewhere — a multi-rack deployment where
-// this node reaches the image over the inter-rack fabric instead of its
-// own rack's pool. TrEnv policies only.
+// templates were preprocessed elsewhere — a sharded fleet's non-home
+// rack, whose nodes reach the home rack's immutable copy through a
+// read-only window over the inter-rack fabric instead of their own
+// rack's pool. TrEnv policies only.
 func (pl *Platform) RegisterWithImage(prof workload.FunctionProfile, img *snapshot.Image) error {
 	if !pl.cfg.Policy.IsTrEnv() {
 		return fmt.Errorf("faas: policy %q cannot use preprocessed images", pl.cfg.Policy)

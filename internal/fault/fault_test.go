@@ -3,6 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -56,6 +57,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"crash:n1:soon",           // bad duration
 		"flap:nas:10s/20s:x3",     // down > period
 		"flap:nas:10s/2s:3",       // count missing x prefix
+		"flaky:rdma:NaN",          // NaN probability
+		"degrade:cxl:NaNx:1s-2s",  // NaN factor
+		"degrade:cxl:Infx:1s-2s",  // infinite factor
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {
@@ -65,6 +69,37 @@ func TestParseSpecErrors(t *testing.T) {
 	if sc, err := ParseSpec(""); err != nil || !sc.Empty() {
 		t.Fatalf("empty spec = (%+v, %v), want empty scenario", sc, err)
 	}
+}
+
+// FuzzFaultParseSpec: the parser never panics, and every scenario it
+// accepts carries finite factors and probabilities inside their
+// documented ranges.
+func FuzzFaultParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"outage:cxl:10s-20s,degrade:rdma:3x:5s-15s,flaky:rdma:0.2:burst=3,crash:n1:30s,flap:nas:10s/2s:x3:1m",
+		"flaky:rdma:0.5:10s-20s",
+		"flaky:rdma:NaN",
+		"degrade:cxl:NaNx:1s-2s",
+		"degrade:cxl:Infx:1s-2s",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, d := range sc.PoolDegrades {
+			if !(d.Factor > 1) || math.IsInf(d.Factor, 0) {
+				t.Fatalf("%q: degrade factor %v outside (1, +Inf)", spec, d.Factor)
+			}
+		}
+		for _, fl := range sc.FlakyFetches {
+			if !(fl.Prob > 0 && fl.Prob <= 1) {
+				t.Fatalf("%q: flaky probability %v outside (0, 1]", spec, fl.Prob)
+			}
+		}
+	})
 }
 
 func TestInjectorOutageWindow(t *testing.T) {

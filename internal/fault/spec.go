@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -87,8 +88,8 @@ func parseDegrade(p []string, sc *Scenario) error {
 		return fmt.Errorf("want degrade:<pool>:<factor>x:<from>-<to>")
 	}
 	factor, err := strconv.ParseFloat(strings.TrimSuffix(p[1], "x"), 64)
-	if err != nil || factor <= 1 {
-		return fmt.Errorf("bad factor %q (want > 1)", p[1])
+	if err != nil || !(factor > 1) || math.IsInf(factor, 0) { // written to reject NaN
+		return fmt.Errorf("bad factor %q (want finite > 1)", p[1])
 	}
 	from, to, err := parseWindow(p[2])
 	if err != nil {
@@ -103,7 +104,7 @@ func parseFlaky(p []string, sc *Scenario) error {
 		return fmt.Errorf("want flaky:<pool>:<prob>[:<from>-<to>][:burst=<n>]")
 	}
 	prob, err := strconv.ParseFloat(p[1], 64)
-	if err != nil || prob <= 0 || prob > 1 {
+	if err != nil || !(prob > 0 && prob <= 1) { // written to reject NaN
 		return fmt.Errorf("bad probability %q (want (0,1])", p[1])
 	}
 	f := FlakyFetch{Pool: p[0], Prob: prob}

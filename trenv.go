@@ -147,19 +147,23 @@ func NewCluster(n int, cfg ContainerConfig) (*Cluster, error) {
 	return cluster.New(n, cfg)
 }
 
-// MultiRack blends CXL (intra-rack) and RDMA (inter-rack) across racks
-// (§8.2): each function's image lives once in its home rack's CXL pool
-// and is reachable cluster-wide over the fabric.
-type MultiRack = cluster.MultiRack
+// ShardedFleet is the multi-rack topology (§8.2): each function's image
+// lives once in its home rack's CXL pool, other racks reach it over an
+// RDMA fabric window, and each rack advances as its own simulation
+// shard.
+type ShardedFleet = cluster.ShardedFleet
 
-// NewMultiRack builds a racks x nodesPerRack cluster; cfg must use
-// TrEnvCXL.
-func NewMultiRack(racks, nodesPerRack int, cfg ContainerConfig) (*MultiRack, error) {
-	return cluster.NewMultiRack(racks, nodesPerRack, cfg)
+// ShardedConfig sizes a ShardedFleet.
+type ShardedConfig = cluster.ShardedConfig
+
+// NewShardedFleet builds sc.Racks racks of sc.NodesPerRack nodes; cfg
+// must use TrEnvCXL and leave Engine nil.
+func NewShardedFleet(sc ShardedConfig, cfg ContainerConfig) (*ShardedFleet, error) {
+	return cluster.NewShardedFleet(sc, cfg)
 }
 
 // HedgePolicy configures request hedging / speculative cloning on a
-// Cluster or MultiRack dispatcher (SetHedgePolicy).
+// Cluster's dispatcher (SetHedgePolicy).
 type HedgePolicy = cluster.HedgePolicy
 
 // HedgeMode selects how a hedge policy triggers extra attempts.

@@ -94,19 +94,19 @@ func TestPublicAPIExperiments(t *testing.T) {
 	}
 }
 
-func TestPublicAPIMultiRack(t *testing.T) {
-	m, err := trenv.NewMultiRack(2, 2, trenv.DefaultContainerConfig(trenv.TrEnvCXL))
+func TestPublicAPIShardedFleet(t *testing.T) {
+	f, err := trenv.NewShardedFleet(trenv.ShardedConfig{Racks: 2, NodesPerRack: 2},
+		trenv.DefaultContainerConfig(trenv.TrEnvCXL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	js, _ := trenv.FunctionByName("JS")
-	if err := m.Register(js, 0); err != nil {
+	if err := f.Register(js); err != nil {
 		t.Fatal(err)
 	}
-	m.Invoke(0, "JS")
-	m.Engine().Run()
-	if m.Invocations() != 1 {
-		t.Fatalf("invocations = %d", m.Invocations())
+	f.RunTrace(trenv.Trace{{At: 0, Function: "JS"}})
+	if f.Invocations() != 1 {
+		t.Fatalf("invocations = %d", f.Invocations())
 	}
 }
 
