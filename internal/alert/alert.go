@@ -133,6 +133,12 @@ type ruleState struct {
 	fired    int64
 	detail   string
 	incident *Incident // open incident while firing
+
+	// matched holds the recorder series a threshold, rate or absence
+	// rule watches, resolved whenever the recorder's series set changes;
+	// fns is a burn rule's named function (nil for "*").
+	matched []*obs.TimeSeries
+	fns     []string
 }
 
 // Event is one timeline entry: a rule transitioned at virtual instant T.
@@ -167,6 +173,13 @@ type Engine struct {
 	tracer   *obs.Tracer
 	lookback time.Duration
 
+	// resolved is the recorder series count the rules' matches were
+	// resolved at (-1: never); sloFns[i] is slos[i]'s tracked functions
+	// as of the last change. Series and functions never leave, so equal
+	// counts mean nothing to re-resolve.
+	resolved int
+	sloFns   [][]string
+
 	evals    int64
 	lastEval time.Duration
 	evaled   bool
@@ -180,7 +193,7 @@ type Engine struct {
 // ParseSpec rejects them first, so a panic here means a literal rule
 // slice was built wrong.
 func New(rules []Rule) *Engine {
-	e := &Engine{lookback: DefaultLookback}
+	e := &Engine{lookback: DefaultLookback, resolved: -1}
 	seen := make(map[string]bool, len(rules))
 	for _, r := range rules {
 		if r.Name == "" {
@@ -190,7 +203,11 @@ func New(rules []Rule) *Engine {
 			panic(fmt.Sprintf("alert: duplicate rule name %q", r.Name))
 		}
 		seen[r.Name] = true
-		e.states = append(e.states, &ruleState{rule: r, state: StateInactive})
+		st := &ruleState{rule: r, state: StateInactive}
+		if r.Kind == KindBurn && r.Function != "" && r.Function != "*" {
+			st.fns = []string{r.Function}
+		}
+		e.states = append(e.states, st)
 	}
 	return e
 }
@@ -201,6 +218,7 @@ func New(rules []Rule) *Engine {
 // sampling pump instead of perturbing the event schedule.
 func (e *Engine) Observe(rec *obs.Recorder) {
 	e.rec = rec
+	e.resolved = -1
 	rec.SetOnSample(e.Eval)
 }
 
@@ -213,6 +231,7 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 func (e *Engine) AddSLO(t *obs.SLOTracker) {
 	if t != nil {
 		e.slos = append(e.slos, t)
+		e.sloFns = append(e.sloFns, nil)
 	}
 }
 
@@ -233,18 +252,40 @@ func (e *Engine) Eval(now time.Duration) {
 	}
 	e.lastEval, e.evaled = now, true
 	e.evals++
+	e.resolve()
 	for _, st := range e.states {
-		active, detail := e.condition(st.rule, now)
+		active, detail := e.condition(st, now)
 		e.transition(st, now, active, detail)
+	}
+}
+
+// resolve re-matches the rules against the recorder's series and
+// re-reads the trackers' functions, but only when either set changed
+// since the last evaluation.
+func (e *Engine) resolve() {
+	if e.rec != nil && e.rec.NumSeries() != e.resolved {
+		e.resolved = e.rec.NumSeries()
+		all := e.rec.Series()
+		for _, st := range e.states {
+			if st.rule.Kind != KindBurn {
+				st.matched = matchSeries(all, st.rule)
+			}
+		}
+	}
+	for i, slo := range e.slos {
+		if slo.NumFunctions() != len(e.sloFns[i]) {
+			e.sloFns[i] = slo.Functions()
+		}
 	}
 }
 
 // condition evaluates one rule's predicate, returning whether it is
 // active and a human description of the offending measurement.
-func (e *Engine) condition(r Rule, now time.Duration) (bool, string) {
+func (e *Engine) condition(st *ruleState, now time.Duration) (bool, string) {
+	r := st.rule
 	switch r.Kind {
 	case KindThreshold:
-		for _, ts := range e.matchSeries(r) {
+		for _, ts := range st.matched {
 			if ts.Len() == 0 {
 				continue // no data is absence, never zero
 			}
@@ -258,7 +299,7 @@ func (e *Engine) condition(r Rule, now time.Duration) (bool, string) {
 		if over <= 0 {
 			over = DefaultRateWindow
 		}
-		for _, ts := range e.matchSeries(r) {
+		for _, ts := range st.matched {
 			v, ok := ts.RateOver(now, over)
 			if !ok {
 				continue // no data is absence, never zero
@@ -269,8 +310,12 @@ func (e *Engine) condition(r Rule, now time.Duration) (bool, string) {
 		}
 		return false, ""
 	case KindBurn:
-		for _, slo := range e.slos {
-			for _, fn := range e.burnFunctions(slo, r) {
+		for i, slo := range e.slos {
+			fns := st.fns
+			if fns == nil {
+				fns = e.sloFns[i]
+			}
+			for _, fn := range fns {
 				for _, bw := range r.Burn {
 					if b := slo.BurnRate(fn, now, bw.Window); b >= bw.Factor {
 						return true, fmt.Sprintf("%s burn %.2fx over %s >= %gx", fn, b, bw.Window, bw.Factor)
@@ -280,11 +325,10 @@ func (e *Engine) condition(r Rule, now time.Duration) (bool, string) {
 		}
 		return false, ""
 	case KindAbsence:
-		matched := e.matchSeries(r)
-		if len(matched) == 0 {
+		if len(st.matched) == 0 {
 			return true, fmt.Sprintf("%s never sampled", r.seriesKey())
 		}
-		for _, ts := range matched {
+		for _, ts := range st.matched {
 			// The ring only retains sampled points, so "no point newer than
 			// now-Window" covers both a stopped series and a window that has
 			// aged entirely out of the buffer.
@@ -297,24 +341,12 @@ func (e *Engine) condition(r Rule, now time.Duration) (bool, string) {
 	return false, ""
 }
 
-// burnFunctions resolves a burn rule's function selector against one
-// tracker (already-sorted tracked names for "*" / "").
-func (e *Engine) burnFunctions(slo *obs.SLOTracker, r Rule) []string {
-	if r.Function == "" || r.Function == "*" {
-		return slo.Functions()
-	}
-	return []string{r.Function}
-}
-
-// matchSeries returns the recorder series a rule watches: same name,
-// and every selector label present with the same value (a subset match).
-// Recorder.Series is sorted by key, so match order is deterministic.
-func (e *Engine) matchSeries(r Rule) []*obs.TimeSeries {
-	if e.rec == nil {
-		return nil
-	}
+// matchSeries returns the series a rule watches: same name, and every
+// selector label present with the same value (a subset match). all is
+// sorted by key, so match order is deterministic.
+func matchSeries(all []*obs.TimeSeries, r Rule) []*obs.TimeSeries {
 	var out []*obs.TimeSeries
-	for _, ts := range e.rec.Series() {
+	for _, ts := range all {
 		if ts.Name != r.Series {
 			continue
 		}

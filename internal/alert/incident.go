@@ -68,7 +68,7 @@ func (e *Engine) captureIncident(st *ruleState, now time.Duration) *Incident {
 	if from < 0 {
 		from = 0
 	}
-	for _, ts := range e.matchSeries(st.rule) {
+	for _, ts := range st.matched {
 		win := SeriesWindow{Key: ts.Key, Points: []SeriesPoint{}}
 		for _, p := range ts.Points() {
 			if p.T < from || p.T > now {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faas"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -224,6 +225,54 @@ func TestShardedFleetMetricsLabelsAndAggregates(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet export missing %q", want)
+		}
+	}
+}
+
+// A fleet shares one registry across shard workers. Registered before
+// the run, each node's series sets grow on its own worker as functions
+// first complete, and nothing writes to the registry until the next
+// gather; so the export must equal registering after the run, at any
+// worker count.
+func TestShardedFleetRegistryGrowsDuringRun(t *testing.T) {
+	export := func(workers int, before bool) string {
+		cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+		cfg.Seed = 1
+		cfg.SLOTarget = 500 * time.Millisecond
+		f, err := NewShardedFleet(ShardedConfig{Racks: 4, NodesPerRack: 2, TraceCap: 4096, Workers: workers}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range workload.Table4() {
+			if err := f.Register(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := obs.NewRegistry()
+		if before {
+			f.RegisterMetrics(reg)
+			reg.Gather() // compile the plan before any function has run
+		}
+		f.RunTrace(shardedTestTrace())
+		if !before {
+			f.RegisterMetrics(reg)
+		}
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := export(1, false)
+	// DH first runs on rack r0 and PR on rack r2: two shards' sets grow.
+	for _, series := range []string{`trenv_slo_burn_rate{function="DH"`, `trenv_e2e_latency_ms_count{function="PR"`} {
+		if !strings.Contains(want, series) {
+			t.Fatalf("export lacks per-function series %s", series)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		if got := export(workers, true); got != want {
+			t.Fatalf("workers=%d: registering before the run exports differently from registering after it", workers)
 		}
 	}
 }

@@ -52,6 +52,29 @@ type Metrics struct {
 	PrefetchMisses     sim.Counter   // demand fetches with prefetch active
 	PromotedPages      sim.Counter   // pages redirected at the promotion cache
 	PrefetchBatchSize  sim.Histogram // pages per batch, one sample per replaying restore
+
+	// pubs are the registry registrations: each owns the per-function
+	// histogram sets a newly seen function is added to.
+	pubs []*metricsPub
+}
+
+// metricsPub is one RegisterLabeled call's per-function histogram sets.
+type metricsPub struct {
+	labels             map[string]string
+	e2e, startup, exec obs.HistogramSet
+}
+
+// add publishes one function's histograms ("_all" for the aggregate).
+// The E2E reservoir is read at export time: it only exists once tracing
+// has observed an exemplar.
+func (p *metricsPub) add(name string, fm *FnMetrics) {
+	labels := map[string]string{"function": name}
+	for k, v := range p.labels {
+		labels[k] = v
+	}
+	p.e2e.Add(labels, &fm.E2E, func() *obs.ExemplarReservoir { return fm.E2EExemplars })
+	p.startup.Add(labels, &fm.Startup, nil)
+	p.exec.Add(labels, &fm.Exec, nil)
 }
 
 // NewMetrics returns empty metrics.
@@ -59,12 +82,16 @@ func NewMetrics() *Metrics {
 	return &Metrics{PerFn: make(map[string]*FnMetrics)}
 }
 
-// Fn returns (creating if needed) the per-function metrics.
+// Fn returns (creating if needed) the per-function metrics. A new
+// function's histograms join every registration's series sets here.
 func (m *Metrics) Fn(name string) *FnMetrics {
 	fm, ok := m.PerFn[name]
 	if !ok {
 		fm = &FnMetrics{}
 		m.PerFn[name] = fm
+		for _, p := range m.pubs {
+			p.add(name, fm)
+		}
 	}
 	return fm
 }
@@ -162,9 +189,9 @@ func (m *Metrics) Summary() string {
 
 // Register publishes the run's counters and latency histograms into an
 // observability registry. Histograms export per function (label
-// function=<name>) plus the aggregate as function="_all"; series for
-// functions invoked after registration appear automatically because
-// gathering happens at scrape time.
+// function=<name>) plus the aggregate as function="_all"; a function
+// first invoked after registration is added to the registration's
+// series sets when Fn first sees it.
 func (m *Metrics) Register(reg *obs.Registry) { m.RegisterLabeled(reg, nil) }
 
 // RegisterLabeled is Register with extra labels merged into every
@@ -203,48 +230,17 @@ func (m *Metrics) RegisterLabeled(reg *obs.Registry, labels map[string]string) {
 	}
 	reg.CounterFunc("trenv_invocations_total", "Recorded (post-warmup) invocations.", labels,
 		func() int64 { return int64(m.Invocations()) })
-	hists := []struct {
-		name, help string
-		sel        func(*FnMetrics) *sim.Histogram
-		exSel      func(*FnMetrics) *obs.ExemplarReservoir
-	}{
-		{"trenv_e2e_latency_ms", "End-to-end invocation latency in milliseconds.",
-			func(fm *FnMetrics) *sim.Histogram { return &fm.E2E },
-			func(fm *FnMetrics) *obs.ExemplarReservoir { return fm.E2EExemplars }},
-		{"trenv_startup_latency_ms", "Instance startup latency in milliseconds.",
-			func(fm *FnMetrics) *sim.Histogram { return &fm.Startup }, nil},
-		{"trenv_exec_latency_ms", "Function execution latency in milliseconds.",
-			func(fm *FnMetrics) *sim.Histogram { return &fm.Exec }, nil},
+	reg.Histogram("trenv_prefetch_batch_pages",
+		"Pages per prefetch batch (one sample per replaying restore).", labels, &m.PrefetchBatchSize)
+	p := &metricsPub{labels: labels}
+	reg.HistogramSet("trenv_e2e_latency_ms", "End-to-end invocation latency in milliseconds.", &p.e2e)
+	reg.HistogramSet("trenv_startup_latency_ms", "Instance startup latency in milliseconds.", &p.startup)
+	reg.HistogramSet("trenv_exec_latency_ms", "Function execution latency in milliseconds.", &p.exec)
+	p.add("_all", &m.All)
+	for _, name := range m.Functions() {
+		p.add(name, m.PerFn[name])
 	}
-	fnLabels := func(name string) map[string]string {
-		out := map[string]string{"function": name}
-		for k, v := range labels {
-			out[k] = v
-		}
-		return out
-	}
-	reg.HistogramFunc("trenv_prefetch_batch_pages",
-		"Pages per prefetch batch (one sample per replaying restore).",
-		func() []obs.LabeledHistogram {
-			return []obs.LabeledHistogram{{Labels: labels, Hist: &m.PrefetchBatchSize}}
-		})
-	for _, h := range hists {
-		h := h
-		reg.HistogramFunc(h.name, h.help, func() []obs.LabeledHistogram {
-			lh := func(name string, fm *FnMetrics) obs.LabeledHistogram {
-				out := obs.LabeledHistogram{Labels: fnLabels(name), Hist: h.sel(fm)}
-				if h.exSel != nil {
-					out.Exemplars = h.exSel(fm)
-				}
-				return out
-			}
-			out := []obs.LabeledHistogram{lh("_all", &m.All)}
-			for _, name := range m.Functions() {
-				out = append(out, lh(name, m.PerFn[name]))
-			}
-			return out
-		})
-	}
+	m.pubs = append(m.pubs, p)
 }
 
 // FnExport is a serializable per-function summary.

@@ -335,19 +335,20 @@ func (inj *Injector) Status() Status {
 }
 
 // RegisterMetrics publishes trenv_faults_injected_total{kind=...} into
-// reg, with extra labels merged in.
+// reg, with extra labels merged in. Kinds are fixed when the scenario
+// compiles, so the registration's set is filled here; the family exists
+// even for a scenario without faults.
 func (inj *Injector) RegisterMetrics(reg *obs.Registry, extra map[string]string) {
-	reg.CounterSetFunc("trenv_faults_injected_total", "Injected faults by kind.", func() []obs.LabeledValue {
-		out := make([]obs.LabeledValue, 0, len(inj.kinds))
-		for _, k := range inj.kinds {
-			labels := map[string]string{"kind": k}
-			for lk, lv := range extra {
-				labels[lk] = lv
-			}
-			out = append(out, obs.LabeledValue{Labels: labels, Value: float64(inj.counts[k])})
+	var set obs.ValueSet
+	for _, k := range inj.kinds {
+		k := k
+		labels := map[string]string{"kind": k}
+		for lk, lv := range extra {
+			labels[lk] = lv
 		}
-		return out
-	})
+		set.Add(labels, func() float64 { return float64(inj.counts[k]) })
+	}
+	reg.CounterSet("trenv_faults_injected_total", "Injected faults by kind.", &set)
 }
 
 // String summarizes the scenario for logs.

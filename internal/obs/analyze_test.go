@@ -272,9 +272,9 @@ func TestPrometheusEscapesHostileLabelsAndExemplars(t *testing.T) {
 	h.Add(3)
 	ex := NewExemplarReservoir([]float64{10}, 1, "t")
 	ex.Observe(3, hostile)
-	reg.HistogramFunc("trenv_test_ms", "hostile exemplar", func() []LabeledHistogram {
-		return []LabeledHistogram{{Labels: map[string]string{"fn": hostile}, Hist: &h, Exemplars: ex}}
-	})
+	var set HistogramSet
+	set.Add(map[string]string{"fn": hostile}, &h, func() *ExemplarReservoir { return ex })
+	reg.HistogramSet("trenv_test_ms", "hostile exemplar", &set)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

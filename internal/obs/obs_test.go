@@ -202,18 +202,10 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestRegistryHistogramFuncGathersDynamicSeries(t *testing.T) {
+func TestRegistryHistogramSetGathersDynamicSeries(t *testing.T) {
 	reg := NewRegistry()
-	hists := map[string]*sim.Histogram{}
-	reg.HistogramFunc("trenv_dyn_ms", "Dynamic.", func() []LabeledHistogram {
-		var out []LabeledHistogram
-		for _, fn := range []string{"b", "a"} {
-			if h, ok := hists[fn]; ok {
-				out = append(out, LabeledHistogram{Labels: map[string]string{"function": fn}, Hist: h})
-			}
-		}
-		return out
-	})
+	var set HistogramSet
+	reg.HistogramSet("trenv_dyn_ms", "Dynamic.", &set)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -221,10 +213,12 @@ func TestRegistryHistogramFuncGathersDynamicSeries(t *testing.T) {
 	if strings.Count(buf.String(), "trenv_dyn_ms{") != 0 {
 		t.Fatalf("expected no series before histograms exist:\n%s", buf.String())
 	}
-	for _, fn := range []string{"a", "b"} {
+	// Added out of order after the first export: the next export must
+	// pick both up, sorted.
+	for _, fn := range []string{"b", "a"} {
 		h := &sim.Histogram{}
 		h.Add(7)
-		hists[fn] = h
+		set.Add(map[string]string{"function": fn}, h, nil)
 	}
 	buf.Reset()
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -273,6 +267,50 @@ func TestRegistryBadNamePanics(t *testing.T) {
 		}
 	}()
 	reg.CounterFunc("bad name", "m", nil, func() int64 { return 0 })
+}
+
+// TestRegistryRejectsBadLabelNames checks label names against the
+// Prometheus label grammar [a-zA-Z_][a-zA-Z0-9_]* at registration and
+// when a series joins a set: a colon is legal in metric names but not in
+// label names, and a bad name must not wait for a gather to fail.
+func TestRegistryRejectsBadLabelNames(t *testing.T) {
+	h := &sim.Histogram{}
+	register := map[string]func(reg *Registry, labels map[string]string){
+		"CounterFunc": func(reg *Registry, l map[string]string) {
+			reg.CounterFunc("c_total", "c", l, func() int64 { return 0 })
+		},
+		"GaugeFunc": func(reg *Registry, l map[string]string) {
+			reg.GaugeFunc("g", "g", l, func() float64 { return 0 })
+		},
+		"Histogram": func(reg *Registry, l map[string]string) { reg.Histogram("h_ms", "h", l, h) },
+		"ValueSet.Add": func(reg *Registry, l map[string]string) {
+			var set ValueSet
+			reg.CounterSet("s_total", "s", &set)
+			set.Add(l, func() float64 { return 0 })
+		},
+		"HistogramSet.Add": func(reg *Registry, l map[string]string) {
+			var set HistogramSet
+			reg.HistogramSet("hs_ms", "h", &set)
+			set.Add(l, h, nil)
+		},
+	}
+	for _, bad := range []string{"a:b", "", "0a", "a-b", "a b", "a.b", "é", `a"`} {
+		for how, reg := range register {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted label name %q", how, bad)
+					}
+				}()
+				reg(NewRegistry(), map[string]string{"ok": "1", bad: "1"})
+			}()
+		}
+	}
+	for _, good := range []string{"a", "_a", "a0", "A_b9", "__name"} {
+		for _, reg := range register {
+			reg(NewRegistry(), map[string]string{good: "1"})
+		}
+	}
 }
 
 func TestTracerStreamsJSONL(t *testing.T) {

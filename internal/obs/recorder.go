@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -123,11 +122,16 @@ func (ts *TimeSeries) RateOver(now, window time.Duration) (rate float64, ok bool
 
 // Recorder samples a registry into per-series rings. Series appear as
 // the registry first reports them (dynamic families grow during a run).
+// The recorder binds one ring to each entry of the registry's sample
+// plan and rebinds only when the plan is recompiled, so a steady tick is
+// one value read and one ring push per series.
 type Recorder struct {
 	reg     *Registry
 	cap     int
-	series  map[string]*TimeSeries
-	order   []string // sorted keys
+	byKey   map[string]*TimeSeries
+	series  []*TimeSeries // sorted by key
+	slots   []*TimeSeries // slots[i] records reg.plan[i]
+	gen     int           // plan generation the slots are bound to
 	samples int64
 
 	// onSample, when set, runs after every Sample with the sampled
@@ -143,37 +147,65 @@ func NewRecorder(reg *Registry, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	return &Recorder{reg: reg, cap: capacity, series: make(map[string]*TimeSeries)}
+	return &Recorder{reg: reg, cap: capacity, byKey: make(map[string]*TimeSeries)}
 }
 
 // Sample gathers the registry once at virtual time now. Re-sampling the
 // same instant is a no-op per series, so overlapping pumps cannot
 // duplicate points.
 func (r *Recorder) Sample(now time.Duration) {
-	for _, s := range r.reg.Gather() {
-		ts, ok := r.series[s.Key]
-		if !ok {
-			ts = &TimeSeries{Name: s.Name, Labels: s.Labels, Key: s.Key, Counter: s.Counter, cap: r.cap}
-			r.series[s.Key] = ts
-			i := sort.SearchStrings(r.order, s.Key)
-			r.order = append(r.order, "")
-			copy(r.order[i+1:], r.order[i:])
-			r.order[i] = s.Key
-		}
+	r.reg.compile()
+	if r.gen != r.reg.gen {
+		r.bind()
+	}
+	for i := range r.reg.plan {
+		ts := r.slots[i]
 		if ts.seen && now <= ts.lastT {
 			continue
 		}
+		e := &r.reg.plan[i]
+		v := e.read()
 		var rate float64
-		if s.Counter && ts.seen {
-			rate = safeRate(s.Value-ts.lastV, now-ts.lastT)
+		if e.counter && ts.seen {
+			rate = safeRate(v-ts.lastV, now-ts.lastT)
 		}
-		ts.push(Point{T: now, Value: s.Value, Rate: rate})
-		ts.lastT, ts.lastV, ts.seen = now, s.Value, true
+		ts.push(Point{T: now, Value: v, Rate: rate})
+		ts.lastT, ts.lastV, ts.seen = now, v, true
 	}
 	r.samples++
 	if r.onSample != nil {
 		r.onSample(now)
 	}
+}
+
+// bind points one slot at each entry of the freshly compiled plan,
+// creating rings for keys never sampled before. Duplicate keys share a
+// ring, whose first sample at an instant wins.
+func (r *Recorder) bind() {
+	plan := r.reg.plan
+	r.slots = r.slots[:0]
+	grew := false
+	for i := range plan {
+		e := &plan[i]
+		ts, ok := r.byKey[e.key]
+		if !ok {
+			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, cap: r.cap}
+			r.byKey[e.key] = ts
+			grew = true
+		}
+		r.slots = append(r.slots, ts)
+	}
+	if grew {
+		// The plan is key-sorted and holds every key ever sampled (series
+		// never leave a registry), so its distinct slots are the series.
+		r.series = r.series[:0]
+		for i, ts := range r.slots {
+			if i == 0 || ts != r.slots[i-1] {
+				r.series = append(r.series, ts)
+			}
+		}
+	}
+	r.gen = r.reg.gen
 }
 
 // SetOnSample registers a hook that runs after every Sample with the
@@ -201,17 +233,17 @@ func (r *Recorder) Registry() *Registry { return r.reg }
 
 // Series returns every recorded series sorted by key.
 func (r *Recorder) Series() []*TimeSeries {
-	out := make([]*TimeSeries, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.series[k])
-	}
-	return out
+	return append([]*TimeSeries(nil), r.series...)
 }
+
+// NumSeries returns how many series the recorder holds. Series never
+// leave, so an unchanged count means an unchanged Series list.
+func (r *Recorder) NumSeries() int { return len(r.series) }
 
 // Lookup returns the series for name with exactly the given labels, or
 // nil if never sampled.
 func (r *Recorder) Lookup(name string, labels map[string]string) *TimeSeries {
-	return r.series[name+renderLabels(labels, "")]
+	return r.byKey[name+renderLabels(labels, "")]
 }
 
 // PumpWhile samples every interval of virtual time on eng, starting
@@ -257,8 +289,8 @@ type recorderJSON struct {
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func (r *Recorder) export() recorderJSON {
-	doc := recorderJSON{Samples: r.samples, Series: make([]seriesJSON, 0, len(r.order))}
-	for _, ts := range r.Series() {
+	doc := recorderJSON{Samples: r.samples, Series: make([]seriesJSON, 0, len(r.series))}
+	for _, ts := range r.series {
 		sj := seriesJSON{Name: ts.Name, Labels: ts.Labels, Counter: ts.Counter, Dropped: ts.dropped}
 		for _, p := range ts.Points() {
 			sj.Points = append(sj.Points, pointJSON{TMS: durMS(p.T), Value: p.Value, Rate: p.Rate})
@@ -306,7 +338,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	if err := writeSeriesCSV(cw, nil, r.Series()); err != nil {
+	if err := writeSeriesCSV(cw, nil, r.series); err != nil {
 		return err
 	}
 	cw.Flush()
@@ -387,7 +419,7 @@ func (s *RecorderSet) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, rr := range s.runs {
-		if err := writeSeriesCSV(cw, []string{rr.Run}, rr.Rec.Series()); err != nil {
+		if err := writeSeriesCSV(cw, []string{rr.Run}, rr.Rec.series); err != nil {
 			return err
 		}
 	}

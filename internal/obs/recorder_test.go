@@ -50,12 +50,12 @@ func TestGatherSortedAndTyped(t *testing.T) {
 
 func TestRegistryDynamicValueSets(t *testing.T) {
 	reg := NewRegistry()
-	vals := []LabeledValue{}
-	reg.CounterSetFunc("dyn_total", "d", func() []LabeledValue { return vals })
+	var set ValueSet
+	reg.CounterSet("dyn_total", "d", &set)
 	if got := len(reg.Gather()); got != 0 {
 		t.Fatalf("empty set gathered %d samples", got)
 	}
-	vals = append(vals, LabeledValue{Labels: map[string]string{"fn": "JS"}, Value: 3})
+	set.Add(map[string]string{"fn": "JS"}, func() float64 { return 3 })
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -57,6 +57,21 @@ func (s *sloSeries) record(e sloEvent, cap int) {
 	s.head = (s.head + 1) % cap
 }
 
+// burnRate is SLOTracker.BurnRate for this function.
+func (s *sloSeries) burnRate(now, window time.Duration) float64 {
+	total, bad := s.window(now, window)
+	if total == 0 {
+		return 0
+	}
+	// Track validates Objective into (0,1), but guard the error-budget
+	// denominator anyway: a degenerate objective must not divide by zero.
+	den := 1 - s.slo.Objective
+	if den <= 0 {
+		return 0
+	}
+	return (float64(bad) / float64(total)) / den
+}
+
 // window counts events with t in (now-window, now].
 func (s *sloSeries) window(now, window time.Duration) (total, bad int64) {
 	lo := now - window
@@ -84,6 +99,30 @@ type SLOTracker struct {
 	windows []time.Duration
 	byFn    map[string]*sloSeries
 	names   []string // sorted function names
+	// pubs are the registrations: each owns the series sets a newly
+	// tracked function is added to.
+	pubs []*sloPub
+}
+
+// sloPub is one Register call's series sets and label base.
+type sloPub struct {
+	base                            map[string]string
+	now                             func() time.Duration
+	events, breaches, target, burns ValueSet
+}
+
+// add publishes fn's series: its counters, its target, and one burn
+// rate per window.
+func (p *sloPub) add(fn string, s *sloSeries, windows []time.Duration) {
+	labels := mergeLabels(p.base, map[string]string{"function": fn})
+	p.events.Add(labels, func() float64 { return float64(s.total) })
+	p.breaches.Add(labels, func() float64 { return float64(s.breaches) })
+	p.target.Add(labels, func() float64 { return durMS(s.slo.Target) })
+	for _, w := range windows {
+		w := w
+		p.burns.Add(mergeLabels(p.base, map[string]string{"function": fn, "window": w.String()}),
+			func() float64 { return s.burnRate(p.now(), w) })
+	}
 }
 
 // NewSLOTracker tracks burn rate over the given sliding windows
@@ -124,6 +163,9 @@ func (t *SLOTracker) seriesFor(fn string, slo SLO) *sloSeries {
 		t.names = append(t.names, "")
 		copy(t.names[i+1:], t.names[i:])
 		t.names[i] = fn
+		for _, p := range t.pubs {
+			p.add(fn, s, t.windows)
+		}
 	}
 	return s
 }
@@ -146,6 +188,10 @@ func (t *SLOTracker) Record(fn string, at, latency time.Duration) {
 func (t *SLOTracker) Functions() []string {
 	return append([]string(nil), t.names...)
 }
+
+// NumFunctions returns how many functions are tracked. Functions are
+// never dropped, so an unchanged count means an unchanged Functions list.
+func (t *SLOTracker) NumFunctions() int { return len(t.names) }
 
 // Total returns how many invocations of fn were recorded.
 func (t *SLOTracker) Total(fn string) int64 {
@@ -173,17 +219,7 @@ func (t *SLOTracker) BurnRate(fn string, now, window time.Duration) float64 {
 	if !ok {
 		return 0
 	}
-	total, bad := s.window(now, window)
-	if total == 0 {
-		return 0
-	}
-	// Track validates Objective into (0,1), but guard the error-budget
-	// denominator anyway: a degenerate objective must not divide by zero.
-	den := 1 - s.slo.Objective
-	if den <= 0 {
-		return 0
-	}
-	return (float64(bad) / float64(total)) / den
+	return s.burnRate(now, window)
 }
 
 // Compliance returns the fraction of invocations within target over the
@@ -218,57 +254,17 @@ func mergeLabels(base, extra map[string]string) map[string]string {
 // Register publishes the tracker through reg: per-function event and
 // breach counters, the configured target, and one burn-rate gauge per
 // window, all merged with base labels (e.g. node="n3"). now supplies
-// the virtual instant burn rates are evaluated at.
+// the virtual instant burn rates are evaluated at. A function's series
+// are added to the registration's sets when the tracker first sees it.
 func (t *SLOTracker) Register(reg *Registry, base map[string]string, now func() time.Duration) {
-	reg.CounterSetFunc("trenv_slo_events_total",
-		"Invocations observed by the SLO tracker.",
-		func() []LabeledValue {
-			out := make([]LabeledValue, 0, len(t.names))
-			for _, fn := range t.names {
-				out = append(out, LabeledValue{
-					Labels: mergeLabels(base, map[string]string{"function": fn}),
-					Value:  float64(t.byFn[fn].total),
-				})
-			}
-			return out
-		})
-	reg.CounterSetFunc("trenv_slo_breaches_total",
-		"Invocations that missed their latency target.",
-		func() []LabeledValue {
-			out := make([]LabeledValue, 0, len(t.names))
-			for _, fn := range t.names {
-				out = append(out, LabeledValue{
-					Labels: mergeLabels(base, map[string]string{"function": fn}),
-					Value:  float64(t.byFn[fn].breaches),
-				})
-			}
-			return out
-		})
-	reg.GaugeSetFunc("trenv_slo_target_ms",
-		"Configured per-function latency target.",
-		func() []LabeledValue {
-			out := make([]LabeledValue, 0, len(t.names))
-			for _, fn := range t.names {
-				out = append(out, LabeledValue{
-					Labels: mergeLabels(base, map[string]string{"function": fn}),
-					Value:  durMS(t.byFn[fn].slo.Target),
-				})
-			}
-			return out
-		})
-	reg.GaugeSetFunc("trenv_slo_burn_rate",
-		"Error-budget burn rate over a sliding virtual-time window (1 = at budget).",
-		func() []LabeledValue {
-			at := now()
-			out := make([]LabeledValue, 0, len(t.names)*len(t.windows))
-			for _, fn := range t.names {
-				for _, w := range t.windows {
-					out = append(out, LabeledValue{
-						Labels: mergeLabels(base, map[string]string{"function": fn, "window": w.String()}),
-						Value:  t.BurnRate(fn, at, w),
-					})
-				}
-			}
-			return out
-		})
+	p := &sloPub{base: base, now: now}
+	reg.CounterSet("trenv_slo_events_total", "Invocations observed by the SLO tracker.", &p.events)
+	reg.CounterSet("trenv_slo_breaches_total", "Invocations that missed their latency target.", &p.breaches)
+	reg.GaugeSet("trenv_slo_target_ms", "Configured per-function latency target.", &p.target)
+	reg.GaugeSet("trenv_slo_burn_rate",
+		"Error-budget burn rate over a sliding virtual-time window (1 = at budget).", &p.burns)
+	for _, fn := range t.names {
+		p.add(fn, t.byFn[fn], t.windows)
+	}
+	t.pubs = append(t.pubs, p)
 }

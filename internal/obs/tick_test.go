@@ -1,0 +1,98 @@
+package obs_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/alert"
+	"repro/internal/faas"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+// observedNode builds one node with the full observed surface: the
+// platform's metrics, its SLO tracker, build info, and the default
+// alert rules, sampled into rings of the given capacity. It runs one
+// invocation of every Table-4 function, so each per-function and SLO
+// series exists before it returns the recorder, the engine and the
+// virtual instant the run ended at.
+func observedNode(tb testing.TB, capacity int) (*obs.Recorder, *alert.Engine, time.Duration) {
+	tb.Helper()
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	cfg.Seed = 1
+	cfg.SLOTarget = 2 * time.Second
+	cfg.Tracer = obs.NewTracer(0)
+	pl := faas.New(cfg)
+	var tr workload.Trace
+	for i, p := range workload.Table4() {
+		if err := pl.Register(p); err != nil {
+			tb.Fatal(err)
+		}
+		tr = append(tr, workload.Invocation{At: time.Duration(i) * 100 * time.Millisecond, Function: p.Name})
+	}
+	reg := obs.NewRegistry()
+	pl.RegisterMetrics(reg)
+	obs.RegisterBuildInfo(reg, nil)
+	rec := obs.NewRecorder(reg, capacity)
+	pl.AttachRecorder(rec, 0)
+	ae := alert.New(alert.DefaultRules())
+	ae.RegisterMetrics(reg, nil)
+	pl.AttachAlerts(ae)
+	pl.RunTrace(tr)
+	return rec, ae, pl.Engine().Now()
+}
+
+// TestRecorderTickAllocs is the flight recorder's allocation ceiling:
+// once the sample plan is compiled, no series appears and the alert
+// rules are quiet, one sampling tick — every series read and pushed,
+// every rule evaluated — allocates nothing.
+func TestRecorderTickAllocs(t *testing.T) {
+	const capacity = 8
+	rec, ae, now := observedNode(t, capacity)
+	tick := func() {
+		now += obs.DefaultSampleInterval
+		rec.Sample(now)
+	}
+	// Past the longest burn window every rule has settled, and past the
+	// ring capacity no ring grows.
+	warm := int(5*time.Minute/obs.DefaultSampleInterval) + capacity
+	for i := 0; i < warm; i++ {
+		tick()
+	}
+	series, evals := rec.NumSeries(), ae.Evals()
+	if series < 100 {
+		t.Fatalf("only %d series recorded; the node's surface is missing", series)
+	}
+	for _, st := range ae.Snapshot() {
+		if st.State != alert.StateInactive {
+			t.Fatalf("rule %s is %s after warm-up; an active rule describes itself every tick", st.Rule.Name, st.State)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Fatalf("steady tick allocates %v times, want 0", allocs)
+	}
+	if got := rec.NumSeries(); got != series {
+		t.Fatalf("series grew %d -> %d during the measured ticks", series, got)
+	}
+	if ae.Evals() <= evals {
+		t.Fatal("alert engine did not evaluate on the measured ticks")
+	}
+}
+
+// BenchmarkRecorderSample is the obs layer's per-tick cost: one
+// flight-recorder sample and alert evaluation over a node's full
+// surface, with full rings.
+func BenchmarkRecorderSample(b *testing.B) {
+	rec, _, now := observedNode(b, obs.DefaultSeriesCapacity)
+	for i := 0; i < obs.DefaultSeriesCapacity; i++ {
+		now += obs.DefaultSampleInterval
+		rec.Sample(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += obs.DefaultSampleInterval
+		rec.Sample(now)
+	}
+	b.ReportMetric(float64(rec.NumSeries()), "series")
+}

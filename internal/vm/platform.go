@@ -73,6 +73,19 @@ type Platform struct {
 	repurposed sim.Counter // starts served from the sandbox pool
 	built      sim.Counter // starts that had to build a sandbox
 	runs       sim.Counter // completed agent runs
+
+	// pubs are the registry registrations: each owns the per-agent
+	// histogram sets a newly seen agent is added to.
+	pubs []*agentPub
+}
+
+// agentPub is one RegisterMetrics call's per-agent histogram sets.
+type agentPub struct{ startup, e2e obs.HistogramSet }
+
+func (p *agentPub) add(name string, m *AgentMetrics) {
+	labels := map[string]string{"agent": name}
+	p.startup.Add(labels, &m.Startup, nil)
+	p.e2e.Add(labels, &m.E2E, nil)
 }
 
 // New builds a platform.
@@ -100,12 +113,16 @@ func (pl *Platform) Engine() *sim.Engine { return pl.eng }
 // LLM returns the replayed inference server.
 func (pl *Platform) LLM() *LLMServer { return pl.llm }
 
-// Metrics returns per-agent metrics (creating on first use).
+// Metrics returns per-agent metrics (creating on first use). A new
+// agent's histograms join every registration's series sets here.
 func (pl *Platform) Metrics(name string) *AgentMetrics {
 	m, ok := pl.perFn[name]
 	if !ok {
 		m = &AgentMetrics{}
 		pl.perFn[name] = m
+		for _, p := range pl.pubs {
+			p.add(name, m)
+		}
 	}
 	return m
 }
@@ -388,28 +405,13 @@ func (pl *Platform) runAgent(p *sim.Proc, prof agent.Profile) {
 // reg: per-agent startup/e2e histograms, lifecycle counters, and node
 // memory gauges.
 func (pl *Platform) RegisterMetrics(reg *obs.Registry) {
-	hists := []struct {
-		name, help string
-		sel        func(*AgentMetrics) *sim.Histogram
-	}{
-		{"trenv_agent_startup_latency_ms", "Agent VM startup latency in milliseconds.",
-			func(m *AgentMetrics) *sim.Histogram { return &m.Startup }},
-		{"trenv_agent_e2e_latency_ms", "Agent run end-to-end latency in milliseconds.",
-			func(m *AgentMetrics) *sim.Histogram { return &m.E2E }},
+	p := &agentPub{}
+	reg.HistogramSet("trenv_agent_startup_latency_ms", "Agent VM startup latency in milliseconds.", &p.startup)
+	reg.HistogramSet("trenv_agent_e2e_latency_ms", "Agent run end-to-end latency in milliseconds.", &p.e2e)
+	for _, name := range pl.AgentNames() {
+		p.add(name, pl.perFn[name])
 	}
-	for _, h := range hists {
-		h := h
-		reg.HistogramFunc(h.name, h.help, func() []obs.LabeledHistogram {
-			var out []obs.LabeledHistogram
-			for _, name := range pl.AgentNames() {
-				out = append(out, obs.LabeledHistogram{
-					Labels: map[string]string{"agent": name},
-					Hist:   h.sel(pl.perFn[name]),
-				})
-			}
-			return out
-		})
-	}
+	pl.pubs = append(pl.pubs, p)
 	reg.CounterFunc("trenv_agent_runs_total", "Completed agent runs.", nil, pl.runs.Value)
 	reg.CounterFunc("trenv_agent_repurposes_total", "VM starts served from the sandbox pool.", nil, pl.repurposed.Value)
 	reg.CounterFunc("trenv_agent_builds_total", "VM starts that built a sandbox from scratch.", nil, pl.built.Value)

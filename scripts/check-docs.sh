@@ -16,8 +16,9 @@
 #   7. ARCHITECTURE.md carries the "Engine internals & sharding"
 #      chapter and the shard-count-invariance determinism paragraph;
 #   8. every committed BENCH_*.json baseline (each a lean
-#      trenv-report/v1 bundle that trenv-diff gates) appears in
-#      EXPERIMENTS.md's "Regenerating baselines" section.
+#      trenv-report/v1 bundle that trenv-diff gates) and every
+#      BENCH_*.sha256 output pin appears in EXPERIMENTS.md's
+#      "Regenerating baselines" section.
 # The simulator's host cost is not checked here: bench/ measures it.
 # Exits non-zero listing everything that is missing.
 set -eu
@@ -113,7 +114,7 @@ if ! grep -q '^## Regenerating baselines' EXPERIMENTS.md; then
     echo "EXPERIMENTS.md missing section: ## Regenerating baselines" >&2
     fail=1
 fi
-for b in BENCH_*.json; do
+for b in BENCH_*.json BENCH_*.sha256; do
     [ -e "$b" ] || continue
     if ! grep -q "$b" EXPERIMENTS.md; then
         echo "committed baseline undocumented in EXPERIMENTS.md: $b" >&2
