@@ -1,22 +1,26 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// All TrEnv experiments run on virtual time: simulated processes are
-// goroutines that the engine resumes one at a time in (time, sequence)
-// order, so a given seed always produces bit-identical results. The engine
-// also provides counted resources (CPU cores), condition signals, and the
-// statistics types (histograms, time-weighted gauges) used to report
-// latency distributions and memory curves.
+// All TrEnv experiments run on virtual time: the engine resumes simulated
+// processes one at a time in (time, sequence) order, so a given seed always
+// produces bit-identical results. A process body runs on a pooled runner
+// goroutine that the engine binds at the process's first resume and takes
+// back when the body returns, so the goroutines alive track in-flight
+// processes rather than scheduled arrivals, and each keeps the stack earlier
+// bodies grew. The engine also provides counted resources (CPU cores),
+// condition signals, and the statistics types (histograms, time-weighted
+// gauges) used to report latency distributions and memory curves.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 )
 
 // stopPanic is thrown into parked processes when the engine shuts down so
-// their goroutines unwind instead of leaking.
+// their bodies unwind, running deferred cleanup, instead of leaking.
 type stopPanic struct{}
 
 // Engine is a deterministic discrete-event scheduler over virtual time.
@@ -27,8 +31,8 @@ type Engine struct {
 	seq      uint64
 	queue    eventHeap
 	rng      *rand.Rand
-	parked   chan struct{} // signaled when the active proc yields or exits
-	procs    map[*Proc]struct{}
+	busy     []*runner // runners bound to a started, unfinished process
+	idle     []*runner // runners waiting for their next process, reused last-in first-out
 	running  bool
 	stopped  bool
 	procSeq  int
@@ -97,11 +101,7 @@ func (e *Engine) recycle(ev *event) {
 
 // NewEngine returns an engine whose random stream is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -110,13 +110,16 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand returns the engine's deterministic random stream.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Proc is a simulated process: a goroutine that only runs while the engine
-// is blocked waiting for it, giving cooperative, deterministic scheduling.
+// Proc is a simulated process. Its body runs on a runner the engine binds
+// at the process's first resume, and only while the engine is blocked
+// waiting for it, giving cooperative, deterministic scheduling. Creating a
+// Proc starts no goroutine.
 type Proc struct {
 	eng  *Engine
 	name string
 	id   int
-	wake chan struct{}
+	fn   func(p *Proc) // body; nil once a runner has started it
+	r    *runner       // bound runner while the body is started and unfinished
 	done bool
 }
 
@@ -144,25 +147,7 @@ func (e *Engine) At(t time.Duration, name string, fn func(p *Proc)) *Proc {
 		panic(fmt.Sprintf("sim: At(%v) is before now (%v)", t, e.now))
 	}
 	e.procSeq++
-	p := &Proc{eng: e, name: name, id: e.procSeq, wake: make(chan struct{})}
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.wake // wait for first resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopPanic); !ok {
-					panic(r)
-				}
-			}
-			p.done = true
-			delete(e.procs, p)
-			e.parked <- struct{}{}
-		}()
-		if e.stopped {
-			return // woken by Shutdown before ever running: unwind quietly
-		}
-		fn(p)
-	}()
+	p := &Proc{eng: e, name: name, id: e.procSeq, fn: fn}
 	e.push(e.newEvent(t, p, nil))
 	return p
 }
@@ -175,19 +160,121 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.push(e.newEvent(e.now+d, nil, fn))
 }
 
-// resume hands control to p and blocks until it yields or finishes.
+// resume hands control to p, binding a runner at its first resume, and
+// blocks until p parks or returns.
 func (e *Engine) resume(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.parked
+	r := p.r
+	if r == nil {
+		r = e.bind(p)
+	}
+	r.resume()
 }
 
-// park is called from inside a process goroutine to yield to the engine.
+// park is called from inside a process body to yield to the engine.
 func (p *Proc) park() {
-	p.eng.parked <- struct{}{}
-	<-p.wake
+	p.r.park()
 	if p.eng.stopped {
 		panic(stopPanic{})
 	}
+}
+
+// runner is a long-lived goroutine that runs process bodies one after
+// another, so a body starts on a stack that earlier bodies already grew.
+// The engine and the runner pass control back and forth over two
+// unbuffered channels, so exactly one of them runs at a time; that
+// handoff lives in resume and park alone.
+type runner struct {
+	eng   *Engine
+	wake  chan struct{} // engine to runner: run the bound process; closed to stop an idle runner
+	yield chan struct{} // runner to engine: the bound process parked or returned; closed as the goroutine exits
+	proc  *Proc         // bound process; nil while idle
+	slot  int           // index in eng.busy while bound
+}
+
+// resume runs the bound process until it parks or returns.
+func (r *runner) resume() {
+	r.wake <- struct{}{}
+	<-r.yield
+}
+
+// park hands control back to the engine and blocks until the next resume.
+func (r *runner) park() {
+	r.yield <- struct{}{}
+	<-r.wake
+}
+
+// loop starts each process the engine binds, until the engine stops it.
+func (r *runner) loop() {
+	defer close(r.yield)
+	for range r.wake {
+		if !r.exec() {
+			return
+		}
+	}
+}
+
+// exec runs the bound process's body to its end, detaches the process and
+// yields to the engine. It reports whether the runner stays in the pool:
+// not after runtime.Goexit in the body, nor once the engine has stopped.
+func (r *runner) exec() (reuse bool) {
+	e, p := r.eng, r.proc
+	returned := false
+	defer func() {
+		v := recover()
+		if _, ok := v.(stopPanic); v != nil && !ok {
+			panic(v)
+		}
+		reuse = (returned || v != nil) && !e.stopped
+		e.unbind(r, reuse)
+		r.yield <- struct{}{}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	returned = true
+	return
+}
+
+// bind gives p the most recently idled runner, or a new one.
+func (e *Engine) bind(p *Proc) *runner {
+	var r *runner
+	if n := len(e.idle); n > 0 {
+		r = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		r = &runner{eng: e, wake: make(chan struct{}), yield: make(chan struct{})}
+		go r.loop()
+	}
+	r.proc, r.slot = p, len(e.busy)
+	e.busy = append(e.busy, r)
+	p.r = r
+	return r
+}
+
+// unbind marks r's process done and takes r off the busy list, back to
+// the idle list when reuse is set. It runs on the runner while the engine
+// waits in resume.
+func (e *Engine) unbind(r *runner, reuse bool) {
+	r.proc.done, r.proc.r, r.proc = true, nil, nil
+	last := len(e.busy) - 1
+	e.busy[r.slot] = e.busy[last]
+	e.busy[r.slot].slot = r.slot
+	e.busy[last] = nil
+	e.busy = e.busy[:last]
+	if reuse {
+		e.idle = append(e.idle, r)
+	}
+}
+
+// stopIdle stops every idle runner's goroutine and waits for it to exit.
+func (e *Engine) stopIdle() {
+	for i, r := range e.idle {
+		close(r.wake)
+		<-r.yield
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -277,19 +364,22 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 	}
 	if e.stopped {
 		e.unwind()
+	} else if len(e.queue) == 0 {
+		e.stopIdle() // drained: nothing is left to start a process
 	}
 }
 
-// Shutdown unwinds every parked process and drops all pending events.
-// After Shutdown the engine must not be reused.
+// Shutdown unwinds every parked process in proc-id order, drops all
+// pending events and stops the engine's runners. After Shutdown the engine
+// must not be reused.
 //
 // Shutdown may also be called from inside a running process or callback:
 // in that case it marks the engine stopped and drops the queue
 // immediately, and the run loop unwinds the remaining parked processes
 // once the calling process yields or returns. (Unwinding synchronously
-// from inside a process would deadlock: the engine goroutine is blocked
-// waiting for that process to park, so it cannot arbitrate a resume of
-// any other process.)
+// from inside a process would deadlock: the engine is blocked waiting for
+// that process to park, so it cannot arbitrate a resume of any other
+// process.)
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	e.queue = nil
@@ -299,14 +389,20 @@ func (e *Engine) Shutdown() {
 	e.unwind()
 }
 
-// unwind resumes every parked process so park() observes stopped and
-// panics with stopPanic, unwinding the goroutine.
+// unwind resumes every started process in proc-id order so park observes
+// stopped and panics with stopPanic, running the body's deferred cleanup;
+// a process that never started has nothing to unwind. A cleanup that parks
+// again is resumed on the next pass. Then it stops the idle runners.
 func (e *Engine) unwind() {
-	for p := range e.procs {
-		if !p.done {
-			e.resume(p)
+	var started []*runner
+	for len(e.busy) > 0 {
+		started = append(started[:0], e.busy...)
+		sort.Slice(started, func(i, j int) bool { return started[i].proc.id < started[j].proc.id })
+		for _, r := range started {
+			r.resume()
 		}
 	}
+	e.stopIdle()
 }
 
 // Pending reports the number of queued events (for tests).

@@ -1,0 +1,383 @@
+package sim
+
+import (
+	"container/heap"
+	"fmt"
+	"math/rand"
+	"sort"
+	"time"
+)
+
+// refEngine, refProc and the ref* primitives are the slow reference model
+// of the engine: every process is a fresh goroutine started by At, and the
+// engine hands control to it over a per-process wake channel and one
+// engine-wide parked channel. FuzzEngineDifferential drives it next to
+// the runner engine. It differs from the goroutine-per-process engine it
+// replaced in one place: Shutdown unwinds in proc-id order, not map order,
+// so that the unwind order can be compared at all.
+type refEngine struct {
+	now     time.Duration
+	seq     uint64
+	queue   refEventHeap
+	rng     *rand.Rand
+	parked  chan struct{} // signaled when the active proc yields or exits
+	procs   map[*refProc]struct{}
+	running bool
+	stopped bool
+	procSeq int
+	events  int64
+}
+
+type refEvent struct {
+	at   time.Duration
+	seq  uint64
+	proc *refProc
+	fn   func()
+}
+
+type refEventHeap []*refEvent
+
+func (h refEventHeap) Len() int { return len(h) }
+func (h refEventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refEventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refEventHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refEventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return ev
+}
+
+func (e *refEngine) push(ev *refEvent) {
+	if e.stopped {
+		return
+	}
+	e.seq++
+	ev.seq = e.seq
+	heap.Push(&e.queue, ev)
+}
+
+func newRefEngine(seed int64) *refEngine {
+	return &refEngine{
+		rng:    rand.New(rand.NewSource(seed)),
+		parked: make(chan struct{}),
+		procs:  make(map[*refProc]struct{}),
+	}
+}
+
+func (e *refEngine) Now() time.Duration { return e.now }
+func (e *refEngine) Rand() *rand.Rand   { return e.rng }
+func (e *refEngine) Pending() int       { return len(e.queue) }
+func (e *refEngine) Events() int64      { return e.events }
+
+type refProc struct {
+	eng  *refEngine
+	name string
+	id   int
+	wake chan struct{}
+	done bool
+}
+
+func (p *refProc) Now() time.Duration { return p.eng.now }
+
+func (e *refEngine) Go(name string, fn func(p *refProc)) *refProc {
+	return e.At(e.now, name, fn)
+}
+
+func (e *refEngine) At(t time.Duration, name string, fn func(p *refProc)) *refProc {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: At(%v) is before now (%v)", t, e.now))
+	}
+	e.procSeq++
+	p := &refProc{eng: e, name: name, id: e.procSeq, wake: make(chan struct{})}
+	e.procs[p] = struct{}{}
+	go func() {
+		<-p.wake // wait for first resume
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopPanic); !ok {
+					panic(r)
+				}
+			}
+			p.done = true
+			delete(e.procs, p)
+			e.parked <- struct{}{}
+		}()
+		if e.stopped {
+			return // woken by Shutdown before ever running: unwind quietly
+		}
+		fn(p)
+	}()
+	e.push(&refEvent{at: t, proc: p})
+	return p
+}
+
+func (e *refEngine) After(d time.Duration, fn func()) {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	e.push(&refEvent{at: e.now + d, fn: fn})
+}
+
+func (e *refEngine) resume(p *refProc) {
+	p.wake <- struct{}{}
+	<-e.parked
+}
+
+func (p *refProc) park() {
+	p.eng.parked <- struct{}{}
+	<-p.wake
+	if p.eng.stopped {
+		panic(stopPanic{})
+	}
+}
+
+func (p *refProc) Sleep(d time.Duration) {
+	if d < 0 {
+		panic("sim: negative sleep")
+	}
+	e := p.eng
+	e.push(&refEvent{at: e.now + d, proc: p})
+	p.park()
+}
+
+func (p *refProc) Yield() { p.Sleep(0) }
+func (p *refProc) Park()  { p.park() }
+
+func (e *refEngine) Resume(p *refProc) {
+	if p.done {
+		return
+	}
+	e.push(&refEvent{at: e.now, proc: p})
+}
+
+func (e *refEngine) Run() { e.RunUntil(-1) }
+
+func (e *refEngine) RunUntil(deadline time.Duration) {
+	if e.running {
+		panic("sim: Run called reentrantly")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+	for len(e.queue) > 0 && !e.stopped {
+		if deadline >= 0 && e.queue[0].at > deadline {
+			break
+		}
+		ev := heap.Pop(&e.queue).(*refEvent)
+		if ev.at < e.now {
+			panic("sim: time went backwards")
+		}
+		e.now = ev.at
+		e.events++
+		if ev.proc != nil {
+			if !ev.proc.done {
+				e.resume(ev.proc)
+			}
+			continue
+		}
+		ev.fn()
+	}
+	if e.stopped {
+		e.unwind()
+	}
+	if deadline >= 0 && deadline > e.now {
+		e.now = deadline
+	}
+}
+
+func (e *refEngine) Shutdown() {
+	e.stopped = true
+	e.queue = nil
+	if e.running {
+		return
+	}
+	e.unwind()
+}
+
+// unwind resumes every live process, in proc-id order, so park observes
+// stopped and panics with stopPanic.
+func (e *refEngine) unwind() {
+	live := make([]*refProc, 0, len(e.procs))
+	for p := range e.procs {
+		live = append(live, p)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	for _, p := range live {
+		if !p.done {
+			e.resume(p)
+		}
+	}
+}
+
+type refSignal struct{ waiters []*refProc }
+
+func (s *refSignal) Wait(p *refProc) {
+	s.waiters = append(s.waiters, p)
+	p.park()
+}
+
+func (s *refSignal) Broadcast(e *refEngine) {
+	ws := s.waiters
+	s.waiters = nil
+	for _, w := range ws {
+		e.push(&refEvent{at: e.now, proc: w})
+	}
+}
+
+func (s *refSignal) Waiters() int { return len(s.waiters) }
+
+type refResource struct {
+	name      string
+	capacity  int
+	inUse     int
+	queue     []*refResWaiter
+	waitTotal time.Duration
+	acquires  int
+}
+
+type refResWaiter struct {
+	p     *refProc
+	n     int
+	since time.Duration
+}
+
+func newRefResource(name string, capacity int) *refResource {
+	return &refResource{name: name, capacity: capacity}
+}
+
+func (r *refResource) InUse() int  { return r.inUse }
+func (r *refResource) Queued() int { return len(r.queue) }
+
+func (r *refResource) Acquire(p *refProc, n int) {
+	if n <= 0 || n > r.capacity {
+		panic(fmt.Sprintf("sim: acquire %d of resource %q (capacity %d)", n, r.name, r.capacity))
+	}
+	r.acquires++
+	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+		r.inUse += n
+		return
+	}
+	w := &refResWaiter{p: p, n: n, since: p.Now()}
+	r.queue = append(r.queue, w)
+	p.park()
+	r.waitTotal += p.Now() - w.since
+}
+
+func (r *refResource) TryAcquire(n int) bool {
+	if n <= 0 || n > r.capacity {
+		return false
+	}
+	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+		r.inUse += n
+		return true
+	}
+	return false
+}
+
+func (r *refResource) Release(e *refEngine, n int) {
+	if n <= 0 || n > r.inUse {
+		panic(fmt.Sprintf("sim: release %d of resource %q (in use %d)", n, r.name, r.inUse))
+	}
+	r.inUse -= n
+	for len(r.queue) > 0 {
+		w := r.queue[0]
+		if r.inUse+w.n > r.capacity {
+			break
+		}
+		r.queue = r.queue[1:]
+		r.inUse += w.n
+		e.push(&refEvent{at: e.now, proc: w.p})
+	}
+}
+
+func (r *refResource) MeanWait() time.Duration {
+	if r.acquires == 0 {
+		return 0
+	}
+	return r.waitTotal / time.Duration(r.acquires)
+}
+
+type refQueue struct {
+	items   []any
+	waiters []*refProc
+	pushes  int64
+	pops    int64
+}
+
+func (q *refQueue) Len() int     { return len(q.items) }
+func (q *refQueue) Waiting() int { return len(q.waiters) }
+
+func (q *refQueue) Push(e *refEngine, item any) {
+	q.items = append(q.items, item)
+	q.pushes++
+	if len(q.waiters) > 0 {
+		w := q.waiters[0]
+		q.waiters = q.waiters[1:]
+		e.Resume(w)
+	}
+}
+
+func (q *refQueue) Pop(p *refProc) any {
+	for len(q.items) == 0 {
+		q.waiters = append(q.waiters, p)
+		p.Park()
+	}
+	item := q.items[0]
+	q.items = q.items[1:]
+	q.pops++
+	return item
+}
+
+func (q *refQueue) TryPop() (item any, ok bool) {
+	if len(q.items) == 0 {
+		return nil, false
+	}
+	item = q.items[0]
+	q.items = q.items[1:]
+	q.pops++
+	return item, true
+}
+
+func (q *refQueue) Stats() (pushes, pops int64) { return q.pushes, q.pops }
+
+type refWaitGroup struct {
+	count   int
+	waiters []*refProc
+}
+
+func (wg *refWaitGroup) Add(n int) {
+	if n < 0 {
+		panic("sim: WaitGroup.Add with negative delta; use Done")
+	}
+	wg.count += n
+}
+
+func (wg *refWaitGroup) Done(e *refEngine) {
+	if wg.count == 0 {
+		panic("sim: WaitGroup.Done without Add")
+	}
+	wg.count--
+	if wg.count == 0 {
+		ws := wg.waiters
+		wg.waiters = nil
+		for _, w := range ws {
+			e.Resume(w)
+		}
+	}
+}
+
+func (wg *refWaitGroup) Wait(p *refProc) {
+	for wg.count > 0 {
+		wg.waiters = append(wg.waiters, p)
+		p.Park()
+	}
+}
+
+func (wg *refWaitGroup) Count() int { return wg.count }

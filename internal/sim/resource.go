@@ -13,7 +13,8 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*resWaiter
+	queue    []resWaiter // FIFO wait queue; queue[head:] are waiting
+	head     int
 
 	// contention accounting
 	waitTotal time.Duration
@@ -44,7 +45,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // Queued returns the number of waiting processes.
-func (r *Resource) Queued() int { return len(r.queue) }
+func (r *Resource) Queued() int { return len(r.queue) - r.head }
 
 // Utilization returns inUse/capacity.
 func (r *Resource) Utilization() float64 { return float64(r.inUse) / float64(r.capacity) }
@@ -56,14 +57,26 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		panic(fmt.Sprintf("sim: acquire %d of resource %q (capacity %d)", n, r.name, r.capacity))
 	}
 	r.acquires++
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.Queued() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	w := &resWaiter{p: p, n: n, since: p.Now()}
-	r.queue = append(r.queue, w)
+	since := p.Now()
+	r.enqueue(resWaiter{p: p, n: n, since: since})
 	p.park()
-	r.waitTotal += p.Now() - w.since
+	r.waitTotal += p.Now() - since
+}
+
+// enqueue appends a waiter without allocating in steady state: when the
+// backing array is full and at least half of it lies before head, the
+// live waiters move to the front instead of the array growing.
+func (r *Resource) enqueue(w resWaiter) {
+	if len(r.queue) == cap(r.queue) && r.head > 0 && r.head >= len(r.queue)/2 {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.queue = append(r.queue, w)
 }
 
 // TryAcquire acquires n units without blocking; it reports success.
@@ -71,7 +84,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.capacity {
 		return false
 	}
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.Queued() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return true
 	}
@@ -85,14 +98,18 @@ func (r *Resource) Release(e *Engine, n int) {
 		panic(fmt.Sprintf("sim: release %d of resource %q (in use %d)", n, r.name, r.inUse))
 	}
 	r.inUse -= n
-	for len(r.queue) > 0 {
-		w := r.queue[0]
+	for r.Queued() > 0 {
+		w := r.queue[r.head]
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.queue = r.queue[1:]
+		r.queue[r.head] = resWaiter{}
+		r.head++
+		if r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
 		r.inUse += w.n
-		e.push(&event{at: e.now, proc: w.p})
+		e.push(e.newEvent(e.now, w.p, nil))
 	}
 }
 

@@ -131,3 +131,41 @@ func TestResourceReleaseTooManyPanics(t *testing.T) {
 	r := NewResource("r", 1)
 	r.Release(e, 1)
 }
+
+// A contended resource keeps the hot loop allocation-free too: waiters
+// queue by value and Release wakes them through the event freelist.
+func TestContendedResourceAllocsPerEventCeiling(t *testing.T) {
+	e := NewEngine(1)
+	cpu := NewResource("cpu", 2)
+	for i := 0; i < 5; i++ {
+		e.Go("worker", func(p *Proc) {
+			for {
+				cpu.Acquire(p, 1)
+				p.Sleep(time.Microsecond)
+				cpu.Release(e, 1)
+			}
+		})
+	}
+	e.RunUntil(time.Millisecond) // warm the freelist, the heap and the wait queue
+	if cpu.Queued() == 0 {
+		t.Fatal("resource is not contended")
+	}
+	start := e.Events()
+	allocs := testing.AllocsPerRun(1, func() {
+		e.RunUntil(e.Now() + 5*time.Millisecond)
+	})
+	ran := e.Events() - start
+	if ran < 1000 {
+		t.Fatalf("measured window ran only %d events", ran)
+	}
+	perEvent := allocs / float64(ran)
+	if perEvent > 0.01 {
+		t.Fatalf("%.4f allocs/event, want pooled hot loop at <= 0.01", perEvent)
+	}
+	// The queue never empties here, so only compaction keeps its backing
+	// array from growing with every waiter ever queued.
+	if c := cap(cpu.queue); c > 16 {
+		t.Fatalf("wait queue backing array grew to %d for at most 3 waiters", c)
+	}
+	e.Shutdown()
+}
