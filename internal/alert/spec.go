@@ -25,12 +25,12 @@ import (
 func ParseSpec(spec string) ([]Rule, error) {
 	var rules []Rule
 	seen := make(map[string]bool)
-	for _, clause := range splitClauses(spec) {
+	for _, clause := range splitOutside(spec, ',') {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
 			continue
 		}
-		parts := splitParts(clause)
+		parts := splitOutside(clause, ':')
 		if len(parts) < 3 {
 			return nil, fmt.Errorf("alert: bad clause %q", clause)
 		}
@@ -102,49 +102,27 @@ func DefaultRules() []Rule {
 	}
 }
 
-// splitClauses splits on commas that are not inside a {...} label
+// splitOutside splits s on every sep that is not inside a {...} label
 // selector.
-func splitClauses(spec string) []string {
+func splitOutside(s string, sep byte) []string {
 	var out []string
 	depth, start := 0, 0
-	for i := 0; i < len(spec); i++ {
-		switch spec[i] {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
 		case '{':
 			depth++
 		case '}':
 			if depth > 0 {
 				depth--
 			}
-		case ',':
+		case sep:
 			if depth == 0 {
-				out = append(out, spec[start:i])
+				out = append(out, s[start:i])
 				start = i + 1
 			}
 		}
 	}
-	return append(out, spec[start:])
-}
-
-// splitParts splits a clause on colons outside {...}.
-func splitParts(clause string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(clause); i++ {
-		switch clause[i] {
-		case '{':
-			depth++
-		case '}':
-			if depth > 0 {
-				depth--
-			}
-		case ':':
-			if depth == 0 {
-				out = append(out, clause[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, clause[start:])
+	return append(out, s[start:])
 }
 
 // popFor strips a trailing for=<dur> option off the clause tail.

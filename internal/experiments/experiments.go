@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2, §9) on the simulated substrate. Each experiment returns
 // a Result whose lines mirror the paper's rows/series; cmd/trenv-bench
-// prints them and the root bench suite runs them under testing.B.
+// prints them.
 package experiments
 
 import (

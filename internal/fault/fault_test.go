@@ -47,19 +47,22 @@ func TestParseSpecFlakyWindow(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
-		"bogus:cxl:1s-2s",         // unknown kind
-		"outage:cxl",              // missing window
-		"outage:cxl:20s-10s",      // empty window
-		"degrade:rdma:3:1s-2s",    // factor missing x suffix
-		"degrade:rdma:0.5x:1s-2s", // factor <= 1
-		"flaky:rdma:1.5",          // probability out of range
-		"flaky:rdma:0.2:oops",     // bad option
-		"crash:n1:soon",           // bad duration
-		"flap:nas:10s/20s:x3",     // down > period
-		"flap:nas:10s/2s:3",       // count missing x prefix
-		"flaky:rdma:NaN",          // NaN probability
-		"degrade:cxl:NaNx:1s-2s",  // NaN factor
-		"degrade:cxl:Infx:1s-2s",  // infinite factor
+		"bogus:cxl:1s-2s",                  // unknown kind
+		"outage:cxl",                       // missing window
+		"outage:cxl:20s-10s",               // empty window
+		"degrade:rdma:3:1s-2s",             // factor missing x suffix
+		"degrade:rdma:0.5x:1s-2s",          // factor <= 1
+		"flaky:rdma:1.5",                   // probability out of range
+		"flaky:rdma:0.2:oops",              // bad option
+		"crash:n1:soon",                    // bad duration
+		"flap:nas:10s/20s:x3",              // down > period
+		"flap:nas:10s/2s:3",                // count missing x prefix
+		"flaky:rdma:NaN",                   // NaN probability
+		"degrade:cxl:NaNx:1s-2s",           // NaN factor
+		"degrade:cxl:Infx:1s-2s",           // infinite factor
+		"flap:rdma:1s/100ms:x3:5s:garbage", // field after <from>
+		"crash:n1:-5s",                     // negative crash time
+		"flap:rdma:1s/100ms:x3:-5s",        // negative flap offset
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {
@@ -73,7 +76,7 @@ func TestParseSpecErrors(t *testing.T) {
 
 // FuzzFaultParseSpec: the parser never panics, and every scenario it
 // accepts carries finite factors and probabilities inside their
-// documented ranges.
+// documented ranges, and no negative crash time or flap offset.
 func FuzzFaultParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"outage:cxl:10s-20s,degrade:rdma:3x:5s-15s,flaky:rdma:0.2:burst=3,crash:n1:30s,flap:nas:10s/2s:x3:1m",
@@ -81,6 +84,9 @@ func FuzzFaultParseSpec(f *testing.F) {
 		"flaky:rdma:NaN",
 		"degrade:cxl:NaNx:1s-2s",
 		"degrade:cxl:Infx:1s-2s",
+		"flap:rdma:1s/100ms:x3:5s:garbage",
+		"crash:n1:-5s",
+		"flap:rdma:1s/100ms:x3:-5s",
 	} {
 		f.Add(seed)
 	}
@@ -97,6 +103,16 @@ func FuzzFaultParseSpec(f *testing.F) {
 		for _, fl := range sc.FlakyFetches {
 			if !(fl.Prob > 0 && fl.Prob <= 1) {
 				t.Fatalf("%q: flaky probability %v outside (0, 1]", spec, fl.Prob)
+			}
+		}
+		for _, c := range sc.NodeCrashes {
+			if c.At < 0 {
+				t.Fatalf("%q: crash time %v is negative", spec, c.At)
+			}
+		}
+		for _, fl := range sc.LinkFlaps {
+			if fl.From < 0 {
+				t.Fatalf("%q: flap offset %v is negative", spec, fl.From)
 			}
 		}
 	})

@@ -136,12 +136,15 @@ func parseCrash(p []string, sc *Scenario) error {
 	if err != nil {
 		return err
 	}
+	if at < 0 {
+		return fmt.Errorf("negative crash time %v", at)
+	}
 	sc.NodeCrashes = append(sc.NodeCrashes, NodeCrash{Node: p[0], At: at})
 	return nil
 }
 
 func parseFlap(p []string, sc *Scenario) error {
-	if len(p) < 3 {
+	if len(p) < 3 || len(p) > 4 {
 		return fmt.Errorf("want flap:<pool>:<period>/<down>:x<count>[:<from>]")
 	}
 	per, down, ok := strings.Cut(p[1], "/")
@@ -168,6 +171,9 @@ func parseFlap(p []string, sc *Scenario) error {
 	if len(p) == 4 {
 		if f.From, err = time.ParseDuration(p[3]); err != nil {
 			return err
+		}
+		if f.From < 0 {
+			return fmt.Errorf("negative flap offset %v", f.From)
 		}
 	}
 	sc.LinkFlaps = append(sc.LinkFlaps, f)

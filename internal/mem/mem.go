@@ -248,13 +248,6 @@ type Pool struct {
 	batchFetches int64 // doorbell-style batched fetches (prefetch path)
 	batchPages   int64 // pages moved by batched fetches
 
-	// Optional RDMA server backing (AttachRDMAServer): fetches route
-	// through a queue pair so NIC-level contention is shared with every
-	// other client of the server.
-	rdmaServer *RDMAServer
-	rdmaQP     *QueuePair
-	rdmaRKey   uint32
-
 	// home names the node (or memory server) hosting the pool, for
 	// cross-node span attribution ("" = unplaced).
 	home string
@@ -343,19 +336,6 @@ func (p *Pool) FetchLatency(rng *rand.Rand, pages int) time.Duration {
 		// DirectAccessCost; treat a fetch as a bulk copy at stable latency.
 		return time.Duration(pages) * p.lat.CXLDirectAccess
 	case RDMA:
-		if p.rdmaServer != nil {
-			// Server-backed: mirror the pool's outstanding batches onto
-			// the QP so the server sees this client's load, then price
-			// the read at offset 0 of the consolidated-image region (the
-			// region covers the whole pool).
-			p.rdmaQP.outstanding = p.outstanding
-			d, err := p.rdmaServer.ReadLatency(rng, p.rdmaQP, p.rdmaRKey, 0, pages)
-			if err == nil {
-				return d
-			}
-			// Fall through to the analytic model on bad plumbing rather
-			// than corrupting the simulation.
-		}
 		per := float64(p.lat.RDMAFetch)
 		per *= 1 + p.lat.RDMAContentionFactor*float64(p.outstanding)
 		if p.outstanding >= p.lat.RDMAContentionThreshold &&

@@ -149,6 +149,27 @@ func TestRDMACliffOnlyUnderContention(t *testing.T) {
 	}
 }
 
+// A cliff is counted and multiplies the contended per-page latency by
+// RDMACliffFactor.
+func TestRDMACliffCounted(t *testing.T) {
+	lat := DefaultLatencyModel()
+	lat.RDMACliffProbability = 1
+	p := NewPool(RDMA, 0, lat)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < lat.RDMAContentionThreshold; i++ {
+		p.BeginFetch()
+	}
+	got := p.FetchLatency(rng, 1)
+	if p.Cliffs() != 1 {
+		t.Fatalf("cliffs = %d, want 1", p.Cliffs())
+	}
+	contended := float64(lat.RDMAFetch) * (1 + lat.RDMAContentionFactor*float64(lat.RDMAContentionThreshold))
+	want := time.Duration(contended * lat.RDMACliffFactor)
+	if d := got - want; d < -time.Nanosecond || d > time.Nanosecond {
+		t.Fatalf("cliff fetch = %v, want %v", got, want)
+	}
+}
+
 func TestCXLStableAndDirect(t *testing.T) {
 	lat := DefaultLatencyModel()
 	p := NewPool(CXL, 0, lat)

@@ -129,7 +129,7 @@ func runDifferential(t *testing.T, seed int64, code []byte) {
 	prots := []Prot{Read | Write, Read, Write, Read | Write | Exec}
 	// Steps and VMA growth are bounded so that every input stays fast.
 	for step := 0; len(p) > 0 && step < 1000; step++ {
-		op := p.next() % 12
+		op := p.next() % 11
 		var got, want outcome
 		if op == 0 {
 			start := uint64(p.next()%4)<<20 + uint64(p.next()%4)*mem.PageSize
@@ -192,13 +192,10 @@ func runDifferential(t *testing.T, seed int64, code []byte) {
 				want.setErr(ref.Grow(rv, count%16))
 			}
 		case 9:
-			as.MarkClean()
-			ref.MarkClean()
-		case 10:
 			d := time.Duration(first+count) * time.Microsecond
 			a.now += d
 			b.now += d
-		case 11:
+		case 10:
 			for _, l := range []*WorkingSetLog{a.log, b.log} {
 				switch count % 3 {
 				case 0:
@@ -228,17 +225,16 @@ func compareSides(t *testing.T, step, op int, as *AddressSpace, ref *refSpace, a
 	if as.Stats() != ref.acct.Stats() {
 		fail("stats\n run list: %+v\nreference: %+v", as.Stats(), ref.acct.Stats())
 	}
-	if as.RSS() != ref.acct.RSS() || a.tr.Used() != b.tr.Used() || as.DirtyBytes() != ref.DirtyBytes() {
-		fail("rss %d/%d, used %d/%d, dirty %d/%d", as.RSS(), ref.acct.RSS(), a.tr.Used(), b.tr.Used(), as.DirtyBytes(), ref.DirtyBytes())
+	if as.RSS() != ref.acct.RSS() || a.tr.Used() != b.tr.Used() {
+		fail("rss %d/%d, used %d/%d", as.RSS(), ref.acct.RSS(), a.tr.Used(), b.tr.Used())
 	}
 	if len(as.VMAs()) != len(ref.vmas) {
 		fail("%d VMAs, reference has %d", len(as.VMAs()), len(ref.vmas))
 	}
 	for k, v := range as.VMAs() {
 		rv := ref.vmas[k]
-		if v.Name != rv.name || v.Pages() != rv.Pages() || v.DirtyPages() != rv.DirtyPages() {
-			fail("VMA %s: %d pages, %d dirty; reference %s: %d pages, %d dirty",
-				v.Name, v.Pages(), v.DirtyPages(), rv.name, rv.Pages(), rv.DirtyPages())
+		if v.Name != rv.name || v.Pages() != rv.Pages() {
+			fail("VMA %s: %d pages; reference %s: %d pages", v.Name, v.Pages(), rv.name, rv.Pages())
 		}
 		for s := State(0); s < numStates; s++ {
 			if v.CountIn(s) != rv.CountIn(s) {

@@ -134,14 +134,7 @@ type VMA struct {
 	runs   []run     // sorted, non-overlapping, tiling [0, pages)
 	pages  int
 	counts [numStates]int
-
-	// dirty holds pages written since the last MarkClean — the delta an
-	// incremental checkpoint dumps.
-	dirty pageSet
 }
-
-// DirtyPages returns pages written since the last MarkClean.
-func (v *VMA) DirtyPages() int { return v.dirty.n }
 
 // Pages returns the VMA's page count.
 func (v *VMA) Pages() int { return v.pages }
@@ -275,35 +268,6 @@ func (v *VMA) checkBacking(b Backing) error {
 		}
 	}
 	return nil
-}
-
-// pageSet is a set of page indexes kept as sorted, disjoint,
-// non-adjacent spans, with its size.
-type pageSet struct {
-	spans []pageSpan
-	n     int
-}
-
-type pageSpan struct{ lo, hi int }
-
-// add inserts pages [lo, hi).
-func (s *pageSet) add(lo, hi int) {
-	k := 0
-	for k < len(s.spans) && s.spans[k].hi < lo {
-		k++
-	}
-	j, had := k, 0
-	for ; j < len(s.spans) && s.spans[j].lo <= hi; j++ {
-		lo, hi = min(lo, s.spans[j].lo), max(hi, s.spans[j].hi)
-		had += s.spans[j].hi - s.spans[j].lo
-	}
-	s.n += hi - lo - had
-	if j == k {
-		s.spans = slices.Insert(s.spans, k, pageSpan{lo, hi})
-		return
-	}
-	s.spans[k] = pageSpan{lo, hi}
-	s.spans = slices.Delete(s.spans, k+1, j)
 }
 
 // Stats aggregates fault and transfer activity for an address space.
@@ -656,9 +620,6 @@ func (as *AddressSpace) accessVMA(rng *rand.Rand, v *VMA, first, count int, writ
 	if err := checkAccess(v.Name, v.Prot, v.pages, first, count, write); err != nil || count <= 0 {
 		return AccessResult{}, err
 	}
-	if write {
-		v.dirty.add(first, first+count)
-	}
 	// Working-set recording: the first run's fetches are logged as
 	// contiguous (pool, run) stretches in fault order, the replay unit
 	// of the prefetcher's batched fetches.
@@ -852,23 +813,6 @@ func (as *AddressSpace) Grow(v *VMA, pages int) error {
 	v.counts[Unmapped] += pages
 	v.coalesce(len(v.runs)-2, len(v.runs)-1)
 	return nil
-}
-
-// DirtyBytes sums pages written since the last MarkClean across VMAs.
-func (as *AddressSpace) DirtyBytes() int64 {
-	var pages int
-	for _, v := range as.vmas {
-		pages += v.dirty.n
-	}
-	return int64(pages) * mem.PageSize
-}
-
-// MarkClean resets dirty tracking — called after a (pre-)dump so the
-// next incremental checkpoint copies only the new delta.
-func (as *AddressSpace) MarkClean() {
-	for _, v := range as.vmas {
-		v.dirty = pageSet{}
-	}
 }
 
 // MakeResident forces pages [first, first+count) of v into Local state,

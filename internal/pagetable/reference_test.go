@@ -10,8 +10,8 @@ import (
 )
 
 // refVMA and refSpace are the slow reference model of the page table:
-// one State per page, a dirty bitmap, and per-page in-flight and redirect
-// maps. FuzzAccessDifferential drives them next to the run-list MMU.
+// one State per page, and per-page in-flight and redirect maps.
+// FuzzAccessDifferential drives them next to the run-list MMU.
 // Costs are priced by the production charge, so the model checks what
 // the run list changes: which pages move to which state, tallied against
 // which pool, recorded in which working-set run.
@@ -23,28 +23,15 @@ type refVMA struct {
 	states []State
 	counts [numStates]int
 
-	dirty      []bool
-	dirtyCount int
-	inflight   map[int]time.Duration
-	redirect   map[int]*mem.Pool
+	inflight map[int]time.Duration
+	redirect map[int]*mem.Pool
 }
 
 func (v *refVMA) Pages() int              { return len(v.states) }
 func (v *refVMA) end() uint64             { return v.start + uint64(len(v.states))*mem.PageSize }
 func (v *refVMA) CountIn(s State) int     { return v.counts[s] }
 func (v *refVMA) PageState(i int) State   { return v.states[i] }
-func (v *refVMA) DirtyPages() int         { return v.dirtyCount }
 func (v *refVMA) setState(i int, s State) { v.counts[v.states[i]]--; v.states[i] = s; v.counts[s]++ }
-
-func (v *refVMA) markDirty(i int) {
-	if v.dirty == nil {
-		v.dirty = make([]bool, len(v.states))
-	}
-	if !v.dirty[i] {
-		v.dirty[i] = true
-		v.dirtyCount++
-	}
-}
 
 func (v *refVMA) PoolAt(i int) *mem.Pool {
 	if p := v.redirect[i]; p != nil {
@@ -200,9 +187,6 @@ func (as *refSpace) accessVMA(rng *rand.Rand, v *refVMA, first, count int, write
 		}
 	}
 	for i := first; i < first+count; i++ {
-		if write {
-			v.markDirty(i)
-		}
 		switch v.states[i] {
 		case Local:
 			if dl, ok := v.inflight[i]; ok {
@@ -324,24 +308,6 @@ func (as *refSpace) Grow(v *refVMA, pages int) error {
 		}
 	}
 	v.states = append(v.states, make([]State, pages)...)
-	if v.dirty != nil {
-		v.dirty = append(v.dirty, make([]bool, pages)...)
-	}
 	v.counts[Unmapped] += pages
 	return nil
-}
-
-func (as *refSpace) DirtyBytes() int64 {
-	var pages int
-	for _, v := range as.vmas {
-		pages += v.dirtyCount
-	}
-	return int64(pages) * mem.PageSize
-}
-
-func (as *refSpace) MarkClean() {
-	for _, v := range as.vmas {
-		v.dirty = nil
-		v.dirtyCount = 0
-	}
 }

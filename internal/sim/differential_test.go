@@ -10,10 +10,10 @@ import (
 // FuzzEngineDifferential runs a random program on the runner engine and on
 // the goroutine-per-process reference (reference_test.go) and requires the
 // same log: every step of every process as (virtual time, proc id, step),
-// what it popped, drew or woke from, the order in which Shutdown unwinds
-// parked processes, Events and Pending after each run-control step, and the
-// next rng draw. The same program then runs on a two-shard ShardGroup,
-// which must log identically at one and two workers.
+// what it drew, the order in which Shutdown unwinds parked processes,
+// Events and Pending after each run-control step, and the next rng draw.
+// The same program then runs on a two-shard ShardGroup, which must log
+// identically at one and two workers.
 func FuzzEngineDifferential(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,102 +67,55 @@ type diffEngine[P diffProc] interface {
 	Pending() int
 }
 
-// diffPrims are one side's signals, resources, queues and wait groups
-// (two of each) behind closures, so one interpreter drives the types of
-// either engine.
+// diffPrims are one side's two resources behind closures, so one
+// interpreter drives the types of either engine.
 type diffPrims[P diffProc] struct {
 	id         func(p P) int
-	wait       func(k int, p P)
-	broadcast  func(k int)
 	acquire    func(k int, p P, n int)
 	tryAcquire func(k, n int) bool
 	release    func(k, n int)
-	push       func(k, v int)
-	pop        func(k int, p P) int
-	tryPop     func(k int) (int, bool)
-	wgAdd      func(k, n int)
-	wgDone     func(k int)
-	wgCount    func(k int) int
-	wgWait     func(k int, p P)
 	state      func() string
 }
 
 // diffCaps are the capacities of the two resources.
 var diffCaps = [2]int{1, 3}
 
+// diffResource is what a snapshot reads of a resource; *Resource and
+// *refResource have it.
+type diffResource interface {
+	InUse() int
+	Queued() int
+	MeanWait() time.Duration
+}
+
+// resourceState renders both resources for a snapshot line.
+func resourceState[R diffResource](res [2]R) string {
+	s := ""
+	for k, r := range res {
+		s += fmt.Sprintf(" res%d=%d/%d/%v", k, r.InUse(), r.Queued(), r.MeanWait())
+	}
+	return s
+}
+
 func enginePrims(e *Engine) diffPrims[*Proc] {
-	var sigs [2]Signal
 	res := [2]*Resource{NewResource("r0", diffCaps[0]), NewResource("r1", diffCaps[1])}
-	qs := [2]*Queue{NewQueue("q0"), NewQueue("q1")}
-	var wgs [2]WaitGroup
 	return diffPrims[*Proc]{
 		id:         func(p *Proc) int { return p.id },
-		wait:       func(k int, p *Proc) { sigs[k].Wait(p) },
-		broadcast:  func(k int) { sigs[k].Broadcast(e) },
 		acquire:    func(k int, p *Proc, n int) { res[k].Acquire(p, n) },
 		tryAcquire: func(k, n int) bool { return res[k].TryAcquire(n) },
 		release:    func(k, n int) { res[k].Release(e, n) },
-		push:       func(k, v int) { qs[k].Push(e, v) },
-		pop:        func(k int, p *Proc) int { return qs[k].Pop(p).(int) },
-		tryPop: func(k int) (int, bool) {
-			v, ok := qs[k].TryPop()
-			if !ok {
-				return 0, false
-			}
-			return v.(int), true
-		},
-		wgAdd:   func(k, n int) { wgs[k].Add(n) },
-		wgDone:  func(k int) { wgs[k].Done(e) },
-		wgCount: func(k int) int { return wgs[k].Count() },
-		wgWait:  func(k int, p *Proc) { wgs[k].Wait(p) },
-		state: func() string {
-			s := ""
-			for k := 0; k < 2; k++ {
-				pushes, pops := qs[k].Stats()
-				s += fmt.Sprintf(" sig%d=%d res%d=%d/%d/%v q%d=%d/%d/%d/%d wg%d=%d",
-					k, sigs[k].Waiters(), k, res[k].InUse(), res[k].Queued(), res[k].MeanWait(),
-					k, qs[k].Len(), qs[k].Waiting(), pushes, pops, k, wgs[k].Count())
-			}
-			return s
-		},
+		state:      func() string { return resourceState(res) },
 	}
 }
 
 func referencePrims(e *refEngine) diffPrims[*refProc] {
-	var sigs [2]refSignal
 	res := [2]*refResource{newRefResource("r0", diffCaps[0]), newRefResource("r1", diffCaps[1])}
-	var qs [2]refQueue
-	var wgs [2]refWaitGroup
 	return diffPrims[*refProc]{
 		id:         func(p *refProc) int { return p.id },
-		wait:       func(k int, p *refProc) { sigs[k].Wait(p) },
-		broadcast:  func(k int) { sigs[k].Broadcast(e) },
 		acquire:    func(k int, p *refProc, n int) { res[k].Acquire(p, n) },
 		tryAcquire: func(k, n int) bool { return res[k].TryAcquire(n) },
 		release:    func(k, n int) { res[k].Release(e, n) },
-		push:       func(k, v int) { qs[k].Push(e, v) },
-		pop:        func(k int, p *refProc) int { return qs[k].Pop(p).(int) },
-		tryPop: func(k int) (int, bool) {
-			v, ok := qs[k].TryPop()
-			if !ok {
-				return 0, false
-			}
-			return v.(int), true
-		},
-		wgAdd:   func(k, n int) { wgs[k].Add(n) },
-		wgDone:  func(k int) { wgs[k].Done(e) },
-		wgCount: func(k int) int { return wgs[k].Count() },
-		wgWait:  func(k int, p *refProc) { wgs[k].Wait(p) },
-		state: func() string {
-			s := ""
-			for k := 0; k < 2; k++ {
-				pushes, pops := qs[k].Stats()
-				s += fmt.Sprintf(" sig%d=%d res%d=%d/%d/%v q%d=%d/%d/%d/%d wg%d=%d",
-					k, sigs[k].Waiters(), k, res[k].InUse(), res[k].Queued(), res[k].MeanWait(),
-					k, qs[k].Len(), qs[k].Waiting(), pushes, pops, k, wgs[k].Count())
-			}
-			return s
-		},
+		state:      func() string { return resourceState(res) },
 	}
 }
 
@@ -216,7 +169,7 @@ func (d *diffRun[P]) body(p P, pc int) {
 	finished := false
 	defer func() { d.logf("p%d exit finished=%v held=%v", id, finished, held) }()
 	for step := 0; step < diffMaxSteps; step++ {
-		op, a := d.at(pc)%20, d.at(pc+1)
+		op, a := d.at(pc)%16, d.at(pc+1)
 		pc += 2
 		d.logf("p%d step %d op %d arg %d", id, step, op, a)
 		k := a % 2
@@ -229,26 +182,17 @@ func (d *diffRun[P]) body(p P, pc int) {
 			d.parked = append(d.parked, p)
 			p.Park()
 			d.logf("p%d unparked", id)
-		case 4:
+		case 4, 5:
 			d.resumeParked()
-		case 5:
-			d.resumeParked()
-			d.pr.broadcast(0)
-			d.pr.broadcast(1)
 		case 6:
-			d.pr.wait(k, p)
-			d.logf("p%d signalled", id)
-		case 7:
-			d.pr.broadcast(k)
-		case 8:
 			n := 1 + (a/2)%diffCaps[k]
 			d.pr.acquire(k, p, n)
 			held[k] += n
-		case 9:
+		case 7:
 			if n := 1 + (a/2)%diffCaps[k]; d.pr.tryAcquire(k, n) {
 				held[k] += n
 			}
-		case 10, 11:
+		case 8, 9:
 			for j := range held {
 				if held[j] > 0 {
 					d.pr.release(j, held[j])
@@ -256,23 +200,21 @@ func (d *diffRun[P]) body(p P, pc int) {
 					break
 				}
 			}
-		case 12:
-			d.pr.push(k, a)
-		case 13:
-			d.logf("p%d popped %d", id, d.pr.pop(k, p))
-		case 14:
+		case 10:
 			d.spawn(time.Duration(a%3)*time.Millisecond, pc+a)
-		case 15, 16:
+		case 11, 12:
 			d.eng.After(time.Duration(a%4)*time.Millisecond, func() { d.callback(a) })
-		case 17:
+		case 13:
 			d.logf("p%d drew %d", id, d.eng.Rand().Int63n(1000))
-		case 18:
-			d.waitGroupOp(p, a)
-		case 19:
+		case 14:
+			// Rare, so that most programs run on past their first steps.
+			if a%8 == 7 {
+				d.logf("shutdown from p%d", id)
+				d.eng.Shutdown()
+			}
+		case 15:
 			if d.send != nil {
 				d.send(time.Duration(a%3)*time.Millisecond, a)
-			} else if v, ok := d.pr.tryPop(k); ok {
-				d.logf("p%d try-popped %d", id, v)
 			}
 		}
 	}
@@ -288,50 +230,17 @@ func (d *diffRun[P]) resumeParked() {
 	d.eng.Resume(w)
 }
 
-// waitGroupOp adds, finishes or waits on a wait group; one time in eight
-// it shuts the engine down from inside the process instead.
-func (d *diffRun[P]) waitGroupOp(p P, a int) {
-	k := a % 2
-	switch (a / 2) % 4 {
-	case 0:
-		d.pr.wgAdd(k, 1+a%3)
-	case 1:
-		if d.pr.wgCount(k) > 0 {
-			d.pr.wgDone(k)
-		}
-	case 2:
-		d.pr.wgWait(k, p)
-		d.logf("p%d released by wg%d", d.pr.id(p), k)
-	case 3:
-		if a%8 == 7 {
-			d.logf("shutdown from p%d", d.pr.id(p))
-			d.eng.Shutdown()
-		}
-	}
-}
-
 // callback is an After (or cross-shard) callback: it resumes a parked
-// process and then wakes, feeds or spawns others, and rarely shuts the
-// engine down.
+// process, then spawns another or, rarely, shuts the engine down.
 func (d *diffRun[P]) callback(a int) {
 	d.logf("callback %d", a)
 	d.resumeParked()
-	switch (a / 4) % 5 {
-	case 0:
-		d.pr.broadcast(a % 2)
-	case 1:
-		d.pr.push(a%2, a)
-	case 2:
+	switch {
+	case a%2 == 0:
 		d.spawn(0, a)
-	case 3:
-		if d.pr.wgCount(a%2) > 0 {
-			d.pr.wgDone(a % 2)
-		}
-	case 4:
-		if a%32 == 31 {
-			d.logf("shutdown from callback")
-			d.eng.Shutdown()
-		}
+	case a%32 == 31:
+		d.logf("shutdown from callback")
+		d.eng.Shutdown()
 	}
 }
 
@@ -406,7 +315,7 @@ func diffOnReference(seed int64, code []byte) []string {
 }
 
 // diffOnShards runs the program on both shards of a two-shard group; op
-// 19 sends a callback to the peer shard. The shards' logs are kept apart
+// 15 sends a callback to the peer shard. The shards' logs are kept apart
 // (each is appended only by code on its own shard) and joined at the end.
 func diffOnShards(seed int64, code []byte, workers int) []string {
 	g := NewShardGroup(seed, 2, time.Millisecond)

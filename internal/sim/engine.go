@@ -6,9 +6,9 @@
 // goroutine that the engine binds at the process's first resume and takes
 // back when the body returns, so the goroutines alive track in-flight
 // processes rather than scheduled arrivals, and each keeps the stack earlier
-// bodies grew. The engine also provides counted resources (CPU cores),
-// condition signals, and the statistics types (histograms, time-weighted
-// gauges) used to report latency distributions and memory curves.
+// bodies grew. The engine also provides counted resources (CPU cores) and
+// the statistics types (histograms, time-weighted gauges) used to report
+// latency distributions and memory curves.
 package sim
 
 import (
@@ -25,7 +25,7 @@ type stopPanic struct{}
 
 // Engine is a deterministic discrete-event scheduler over virtual time.
 // It is not safe for concurrent use: events and processes run one at a
-// time, interleaved only at explicit yield points (Sleep, Wait, Acquire).
+// time, interleaved only at explicit yield points (Sleep, Park, Acquire).
 type Engine struct {
 	now      time.Duration
 	seq      uint64
@@ -170,14 +170,6 @@ func (e *Engine) resume(p *Proc) {
 	r.resume()
 }
 
-// park is called from inside a process body to yield to the engine.
-func (p *Proc) park() {
-	p.r.park()
-	if p.eng.stopped {
-		panic(stopPanic{})
-	}
-}
-
 // runner is a long-lived goroutine that runs process bodies one after
 // another, so a body starts on a stack that earlier bodies already grew.
 // The engine and the runner pass control back and forth over two
@@ -284,7 +276,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e := p.eng
 	e.push(e.newEvent(e.now+d, p, nil))
-	p.park()
+	p.Park()
 }
 
 // Yield reschedules the process at the current time, letting same-time
@@ -292,8 +284,13 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Park suspends the process indefinitely; some other component must
-// Resume it. Building block for queues and admission control.
-func (p *Proc) Park() { p.park() }
+// Resume it. Sleep and Resource wait through it, as does admission control.
+func (p *Proc) Park() {
+	p.r.park()
+	if p.eng.stopped {
+		panic(stopPanic{})
+	}
+}
 
 // Resume schedules a parked process to continue at the current virtual
 // time. Resuming a process that is not parked corrupts the simulation;
@@ -425,26 +422,3 @@ func (e *Engine) nextEventAt() (time.Duration, bool) {
 	}
 	return e.queue.peek().at, true
 }
-
-// Signal is a broadcast condition variable for simulated processes.
-type Signal struct {
-	waiters []*Proc
-}
-
-// Wait parks p until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
-// Broadcast wakes every waiter at the current virtual time.
-func (s *Signal) Broadcast(e *Engine) {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		e.push(e.newEvent(e.now, w, nil))
-	}
-}
-
-// Waiters reports how many processes are parked on s.
-func (s *Signal) Waiters() int { return len(s.waiters) }

@@ -107,37 +107,13 @@ func TestRunUntilAdvancesPastLastEvent(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcastWakesAll(t *testing.T) {
-	e := NewEngine(1)
-	var sig Signal
-	woke := 0
-	for i := 0; i < 3; i++ {
-		e.Go("waiter", func(p *Proc) {
-			sig.Wait(p)
-			woke++
-		})
-	}
-	e.Go("broadcaster", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		if sig.Waiters() != 3 {
-			t.Errorf("waiters = %d, want 3", sig.Waiters())
-		}
-		sig.Broadcast(e)
-	})
-	e.Run()
-	if woke != 3 {
-		t.Fatalf("woke = %d, want 3", woke)
-	}
-}
-
 func TestShutdownUnwindsParkedProcs(t *testing.T) {
 	e := NewEngine(1)
-	var sig Signal
 	cleanups := 0
 	for i := 0; i < 4; i++ {
 		e.Go("stuck", func(p *Proc) {
 			defer func() { cleanups++ }()
-			sig.Wait(p) // never broadcast
+			p.Park() // never resumed
 		})
 	}
 	e.RunUntil(time.Second)

@@ -216,23 +216,6 @@ func (e *refEngine) unwind() {
 	}
 }
 
-type refSignal struct{ waiters []*refProc }
-
-func (s *refSignal) Wait(p *refProc) {
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
-func (s *refSignal) Broadcast(e *refEngine) {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		e.push(&refEvent{at: e.now, proc: w})
-	}
-}
-
-func (s *refSignal) Waiters() int { return len(s.waiters) }
-
 type refResource struct {
 	name      string
 	capacity  int
@@ -303,81 +286,3 @@ func (r *refResource) MeanWait() time.Duration {
 	}
 	return r.waitTotal / time.Duration(r.acquires)
 }
-
-type refQueue struct {
-	items   []any
-	waiters []*refProc
-	pushes  int64
-	pops    int64
-}
-
-func (q *refQueue) Len() int     { return len(q.items) }
-func (q *refQueue) Waiting() int { return len(q.waiters) }
-
-func (q *refQueue) Push(e *refEngine, item any) {
-	q.items = append(q.items, item)
-	q.pushes++
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		e.Resume(w)
-	}
-}
-
-func (q *refQueue) Pop(p *refProc) any {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
-		p.Park()
-	}
-	item := q.items[0]
-	q.items = q.items[1:]
-	q.pops++
-	return item
-}
-
-func (q *refQueue) TryPop() (item any, ok bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	item = q.items[0]
-	q.items = q.items[1:]
-	q.pops++
-	return item, true
-}
-
-func (q *refQueue) Stats() (pushes, pops int64) { return q.pushes, q.pops }
-
-type refWaitGroup struct {
-	count   int
-	waiters []*refProc
-}
-
-func (wg *refWaitGroup) Add(n int) {
-	if n < 0 {
-		panic("sim: WaitGroup.Add with negative delta; use Done")
-	}
-	wg.count += n
-}
-
-func (wg *refWaitGroup) Done(e *refEngine) {
-	if wg.count == 0 {
-		panic("sim: WaitGroup.Done without Add")
-	}
-	wg.count--
-	if wg.count == 0 {
-		ws := wg.waiters
-		wg.waiters = nil
-		for _, w := range ws {
-			e.Resume(w)
-		}
-	}
-}
-
-func (wg *refWaitGroup) Wait(p *refProc) {
-	for wg.count > 0 {
-		wg.waiters = append(wg.waiters, p)
-		p.Park()
-	}
-}
-
-func (wg *refWaitGroup) Count() int { return wg.count }

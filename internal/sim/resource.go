@@ -63,7 +63,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 	since := p.Now()
 	r.enqueue(resWaiter{p: p, n: n, since: since})
-	p.park()
+	p.Park()
 	r.waitTotal += p.Now() - since
 }
 

@@ -66,12 +66,11 @@ func TestRunnerGoroutinesStopWhenRunDrains(t *testing.T) {
 func TestRunnerGoroutinesStopAfterShutdown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine(1)
-	var sig Signal
 	cleanups := 0
 	for i := 0; i < 20; i++ {
 		e.Go("stuck", func(p *Proc) {
 			defer func() { cleanups++ }()
-			sig.Wait(p) // never broadcast
+			p.Park() // never resumed
 		})
 		e.Go("quick", func(p *Proc) { p.Sleep(time.Millisecond) })                // leaves an idle runner
 		e.At(time.Hour, "never", func(p *Proc) { t.Error("ran after Shutdown") }) // never starts
@@ -116,13 +115,12 @@ func TestGoexitInBodyRetiresRunner(t *testing.T) {
 func TestShutdownUnwindOrderIsDeterministic(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(3)
-		var sig Signal
 		var cleanups []string
 		for i := 0; i < 64; i++ {
 			e.At(time.Duration(e.Rand().Intn(5))*time.Millisecond, fmt.Sprintf("w%d", i), func(p *Proc) {
 				defer func() { cleanups = append(cleanups, fmt.Sprintf("%s@%v", p.Name(), p.Now())) }()
 				if p.Rand().Intn(2) == 0 {
-					sig.Wait(p)
+					p.Park()
 				} else {
 					p.Sleep(time.Hour)
 				}

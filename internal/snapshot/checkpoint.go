@@ -76,32 +76,6 @@ func Checkpoint(function string, spaces []*pagetable.AddressSpace, threads, fds 
 	return snap, d, nil
 }
 
-// CheckpointIncremental performs CRIU's pre-dump/dump split: a prior
-// full Checkpoint (plus MarkClean) captured the base; this dump copies
-// only pages written since, so the stop-the-world window shrinks to the
-// write delta. It returns the (full-layout) snapshot, the dump latency,
-// and the delta bytes actually copied.
-func CheckpointIncremental(function string, spaces []*pagetable.AddressSpace, threads, fds int, costs CheckpointCosts) (*Snapshot, time.Duration, int64, error) {
-	snap, _, err := Checkpoint(function, spaces, threads, fds, costs)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var deltaBytes int64
-	regions := 0
-	for _, as := range spaces {
-		deltaBytes += as.DirtyBytes()
-		regions += len(as.VMAs())
-	}
-	d := costs.Freeze +
-		time.Duration(threads)*costs.PerThread +
-		time.Duration(regions)*costs.PerRegion +
-		time.Duration(float64(deltaBytes)/costs.DumpBandwidth*float64(time.Second))
-	for _, as := range spaces {
-		as.MarkClean()
-	}
-	return snap, d, deltaBytes, nil
-}
-
 // imageHeader guards the serialized format.
 type imageHeader struct {
 	Magic   string `json:"magic"`

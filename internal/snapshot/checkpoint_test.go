@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -116,66 +115,5 @@ func TestReadImageRejectsGarbage(t *testing.T) {
 		if _, err := ReadImage(strings.NewReader(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestCheckpointIncrementalDumpsOnlyDelta(t *testing.T) {
-	tr := mem.NewTracker("node", 0)
-	as := pagetable.NewAddressSpace(tr, mem.DefaultLatencyModel())
-	v, err := as.AddVMA("heap", 0, 256, pagetable.Read|pagetable.Write, pagetable.Anon, nil, 0, pagetable.Local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spaces := []*pagetable.AddressSpace{as}
-	costs := DefaultCheckpointCosts()
-	rng := rand.New(rand.NewSource(1))
-
-	// Base dump, then mark clean.
-	_, fullLat, err := Checkpoint("fn", spaces, 4, 8, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as.MarkClean()
-
-	// Write 10 pages, then dump incrementally.
-	if _, err := as.Access(rng, v, 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	_, incLat, delta, err := CheckpointIncremental("fn", spaces, 4, 8, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta != 10*mem.PageSize {
-		t.Fatalf("delta = %d, want 10 pages", delta)
-	}
-	if incLat >= fullLat {
-		t.Fatalf("incremental dump (%v) not cheaper than full (%v)", incLat, fullLat)
-	}
-	// Clean again: a no-write incremental dump copies nothing.
-	_, _, delta2, err := CheckpointIncremental("fn", spaces, 4, 8, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta2 != 0 {
-		t.Fatalf("second delta = %d, want 0", delta2)
-	}
-}
-
-func TestDirtyTrackingSurvivesGrowth(t *testing.T) {
-	tr := mem.NewTracker("node", 0)
-	as := pagetable.NewAddressSpace(tr, mem.DefaultLatencyModel())
-	v, _ := as.AddVMA("heap", 0, 8, pagetable.Read|pagetable.Write, pagetable.Anon, nil, 0, pagetable.Local)
-	rng := rand.New(rand.NewSource(1))
-	as.Access(rng, v, 2, 2)
-	if err := as.Grow(v, 4); err != nil {
-		t.Fatal(err)
-	}
-	as.Access(rng, v, 12, 12)
-	if v.DirtyPages() != 12 {
-		t.Fatalf("dirty = %d, want all 12", v.DirtyPages())
-	}
-	as.MarkClean()
-	if as.DirtyBytes() != 0 {
-		t.Fatal("MarkClean left dirt")
 	}
 }
