@@ -274,7 +274,7 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 	sbd.Other = rt.VMResume // Firecracker device-state resume
 	sandboxCost := sbd.Total()
 	tmpfs.BeginFetch()
-	res, err := snapshot.RestoreLazy(p.Rand(), snap, rt.Tracker, tmpfs, cfg, rt.Lat, rt.RestoreCosts)
+	res, err := snapshot.RestoreLazy(snap, rt.Tracker, tmpfs, cfg, rt.Lat, rt.RestoreCosts)
 	if err != nil {
 		tmpfs.EndFetch()
 		rt.NetPool.Put(ns)

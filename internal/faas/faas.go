@@ -227,14 +227,6 @@ type Platform struct {
 	// identity is deterministic (hash of node, function, sequence).
 	nodeName string
 	invSeq   int64
-	// pendingDispatch carries the dispatcher label from
-	// InvokeDispatched to the next invoke() entry (consumed before any
-	// simulated wait, so concurrent invocations cannot observe it).
-	pendingDispatch string
-	// pendingToken carries the dispatcher's cancellation token from
-	// InvokeAttempt to the next invoke() entry, same contract as
-	// pendingDispatch.
-	pendingToken *CancelToken
 
 	// Per-function admission control (MaxPerFunction).
 	running map[string]int
@@ -744,27 +736,6 @@ func (pl *Platform) leave(name string) {
 	}
 }
 
-// failInvocation counts a failed invocation and, when tracing, records
-// an error-status span covering [t0, now].
-func (pl *Platform) failInvocation(traceID, name string, t0, now time.Duration, err error) {
-	pl.metrics.Errors.Inc()
-	if pl.tracer == nil {
-		return
-	}
-	sp := obs.NewSpan("invoke/"+name, t0, now)
-	sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).SetAttr("node", pl.nodeName)
-	if t := errType(err); t != "" {
-		sp.SetAttr("error_type", t)
-	}
-	if ft := faultTraceOf(err); ft != "" {
-		// Walkable back to the injected fault that caused the failure.
-		sp.AddLink(obs.Link{TraceID: ft, Type: "caused-by"})
-	}
-	sp.Fail(err)
-	sp.AssignIDs(traceID)
-	pl.tracer.Record(sp)
-}
-
 // poolByKind maps a pool-kind label back to the platform's pool.
 func (pl *Platform) poolByKind(kind string) *mem.Pool {
 	for _, pool := range []*mem.Pool{pl.cxl, pl.rdma, pl.tmpfs} {
@@ -799,29 +770,25 @@ func (pl *Platform) emitPoolFetch(target *obs.Span, fn, kind, site string, seq i
 	pl.tracer.Record(ps)
 }
 
-// invoke is the full lifecycle of one invocation.
-func (pl *Platform) invoke(p *sim.Proc, name string) {
+// invoke is the full lifecycle of one invocation attempt. dispatcher
+// names the cluster policy that placed it ("" when none did) and tok
+// lets that dispatcher cancel it (nil = not cancellable).
+func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToken) {
 	tArrive := p.Now()
-	dispatcher := pl.pendingDispatch
-	pl.pendingDispatch = ""
-	tok := pl.pendingToken
-	pl.pendingToken = nil
 	seq := pl.invSeq
 	pl.invSeq++
 	// Trace identity is a hash of (node, function, sequence): no
 	// randomness, no wall clock, so same-seed runs reproduce it.
 	traceID := obs.TraceIDFor(pl.nodeName, name, strconv.FormatInt(seq, 10))
 	tok.setTrace(traceID)
-	// An attempt's absolute deadline, or 0 when unbounded. Checked at
-	// the same checkpoints as pl.crashed — cancellation and deadlines
-	// are cooperative, never preemptive.
+	// An attempt's absolute deadline, or 0 when unbounded.
 	var deadline time.Duration
 	if pl.cfg.Deadline > 0 {
 		deadline = tArrive + pl.cfg.Deadline
 	}
 	// Every invocation terminates in exactly one outcome, delivered to
 	// OnResult on every exit path — nothing is silently lost.
-	res := InvocationResult{Function: name, Node: pl.nodeName, TraceID: traceID, Outcome: OutcomeError, Token: tok}
+	res := InvocationResult{Function: name, Node: pl.nodeName, TraceID: traceID, Token: tok}
 	defer func() {
 		if pl.cfg.OnResult != nil {
 			pl.cfg.OnResult(res)
@@ -829,32 +796,19 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 	}()
 	fn, ok := pl.fns[name]
 	if !ok {
-		res.Err = fmt.Errorf("function %q not registered", name)
-		pl.failInvocation(traceID, name, tArrive, p.Now(), res.Err)
+		pl.terminate(&res, tArrive, nil, fmt.Errorf("function %q not registered", name))
 		return
 	}
-	if pl.crashed {
-		pl.abortCrashed(&res, traceID, name, tArrive, nil)
-		return
-	}
-	if tok.Cancelled() {
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, nil)
+	if err := pl.checkpoint(name, tok, deadline); err != nil {
+		pl.terminate(&res, tArrive, nil, err)
 		return
 	}
 	pl.active++
 	defer func() { pl.active-- }()
 	pl.admit(p, name)
 	defer pl.leave(name)
-	if pl.crashed {
-		pl.abortCrashed(&res, traceID, name, tArrive, nil)
-		return
-	}
-	if tok.Cancelled() {
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, nil)
-		return
-	}
-	if deadline > 0 && p.Now() > deadline {
-		pl.abortDeadline(&res, traceID, name, tArrive, nil)
+	if err := pl.checkpoint(name, tok, deadline); err != nil {
+		pl.terminate(&res, tArrive, nil, err)
 		return
 	}
 	// Metrics measure e2e from admission (matching the per-function
@@ -884,9 +838,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 				fallbackAt = p.Now()
 				in, st, err = pl.rt.StartCold(p, fn.Profile)
 				if err != nil {
-					res.Err = err
-					pl.failInvocation(traceID, name, tArrive, p.Now(),
-						fmt.Errorf("fallback cold start also failed: %w", err))
+					pl.terminate(&res, tArrive, nil, fmt.Errorf("fallback cold start also failed: %w", err))
 					return
 				}
 				st.Path = core.PathFallback
@@ -896,9 +848,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 				res.FaultTrace = pu.FaultTrace
 				pl.metrics.Fallbacks.Inc()
 			} else {
-				res.Err = err
-				res.FaultTrace = faultTraceOf(err)
-				pl.failInvocation(traceID, name, tArrive, p.Now(), err)
+				pl.terminate(&res, tArrive, nil, err)
 				return
 			}
 		}
@@ -916,19 +866,9 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 			fn.Img.WSLog.AbortRecording()
 		}
 	}
-	if pl.crashed {
+	if err := pl.checkpoint(name, tok, deadline); err != nil {
 		finishRecording(false)
-		pl.abortCrashed(&res, traceID, name, tArrive, in)
-		return
-	}
-	if tok.Cancelled() {
-		finishRecording(false)
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, in)
-		return
-	}
-	if deadline > 0 && p.Now() > deadline {
-		finishRecording(false)
-		pl.abortDeadline(&res, traceID, name, tArrive, in)
+		pl.terminate(&res, tArrive, in, err)
 		return
 	}
 	tUp := p.Now() // startup complete
@@ -936,8 +876,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 		promoted, err := pl.rt.PromoteWorkingSet(in)
 		if err != nil {
 			finishRecording(false)
-			res.Err = err
-			pl.failInvocation(traceID, name, tArrive, p.Now(), err)
+			pl.terminate(&res, tArrive, nil, err)
 			pl.release(p, in)
 			return
 		}
@@ -960,27 +899,13 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 	}
 	if err != nil {
 		finishRecording(false)
-		res.Err = err
-		if res.FaultTrace == "" {
-			res.FaultTrace = faultTraceOf(err)
-		}
-		pl.failInvocation(traceID, name, tArrive, p.Now(), err)
+		pl.terminate(&res, tArrive, nil, err)
 		pl.release(p, in)
 		return
 	}
-	if pl.crashed {
+	if err := pl.checkpoint(name, tok, deadline); err != nil {
 		finishRecording(false)
-		pl.abortCrashed(&res, traceID, name, tArrive, in)
-		return
-	}
-	if tok.Cancelled() {
-		finishRecording(false)
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, in)
-		return
-	}
-	if deadline > 0 && p.Now() > deadline {
-		finishRecording(false)
-		pl.abortDeadline(&res, traceID, name, tArrive, in)
+		pl.terminate(&res, tArrive, in, err)
 		return
 	}
 	tEnd := p.Now()
@@ -1152,20 +1077,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 
 // Invoke schedules one invocation at virtual time at.
 func (pl *Platform) Invoke(at time.Duration, function string) {
-	pl.eng.At(at, "invoke/"+function, func(p *sim.Proc) { pl.invoke(p, function) })
-}
-
-// InvokeNow runs one invocation inside the calling simulated process —
-// the cluster dispatcher uses this after picking a node at arrival time.
-func (pl *Platform) InvokeNow(p *sim.Proc, function string) { pl.invoke(p, function) }
-
-// InvokeDispatched is InvokeNow with the dispatcher's name stamped on
-// the invocation's root span (a zero-width "pick" step plus a
-// dispatcher= attribute), so a cluster trace shows where placement
-// happened before the node-local phases.
-func (pl *Platform) InvokeDispatched(p *sim.Proc, function, dispatcher string) {
-	pl.pendingDispatch = dispatcher
-	pl.invoke(p, function)
+	pl.eng.At(at, "invoke/"+function, func(p *sim.Proc) { pl.invoke(p, function, "", nil) })
 }
 
 // startSampler records node DRAM usage once per sampleStep until the

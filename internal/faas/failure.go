@@ -102,39 +102,90 @@ func (pl *Platform) AttachFaults(agent mem.FaultAgent) {
 	}
 }
 
-// abortCrashed terminates an in-flight invocation whose node died under
-// it: the held instance's accounting is unwound and the outcome is
-// OutcomeCrashed — counted separately from application errors, never
-// silently completed. Clusters re-dispatch these to survivors.
-func (pl *Platform) abortCrashed(res *InvocationResult, traceID, name string, t0 time.Duration, in *core.Instance) {
+// checkpoint reports why an in-flight attempt must stop now, or nil to
+// carry on. invoke asks at four checkpoints: before admission, after
+// admission, after start and after exec. A node crash (*ErrNodeDown), a
+// dispatcher's cancellation (*ErrCancelled) and an overrun deadline
+// (*ErrDeadlineExceeded) are cooperative, never preemptive: each takes
+// effect at the next checkpoint the attempt reaches. deadline is the
+// attempt's absolute deadline (0 = unbounded).
+func (pl *Platform) checkpoint(name string, tok *CancelToken, deadline time.Duration) error {
+	switch {
+	case pl.crashed:
+		return &ErrNodeDown{Node: pl.nodeName}
+	case tok.Cancelled():
+		return &ErrCancelled{Reason: tok.reason, Winner: tok.winner}
+	case deadline > 0 && pl.eng.Now() > deadline:
+		return &ErrDeadlineExceeded{Function: name, Deadline: pl.cfg.Deadline}
+	}
+	return nil
+}
+
+// terminate is the one way an attempt ends short of success. It unwinds
+// in crash-style at no simulated cost (nil = nothing held, or the caller
+// recycles it), sets the result's outcome and error, bumps the one
+// matching counter and, when tracing, records the invoke/<fn> error span
+// over [t0, now]. err's type picks each of them: interrupts are counted
+// apart from errors, and clusters re-dispatch crash aborts to survivors.
+func (pl *Platform) terminate(res *InvocationResult, t0 time.Duration, in *core.Instance, err error) {
 	if in != nil {
 		pl.rt.ReleaseCrashed(in)
 	}
-	err := &ErrNodeDown{Node: pl.nodeName}
-	res.Outcome = OutcomeCrashed
 	res.Err = err
-	pl.metrics.CrashAborts.Inc()
-	if pl.tracer != nil {
-		sp := obs.NewSpan("invoke/"+name, t0, pl.eng.Now())
-		sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).
-			SetAttr("node", pl.nodeName).SetAttr("error_type", "node-down")
-		sp.Fail(err)
-		sp.AssignIDs(traceID)
-		pl.tracer.Record(sp)
+	var kind string
+	var link obs.Link // no TraceID = no link
+	switch e := err.(type) {
+	case *ErrNodeDown:
+		res.Outcome, kind = OutcomeCrashed, "node-down"
+		pl.metrics.CrashAborts.Inc()
+	case *ErrCancelled:
+		// Walkable loser → winner.
+		res.Outcome, kind = OutcomeCancelled, "cancelled"
+		link = obs.Link{TraceID: e.Winner, Type: "hedge-lost"}
+		pl.metrics.Cancelled.Inc()
+	case *ErrDeadlineExceeded:
+		res.Outcome, kind = OutcomeDeadline, "deadline-exceeded"
+		pl.metrics.DeadlineExceeded.Inc()
+	default:
+		res.Outcome = OutcomeError
+		pl.metrics.Errors.Inc()
+		if res.FaultTrace == "" {
+			res.FaultTrace = faultTraceOf(err)
+		}
+		if pl.tracer != nil {
+			// errors.As targets escape to the heap, so only a span pays
+			// to classify the wrapped cause and link the injected fault.
+			kind = errType(err)
+			link = obs.Link{TraceID: faultTraceOf(err), Type: "caused-by"}
+		}
 	}
+	if pl.tracer == nil {
+		return
+	}
+	sp := obs.NewSpan("invoke/"+res.Function, t0, pl.eng.Now())
+	sp.SetAttr("function", res.Function).SetAttr("policy", string(pl.cfg.Policy)).SetAttr("node", pl.nodeName)
+	if kind != "" {
+		sp.SetAttr("error_type", kind)
+	}
+	if e, ok := err.(*ErrCancelled); ok {
+		sp.SetAttr("cancel_reason", e.Reason)
+	}
+	if link.TraceID != "" {
+		sp.AddLink(link)
+	}
+	sp.Fail(err)
+	sp.AssignIDs(res.TraceID)
+	pl.tracer.Record(sp)
 }
 
-// errType classifies an invocation error for span attribution; "" for
-// untyped errors.
+// errType classifies a failed invocation's wrapped cause for span
+// attribution; "" for untyped errors.
 func errType(err error) string {
 	var (
 		nm *mem.ErrNoMemory
 		pu *mem.ErrPoolUnavailable
 		ff *mem.ErrFetchFailed
 		fl *mem.ErrFlakyFetch
-		nd *ErrNodeDown
-		ca *ErrCancelled
-		de *ErrDeadlineExceeded
 	)
 	switch {
 	case errors.As(err, &nm):
@@ -145,12 +196,6 @@ func errType(err error) string {
 		return "fetch-failed"
 	case errors.As(err, &fl):
 		return "flaky-fetch"
-	case errors.As(err, &nd):
-		return "node-down"
-	case errors.As(err, &ca):
-		return "cancelled"
-	case errors.As(err, &de):
-		return "deadline-exceeded"
 	}
 	return ""
 }

@@ -3,17 +3,15 @@ package faas
 // Cooperative cancellation and per-invocation deadlines. The hedging
 // layer in internal/cluster races clone attempts of one invocation
 // across nodes and cancels the losers; the platform aborts a cancelled
-// attempt at the same checkpoints a node crash uses (post-admit,
-// post-start, post-exec), unwinding its instance and page accounting
-// with no simulated cost — nothing useful runs on a loser once the race
-// has settled, so teardown models as free, exactly like crash cleanup.
+// attempt at the same checkpoints a node crash uses (see
+// Platform.checkpoint), unwinding its instance and page accounting with
+// no simulated cost — nothing useful runs on a loser once the race has
+// settled, so teardown models as free, exactly like crash cleanup.
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -117,58 +115,14 @@ func (t *CancelToken) setTrace(id string) {
 // a hedge policy's deadline onto each node.
 func (pl *Platform) SetDeadline(d time.Duration) { pl.cfg.Deadline = d }
 
-// InvokeAttempt is InvokeDispatched for one attempt of a possibly
-// hedged invocation: tok lets the dispatcher cancel the attempt
+// InvokeAttempt runs one attempt of a possibly hedged invocation inside
+// the calling simulated process, after the cluster dispatcher picked
+// this node at arrival time. The dispatcher's name is stamped on the
+// attempt's root span (a zero-width "pick" step plus a dispatcher=
+// attribute), so a cluster trace shows where placement happened before
+// the node-local phases. tok lets the dispatcher cancel the attempt
 // cooperatively, and the terminal InvocationResult carries the token so
 // the dispatcher can map results back to their race.
 func (pl *Platform) InvokeAttempt(p *sim.Proc, function, dispatcher string, tok *CancelToken) {
-	pl.pendingDispatch = dispatcher
-	pl.pendingToken = tok
-	pl.invoke(p, function)
-}
-
-// abortCancelled terminates an attempt whose dispatcher cancelled it:
-// the held instance's accounting is unwound (crash-style, no simulated
-// cost) and the outcome is OutcomeCancelled, span-linked to the winning
-// attempt so the race is walkable loser → winner.
-func (pl *Platform) abortCancelled(res *InvocationResult, tok *CancelToken, traceID, name string, t0 time.Duration, in *core.Instance) {
-	if in != nil {
-		pl.rt.ReleaseCrashed(in)
-	}
-	err := &ErrCancelled{Reason: tok.reason, Winner: tok.winner}
-	res.Outcome = OutcomeCancelled
-	res.Err = err
-	pl.metrics.Cancelled.Inc()
-	if pl.tracer != nil {
-		sp := obs.NewSpan("invoke/"+name, t0, pl.eng.Now())
-		sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).
-			SetAttr("node", pl.nodeName).SetAttr("error_type", "cancelled").
-			SetAttr("cancel_reason", tok.reason)
-		if tok.winner != "" {
-			sp.AddLink(obs.Link{TraceID: tok.winner, Type: "hedge-lost"})
-		}
-		sp.Fail(err)
-		sp.AssignIDs(traceID)
-		pl.tracer.Record(sp)
-	}
-}
-
-// abortDeadline terminates an attempt that overran Config.Deadline; the
-// held instance's accounting is unwound like a cancellation's.
-func (pl *Platform) abortDeadline(res *InvocationResult, traceID, name string, t0 time.Duration, in *core.Instance) {
-	if in != nil {
-		pl.rt.ReleaseCrashed(in)
-	}
-	err := &ErrDeadlineExceeded{Function: name, Deadline: pl.cfg.Deadline}
-	res.Outcome = OutcomeDeadline
-	res.Err = err
-	pl.metrics.DeadlineExceeded.Inc()
-	if pl.tracer != nil {
-		sp := obs.NewSpan("invoke/"+name, t0, pl.eng.Now())
-		sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).
-			SetAttr("node", pl.nodeName).SetAttr("error_type", "deadline-exceeded")
-		sp.Fail(err)
-		sp.AssignIDs(traceID)
-		pl.tracer.Record(sp)
-	}
+	pl.invoke(p, function, dispatcher, tok)
 }

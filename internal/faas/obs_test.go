@@ -3,12 +3,17 @@ package faas
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -95,25 +100,239 @@ func TestStartupSpansSumToReportedStartupTotals(t *testing.T) {
 	}
 }
 
-func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
-	cfg := DefaultConfig(PolicyFaasd)
+// terminalRun registers Table 4 on a traced platform, lets arm prepare
+// it (faults, interrupts), dispatches one attempt of fn at virtual time
+// at, and runs to completion. It returns the platform, the attempt's
+// result, the virtual time the result was delivered, and the attempt's
+// invoke/<fn> root span.
+func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Platform, *CancelToken),
+	fn string, at time.Duration, attempt bool) (*Platform, InvocationResult, time.Duration, *obs.Span) {
+	t.Helper()
+	var results []InvocationResult
+	var delivered time.Duration
+	cfg := DefaultConfig(policy)
+	cfg.Node = "n0"
 	cfg.Tracer = obs.NewTracer(0)
-	pl := New(cfg)
-	pl.Invoke(0, "nope")
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	var pl *Platform
+	cfg.OnResult = func(r InvocationResult) {
+		results = append(results, r)
+		delivered = pl.Engine().Now()
+	}
+	pl = New(cfg)
+	for _, p := range workload.Table4() {
+		if err := pl.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tok *CancelToken
+	if attempt {
+		tok = NewCancelToken(nil)
+	}
+	if arm != nil {
+		arm(pl, tok)
+	}
+	if attempt {
+		pl.Engine().At(at, "dispatch/"+fn, func(p *sim.Proc) { pl.InvokeAttempt(p, fn, "test", tok) })
+	} else {
+		pl.Invoke(at, fn)
+	}
 	pl.Engine().Run()
-	if got := pl.Metrics().Errors.Value(); got != 1 {
-		t.Fatalf("errors = %d, want 1", got)
+	if len(results) != 1 {
+		t.Fatalf("results = %d, want 1", len(results))
 	}
-	spans := cfg.Tracer.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("recorded %d spans, want 1", len(spans))
+	var root *obs.Span
+	for _, sp := range cfg.Tracer.Spans() {
+		if sp.Name == "invoke/"+fn {
+			if root != nil {
+				t.Fatalf("two invoke/%s root spans recorded", fn)
+			}
+			root = sp
+		}
 	}
-	sp := spans[0]
-	if sp.Name != "invoke/nope" || sp.Error == "" {
-		t.Fatalf("error span = %+v, want invoke/nope with error status", sp)
+	if root == nil {
+		t.Fatalf("no invoke/%s span recorded", fn)
 	}
-	if sp.Attrs["function"] != "nope" {
-		t.Fatalf("error span attrs = %v", sp.Attrs)
+	return pl, results[0], delivered, root
+}
+
+// hasErr reports whether err's chain holds a T.
+func hasErr[T error](err error) bool {
+	var target T
+	return errors.As(err, &target)
+}
+
+// TestFailedInvocationRecordsErrorSpanAndCounter pins every way an
+// attempt can end short of success: the result's outcome and typed
+// error, the one counter that moves, and the invoke/<fn> error span —
+// where it starts and ends, its error_type and cancel_reason attributes,
+// and the link back to the fault or the winning attempt.
+func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
+	// JS arrives at 2ms; its cold TrEnv start runs to ~135ms and its
+	// execution to ~276ms, so an interrupt at 202ms lands mid-exec.
+	const arrive = 2 * time.Millisecond
+	crashAt := func(d time.Duration) func(*Platform, *CancelToken) {
+		return func(pl *Platform, _ *CancelToken) {
+			pl.Engine().At(d, "crash", func(*sim.Proc) { pl.Crash() })
+		}
+	}
+	cancelAt := func(d time.Duration, winner string) func(*Platform, *CancelToken) {
+		return func(pl *Platform, tok *CancelToken) {
+			pl.Engine().At(d, "cancel", func(*sim.Proc) { tok.Cancel("hedge-lost", winner) })
+		}
+	}
+	outage := func(pl *Platform, _ *CancelToken) {
+		inj := fault.NewInjector(pl.Engine(), pl.Seed(), fault.Scenario{
+			PoolOutages: []fault.PoolOutage{{Pool: "cxl", From: 0, To: time.Hour}},
+		})
+		pl.AttachFaults(inj)
+		inj.Arm()
+	}
+	cases := []struct {
+		name    string
+		policy  Policy
+		tweak   func(*Config)
+		arm     func(*Platform, *CancelToken)
+		fn      string
+		attempt bool // dispatch through InvokeAttempt with a cancel token
+		// ends is where the abort lands: "arrival" (before admission), or
+		// the clean run's phase ("startup", "exec") whose end is the
+		// checkpoint that caught the interrupt; "" checks only that the
+		// span ends when the result is delivered.
+		ends                  string
+		outcome               Outcome
+		isErr                 func(error) bool
+		counter               string
+		errType, cancelReason string // "" = attribute absent
+		link                  string // link type; "" = no links
+	}{
+		{
+			name: "unregistered", policy: PolicyFaasd, fn: "nope", ends: "arrival",
+			outcome: OutcomeError, counter: "errors",
+			isErr: func(err error) bool { return err != nil && strings.Contains(err.Error(), `"nope" not registered`) },
+		},
+		{
+			name: "pool-outage-no-fallback", policy: PolicyTrEnvCXL, fn: "JS",
+			tweak: func(cfg *Config) { cfg.DisableFallback = true }, arm: outage,
+			outcome: OutcomeError, counter: "errors", errType: "pool-unavailable", link: "caused-by",
+			isErr: hasErr[*mem.ErrPoolUnavailable],
+		},
+		{
+			name: "crashed-before-arrival", policy: PolicyTrEnvCXL, fn: "JS", arm: crashAt(0), ends: "arrival",
+			outcome: OutcomeCrashed, counter: "crash_aborts", errType: "node-down",
+			isErr: hasErr[*ErrNodeDown],
+		},
+		{
+			name: "crashed-mid-exec", policy: PolicyTrEnvCXL, fn: "JS", arm: crashAt(arrive + 200*time.Millisecond), ends: "exec",
+			outcome: OutcomeCrashed, counter: "crash_aborts", errType: "node-down",
+			isErr: hasErr[*ErrNodeDown],
+		},
+		{
+			name: "cancelled-before-admission", policy: PolicyTrEnvCXL, fn: "JS", attempt: true,
+			arm: cancelAt(0, ""), ends: "arrival",
+			outcome: OutcomeCancelled, counter: "cancelled", errType: "cancelled", cancelReason: "hedge-lost",
+			isErr: hasErr[*ErrCancelled],
+		},
+		{
+			name: "cancelled-mid-exec", policy: PolicyTrEnvCXL, fn: "JS", attempt: true,
+			arm: cancelAt(arrive+200*time.Millisecond, "winner-trace"), ends: "exec",
+			outcome: OutcomeCancelled, counter: "cancelled", errType: "cancelled", cancelReason: "hedge-lost",
+			link: "hedge-lost", isErr: hasErr[*ErrCancelled],
+		},
+		{
+			name: "deadline-exceeded", policy: PolicyTrEnvCXL, fn: "JS",
+			tweak: func(cfg *Config) { cfg.Deadline = time.Millisecond }, ends: "startup",
+			outcome: OutcomeDeadline, counter: "deadline_exceeded", errType: "deadline-exceeded",
+			isErr: hasErr[*ErrDeadlineExceeded],
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, r, delivered, sp := terminalRun(t, tc.policy, tc.tweak, tc.arm, tc.fn, arrive, tc.attempt)
+
+			if r.Outcome != tc.outcome || !tc.isErr(r.Err) {
+				t.Fatalf("result = %q / %v (%T), want %q with the row's error type", r.Outcome, r.Err, r.Err, tc.outcome)
+			}
+			if r.TraceID == "" || sp.TraceID != r.TraceID {
+				t.Fatalf("span trace %q, result trace %q: want equal and non-empty", sp.TraceID, r.TraceID)
+			}
+			if tc.attempt && r.Token.TraceID() != r.TraceID {
+				t.Fatalf("token trace %q, want %q", r.Token.TraceID(), r.TraceID)
+			}
+			m := pl.Metrics()
+			counters := map[string]int64{
+				"errors":            m.Errors.Value(),
+				"crash_aborts":      m.CrashAborts.Value(),
+				"cancelled":         m.Cancelled.Value(),
+				"deadline_exceeded": m.DeadlineExceeded.Value(),
+			}
+			wantCounters := map[string]int64{"errors": 0, "crash_aborts": 0, "cancelled": 0, "deadline_exceeded": 0}
+			wantCounters[tc.counter] = 1
+			if !reflect.DeepEqual(counters, wantCounters) {
+				t.Fatalf("counters = %v, want %v", counters, wantCounters)
+			}
+
+			if sp.Error != r.Err.Error() || len(sp.Children) != 0 {
+				t.Fatalf("span error %q with %d children, want %q and none", sp.Error, len(sp.Children), r.Err.Error())
+			}
+			if sp.Start != arrive || sp.End != delivered {
+				t.Fatalf("span [%v, %v], want [%v, %v] (arrival to delivery)", sp.Start, sp.End, arrive, delivered)
+			}
+			switch tc.ends {
+			case "arrival":
+				if sp.End != arrive {
+					t.Fatalf("span ends %v, want the arrival instant %v", sp.End, arrive)
+				}
+			case "":
+				if sp.End <= arrive {
+					t.Fatalf("span ends %v, want after arrival %v", sp.End, arrive)
+				}
+			default:
+				// The same attempt without its interrupt: the abort lands at
+				// the checkpoint that closes the named phase.
+				_, clean, _, cleanSp := terminalRun(t, tc.policy, nil, nil, tc.fn, arrive, tc.attempt)
+				if clean.Outcome != OutcomeSuccess {
+					t.Fatalf("clean twin outcome %q", clean.Outcome)
+				}
+				var want time.Duration
+				for _, c := range cleanSp.Children {
+					if c.Name == tc.ends {
+						want = c.End
+					}
+				}
+				if want == 0 || sp.End != want {
+					t.Fatalf("span ends %v, want the clean run's %s end %v", sp.End, tc.ends, want)
+				}
+			}
+
+			wantAttrs := map[string]string{"function": tc.fn, "policy": string(tc.policy), "node": "n0"}
+			if tc.errType != "" {
+				wantAttrs["error_type"] = tc.errType
+			}
+			if tc.cancelReason != "" {
+				wantAttrs["cancel_reason"] = tc.cancelReason
+			}
+			if !reflect.DeepEqual(sp.Attrs, wantAttrs) {
+				t.Fatalf("span attrs %v, want %v", sp.Attrs, wantAttrs)
+			}
+
+			var wantLinks []obs.Link
+			switch tc.link {
+			case "caused-by":
+				ft := obs.TraceIDFor("fault", "pool-outage", "cxl", "0")
+				if r.FaultTrace != ft {
+					t.Fatalf("result fault trace %q, want the outage's %q", r.FaultTrace, ft)
+				}
+				wantLinks = []obs.Link{{TraceID: ft, Type: "caused-by"}}
+			case "hedge-lost":
+				wantLinks = []obs.Link{{TraceID: "winner-trace", Type: "hedge-lost"}}
+			}
+			if !reflect.DeepEqual(sp.Links, wantLinks) {
+				t.Fatalf("span links %+v, want %+v", sp.Links, wantLinks)
+			}
+		})
 	}
 }
 

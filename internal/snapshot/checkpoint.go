@@ -4,77 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/mem"
-	"repro/internal/pagetable"
 )
-
-// CheckpointCosts prices the dump side of CRIU (step A1 of Figure 6):
-// freezing the cgroup, walking the process tree, and writing the image.
-type CheckpointCosts struct {
-	// Freeze is the cgroup.freeze round trip.
-	Freeze time.Duration
-	// PerThread is seizing + register capture per thread.
-	PerThread time.Duration
-	// PerRegion is /proc/pid/smaps parsing + VMA capture per region.
-	PerRegion time.Duration
-	// DumpBandwidth is the memory-image write rate.
-	DumpBandwidth float64 // bytes/s
-}
-
-// DefaultCheckpointCosts returns dump-side constants.
-func DefaultCheckpointCosts() CheckpointCosts {
-	return CheckpointCosts{
-		Freeze:        2 * time.Millisecond,
-		PerThread:     30 * time.Microsecond,
-		PerRegion:     10 * time.Microsecond,
-		DumpBandwidth: 1.5 * (1 << 30),
-	}
-}
-
-// Checkpoint captures running address spaces into a Snapshot — the
-// offline A1 step that the platform later preprocesses into consolidated
-// images and mm-templates. Regions keep their layout and protections;
-// content keys are per-function (a checkpoint of a live process has no
-// a-priori dedup identity — dedup happens when Preprocess interns
-// identical content). It returns the snapshot and the dump latency.
-func Checkpoint(function string, spaces []*pagetable.AddressSpace, threads, fds int, costs CheckpointCosts) (*Snapshot, time.Duration, error) {
-	if len(spaces) == 0 {
-		return nil, 0, fmt.Errorf("snapshot: checkpoint of %q with no processes", function)
-	}
-	if threads < len(spaces) {
-		return nil, 0, fmt.Errorf("snapshot: %d threads for %d processes", threads, len(spaces))
-	}
-	snap := &Snapshot{Function: function}
-	regions := 0
-	var dumpBytes int64
-	for pi, as := range spaces {
-		proc := ProcessImage{Name: fmt.Sprintf("proc%d", pi), FDs: fds / len(spaces)}
-		for _, v := range as.VMAs() {
-			proc.Regions = append(proc.Regions, Region{
-				Name:  v.Name,
-				Bytes: v.Bytes(),
-				Prot:  v.Prot,
-				Kind:  v.Kind,
-			})
-			regions++
-			dumpBytes += v.Bytes()
-		}
-		snap.Procs = append(snap.Procs, proc)
-	}
-	// Thread distribution: first process gets the remainder.
-	per := threads / len(spaces)
-	snap.Procs[0].Threads = threads - per*(len(spaces)-1)
-	for i := 1; i < len(snap.Procs); i++ {
-		snap.Procs[i].Threads = per
-	}
-	d := costs.Freeze +
-		time.Duration(threads)*costs.PerThread +
-		time.Duration(regions)*costs.PerRegion +
-		time.Duration(float64(dumpBytes)/costs.DumpBandwidth*float64(time.Second))
-	return snap, d, nil
-}
 
 // imageHeader guards the serialized format.
 type imageHeader struct {

@@ -10,61 +10,10 @@ import (
 	"repro/internal/pagetable"
 )
 
-func liveSpaces(t *testing.T) []*pagetable.AddressSpace {
-	t.Helper()
-	tr := mem.NewTracker("node", 0)
-	as := pagetable.NewAddressSpace(tr, mem.DefaultLatencyModel())
-	if _, err := as.AddVMA("text", 0x400000, 16, pagetable.Read|pagetable.Exec, pagetable.File, nil, 0, pagetable.Local); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.AddVMA("heap", 0x800000, 64, pagetable.Read|pagetable.Write, pagetable.Anon, nil, 0, pagetable.Local); err != nil {
-		t.Fatal(err)
-	}
-	return []*pagetable.AddressSpace{as}
-}
-
-func TestCheckpointCapturesLayout(t *testing.T) {
-	snap, d, err := Checkpoint("fn", liveSpaces(t), 14, 20, DefaultCheckpointCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatal("checkpoint was free")
-	}
-	if snap.Function != "fn" || len(snap.Procs) != 1 {
-		t.Fatalf("snapshot shape: %+v", snap)
-	}
-	proc := snap.Procs[0]
-	if proc.Threads != 14 || proc.FDs != 20 {
-		t.Fatalf("threads/fds = %d/%d", proc.Threads, proc.FDs)
-	}
-	if len(proc.Regions) != 2 {
-		t.Fatalf("regions = %d", len(proc.Regions))
-	}
-	if proc.Regions[0].Name != "text" || proc.Regions[0].Prot&pagetable.Exec == 0 {
-		t.Fatal("text region not captured")
-	}
-	if snap.MemBytes() != 80*mem.PageSize {
-		t.Fatalf("mem bytes = %d", snap.MemBytes())
-	}
-}
-
-func TestCheckpointValidation(t *testing.T) {
-	if _, _, err := Checkpoint("fn", nil, 1, 1, DefaultCheckpointCosts()); err == nil {
-		t.Fatal("no processes accepted")
-	}
-	if _, _, err := Checkpoint("fn", liveSpaces(t), 0, 1, DefaultCheckpointCosts()); err == nil {
-		t.Fatal("0 threads for 1 process accepted")
-	}
-}
-
 func TestCheckpointToTemplatePipeline(t *testing.T) {
-	// The full offline pipeline: run -> checkpoint -> preprocess ->
-	// template attach.
-	snap, _, err := Checkpoint("fn", liveSpaces(t), 4, 8, DefaultCheckpointCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The offline pipeline: checkpointed snapshot -> preprocess ->
+	// template attach. testSnap's 1 MB image has a 64-page heap.
+	snap := testSnap("fn", 1, 4)
 	pool := mem.NewPool(mem.CXL, 0, mem.DefaultLatencyModel())
 	st := NewStore(mem.NewBlockStore(pool), mmtemplate.NewRegistry())
 	img, err := st.Preprocess(snap, Placement{Hot: pool, HotFraction: 1})
@@ -81,10 +30,7 @@ func TestCheckpointToTemplatePipeline(t *testing.T) {
 }
 
 func TestImageRoundTrip(t *testing.T) {
-	snap, _, err := Checkpoint("fn", liveSpaces(t), 4, 8, DefaultCheckpointCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := testSnap("fn", 1, 4)
 	var buf bytes.Buffer
 	if err := WriteImage(&buf, snap); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/mem"
@@ -199,7 +198,7 @@ func FaaSnapConfig(ws map[string]int) LazyConfig {
 // of the recorded working set is either delivered by async prefetch
 // (FaaSnap) or left to fault; pages outside the recorded set always fault
 // during execution.
-func RestoreLazy(rng *rand.Rand, snap *Snapshot, tracker *mem.Tracker, tmpfs *mem.Pool, cfg LazyConfig, lat mem.LatencyModel, costs Costs) (*Restored, error) {
+func RestoreLazy(snap *Snapshot, tracker *mem.Tracker, tmpfs *mem.Pool, cfg LazyConfig, lat mem.LatencyModel, costs Costs) (*Restored, error) {
 	if tmpfs.Kind() != mem.Tmpfs {
 		return nil, fmt.Errorf("snapshot: lazy restore needs a tmpfs pool, got %s", tmpfs.Kind())
 	}
@@ -245,7 +244,6 @@ func RestoreLazy(rng *rand.Rand, snap *Snapshot, tracker *mem.Tracker, tmpfs *me
 				}
 			}
 			eagerBytes += int64(eager) * mem.PageSize
-			_ = rng // reserved for future stochastic delivery models
 		}
 	}
 	// Concurrent restores share the snapshot medium: N in-flight eager

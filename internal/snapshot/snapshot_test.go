@@ -190,7 +190,7 @@ func TestRestoreLazyReapSemantics(t *testing.T) {
 	tp := tmpfsPool()
 	ws := wsFor(snap, 0.5)
 	rng := rand.New(rand.NewSource(1))
-	res, err := RestoreLazy(rng, snap, tr, tp, ReapConfig(ws), lat, DefaultCosts())
+	res, err := RestoreLazy(snap, tr, tp, ReapConfig(ws), lat, DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +220,11 @@ func TestRestoreFaaSnapFasterStartupThanReap(t *testing.T) {
 	lat := mem.DefaultLatencyModel()
 	snap := testSnap("fn", 128, 14)
 	ws := wsFor(snap, 0.6)
-	rng := rand.New(rand.NewSource(1))
-	reap, err := RestoreLazy(rng, snap, mem.NewTracker("a", 0), tmpfsPool(), ReapConfig(ws), lat, DefaultCosts())
+	reap, err := RestoreLazy(snap, mem.NewTracker("a", 0), tmpfsPool(), ReapConfig(ws), lat, DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	faasnap, err := RestoreLazy(rng, snap, mem.NewTracker("b", 0), tmpfsPool(), FaaSnapConfig(ws), lat, DefaultCosts())
+	faasnap, err := RestoreLazy(snap, mem.NewTracker("b", 0), tmpfsPool(), FaaSnapConfig(ws), lat, DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +237,13 @@ func TestRestoreLazyMissRatioGrowsWithLoad(t *testing.T) {
 	lat := mem.DefaultLatencyModel()
 	snap := testSnap("fn", 64, 4)
 	ws := wsFor(snap, 0.6)
-	rng := rand.New(rand.NewSource(1))
 	quiet := tmpfsPool()
-	r1, _ := RestoreLazy(rng, snap, mem.NewTracker("a", 0), quiet, FaaSnapConfig(ws), lat, DefaultCosts())
+	r1, _ := RestoreLazy(snap, mem.NewTracker("a", 0), quiet, FaaSnapConfig(ws), lat, DefaultCosts())
 	busy := tmpfsPool()
 	for i := 0; i < 30; i++ {
 		busy.BeginFetch()
 	}
-	r2, _ := RestoreLazy(rng, snap, mem.NewTracker("b", 0), busy, FaaSnapConfig(ws), lat, DefaultCosts())
+	r2, _ := RestoreLazy(snap, mem.NewTracker("b", 0), busy, FaaSnapConfig(ws), lat, DefaultCosts())
 	if r2.RSS() >= r1.RSS() {
 		t.Fatalf("under load async prefetch should deliver less: quiet=%d busy=%d", r1.RSS(), r2.RSS())
 	}
@@ -254,9 +252,8 @@ func TestRestoreLazyMissRatioGrowsWithLoad(t *testing.T) {
 func TestRestoreLazyRejectsWrongPool(t *testing.T) {
 	lat := mem.DefaultLatencyModel()
 	snap := testSnap("fn", 8, 1)
-	rng := rand.New(rand.NewSource(1))
 	cxl := mem.NewPool(mem.CXL, 0, lat)
-	if _, err := RestoreLazy(rng, snap, mem.NewTracker("a", 0), cxl, ReapConfig(nil), lat, DefaultCosts()); err == nil {
+	if _, err := RestoreLazy(snap, mem.NewTracker("a", 0), cxl, ReapConfig(nil), lat, DefaultCosts()); err == nil {
 		t.Fatal("lazy restore accepted non-tmpfs pool")
 	}
 }
