@@ -63,7 +63,11 @@ func New(n int, cfg faas.Config) (*Cluster, error) {
 	if eng == nil {
 		eng = sim.NewEngine(cfg.Seed)
 	}
-	cxl := mem.NewPool(mem.CXL, cfg.CXLCapacity, mem.DefaultLatencyModel())
+	lat := mem.DefaultLatencyModel()
+	if cfg.Latency != nil {
+		lat = *cfg.Latency // the same model every node prices its pools with
+	}
+	cxl := mem.NewPool(mem.CXL, cfg.CXLCapacity, lat)
 	// The shared pool lives on the rack's memory server, not on any
 	// compute node — remote-fetch spans report it as their home.
 	cxl.SetHome("mem0")

@@ -118,7 +118,7 @@ func NewShardedFleet(sc ShardedConfig, cfg faas.Config) (*ShardedFleet, error) {
 		f.racks = append(f.racks, rack)
 		// A window, not a copy: pages preprocessed here stand for the
 		// home rack's CXL bytes and count against no pool capacity.
-		window := mem.NewPool(mem.RDMA, 0, mem.DefaultLatencyModel())
+		window := mem.NewPool(mem.RDMA, 0, rack.Pool().Latency())
 		window.SetHome("fabric")
 		f.fabric = append(f.fabric, snapshot.NewStore(mem.NewBlockStore(window), mmtemplate.NewRegistry()))
 	}

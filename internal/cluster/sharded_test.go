@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faas"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -157,6 +158,36 @@ func TestShardedFleetHomingDeterministic(t *testing.T) {
 	}
 	if err := f.Register(workload.Table4()[0]); err == nil {
 		t.Fatal("duplicate registration accepted")
+	}
+}
+
+// TestLatencyOverrideReachesRackPools: Config.Latency prices a rack's
+// shared CXL pool and every fabric window with the same model each node
+// prices its own pools with.
+func TestLatencyOverrideReachesRackPools(t *testing.T) {
+	lat := mem.DefaultLatencyModel()
+	lat.CXLDirectAccess *= 2
+	lat.RDMAFetch *= 3
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	cfg.Latency = &lat
+	c, err := New(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Pool().Latency(); got != lat {
+		t.Fatalf("rack pool latency = %+v, want the override %+v", got, lat)
+	}
+	f, err := NewShardedFleet(ShardedConfig{Racks: 3, NodesPerRack: 1}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ri, rack := range f.Racks() {
+		if got := rack.Pool().Latency(); got != lat {
+			t.Errorf("rack %d pool latency = %+v, want the override", ri, got)
+		}
+		if got := f.fabric[ri].Blocks().Pool().Latency(); got != lat {
+			t.Errorf("rack %d fabric window latency = %+v, want the override", ri, got)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/mmtemplate"
-	"repro/internal/osproc"
 	"repro/internal/pagetable"
 	"repro/internal/prefetch"
 	"repro/internal/sandbox"
@@ -55,10 +54,7 @@ type Instance struct {
 	Sandbox  *sandbox.Sandbox // container paths
 	NetNS    *sandbox.NetNS   // microVM baselines
 	Restored *snapshot.Restored
-	// Procs is the instance's PID namespace: the restored process tree
-	// (threads, descriptors) that cleaning must terminate completely.
-	Procs *osproc.PIDNamespace
-	Path  StartPath
+	Path     StartPath
 	// OverheadBytes is the fixed isolation overhead charged to the node
 	// (container scaffolding, or guest kernel + hypervisor for VMs).
 	OverheadBytes int64
@@ -190,22 +186,6 @@ func DefaultRuntime(tracker *mem.Tracker) *Runtime {
 
 func (rt *Runtime) chargeOverhead(n int64) error { return rt.Tracker.Alloc(n) }
 
-// restoreProcs rebuilds the snapshot's process tree (threads, fd tables)
-// in a fresh PID namespace — the structural side of CRIU's clone-based
-// restore whose per-thread/per-fd costs the restore paths charge.
-func restoreProcs(snap *snapshot.Snapshot) (*osproc.PIDNamespace, error) {
-	ns := osproc.NewPIDNamespace()
-	specs := make([]osproc.ProcSpec, 0, len(snap.Procs))
-	for i := range snap.Procs {
-		p := &snap.Procs[i]
-		specs = append(specs, osproc.ProcSpec{Name: p.Name, Threads: p.Threads, FDs: p.FDs})
-	}
-	if _, err := osproc.RestoreTree(ns, specs); err != nil {
-		return nil, err
-	}
-	return ns, nil
-}
-
 // StartCold performs faasd's cold start: full sandbox creation plus the
 // bootstrap phase; the process ends up with the whole image resident.
 func (rt *Runtime) StartCold(p *sim.Proc, prof workload.FunctionProfile) (*Instance, Startup, error) {
@@ -222,14 +202,9 @@ func (rt *Runtime) StartCold(p *sim.Proc, prof workload.FunctionProfile) (*Insta
 		res.ReleaseAll()
 		return nil, Startup{}, err
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
 	st := Startup{Path: PathCold, Sandbox: bd.Total(), Restore: prof.ColdInit, SandboxBD: bd}
 	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: PathCold, OverheadBytes: rt.ContainerOverhead}, st, nil
+		Path: PathCold, OverheadBytes: rt.ContainerOverhead}, st, nil
 }
 
 // StartCRIU creates a fresh sandbox and restores the process with a
@@ -246,17 +221,12 @@ func (rt *Runtime) StartCRIU(p *sim.Proc, prof workload.FunctionProfile, snap *s
 		res.ReleaseAll()
 		return nil, Startup{}, err
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
 	rbd := res.BD
 	rbd.Copy += restore - res.Latency // concurrent-restore sharing surcharge
 	st := Startup{Path: PathCRIU, Sandbox: bd.Total(), Restore: restore, SandboxBD: bd, RestoreBD: rbd,
 		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
 	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: PathCRIU, OverheadBytes: rt.ContainerOverhead}, st, nil
+		Path: PathCRIU, OverheadBytes: rt.ContainerOverhead}, st, nil
 }
 
 // StartLazyVM starts a REAP+/FaaSnap+-style microVM: netns from the
@@ -288,17 +258,11 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 		rt.NetPool.Put(ns)
 		return nil, Startup{}, err
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		rt.NetPool.Put(ns)
-		return nil, Startup{}, err
-	}
 	st := Startup{Path: PathLazyVM, Sandbox: sandboxCost, Restore: res.Latency,
 		SandboxBD: sbd, RestoreBD: res.BD,
 		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
 	return &Instance{Function: prof.Name, Profile: prof, NetNS: ns, Restored: res,
-		Procs: procs, Path: PathLazyVM, OverheadBytes: rt.VMOverhead}, st, nil
+		Path: PathLazyVM, OverheadBytes: rt.VMOverhead}, st, nil
 }
 
 // StartTrEnv starts an instance the TrEnv way: repurpose a pooled sandbox
@@ -336,11 +300,6 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 		res.ReleaseAll()
 		return nil, Startup{}, err
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
 	st := Startup{Path: path, Sandbox: sandboxCost, Restore: res.Latency,
 		SandboxBD: sbd, RestoreBD: res.BD}
 	if rt.Prefetcher != nil {
@@ -350,7 +309,7 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 		st.Prefetch = rt.Prefetcher.OnRestore(p, img.WSLog, res)
 	}
 	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
+		Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
 }
 
 // StartReconfig is the Figure 21 ablation: sandbox repurposing is on, but
@@ -389,18 +348,13 @@ func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, sna
 		res.ReleaseAll()
 		return nil, Startup{}, err
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
 	rbd := res.BD
 	rbd.Copy += restore - res.Latency
 	st := Startup{Path: path, Sandbox: sandboxCost, Restore: restore,
 		SandboxBD: sbd, RestoreBD: rbd,
 		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
 	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
+		Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
 }
 
 // Release tears an instance down, returning memory to the node and
@@ -408,9 +362,6 @@ func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, sna
 // into the universal pool, baseline netns into the netns pool; CRIU/cold
 // sandboxes are discarded.
 func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
-	if in.Procs != nil {
-		in.Procs.KillAll() // no process survives its instance
-	}
 	if in.Restored != nil {
 		in.Restored.ReleaseAll()
 	}
@@ -425,11 +376,6 @@ func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
 		if recycleSandbox {
 			rt.Factory.Clean(p, in.Sandbox)
 			rt.SBPool.Put(in.Sandbox)
-		} else {
-			// Discarded entirely: the cgroup directory goes away too.
-			if err := rt.Factory.Destroy(in.Sandbox); err != nil {
-				panic(err) // sandbox teardown is infallible in this model
-			}
 		}
 		in.Sandbox = nil
 	}
@@ -440,9 +386,6 @@ func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
 // recycled and no simulated time is charged — there is no node left to
 // run cleanup on. Safe to call without a live sim.Proc.
 func (rt *Runtime) ReleaseCrashed(in *Instance) {
-	if in.Procs != nil {
-		in.Procs.KillAll()
-	}
 	if in.Restored != nil {
 		in.Restored.ReleaseAll()
 	}
@@ -450,8 +393,5 @@ func (rt *Runtime) ReleaseCrashed(in *Instance) {
 		rt.Tracker.Free(in.OverheadBytes)
 	}
 	in.NetNS = nil
-	if in.Sandbox != nil {
-		_ = rt.Factory.Destroy(in.Sandbox)
-		in.Sandbox = nil
-	}
+	in.Sandbox = nil
 }

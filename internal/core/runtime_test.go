@@ -176,7 +176,7 @@ func TestTrEnvCrossFunctionRepurpose(t *testing.T) {
 		if in2.Sandbox.ID != sbID {
 			t.Error("sandbox not reused across function types")
 		}
-		if in2.Sandbox.Function != "CR" || in2.Sandbox.Rootfs.Overlay != "CR" {
+		if in2.Sandbox.Function != "CR" {
 			t.Error("sandbox not reconfigured for CR")
 		}
 		if st2.Path != PathRepurpose {

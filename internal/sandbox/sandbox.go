@@ -1,7 +1,9 @@
-// Package sandbox models the isolation components of a container sandbox
+// Package sandbox prices the isolation components of a container sandbox
 // — network namespace, root filesystem, cgroup, and the miscellaneous
 // namespaces — with the creation/reuse cost structure of the paper's
-// Table 1, plus TrEnv's repurposable sandbox pool (§4, §5.2).
+// Table 1, plus TrEnv's repurposable sandbox pool (§4, §5.2). The
+// components are priced, not built: a Sandbox records only its identity,
+// its occupant, and whether its upper dir still awaits a purge.
 //
 // The key asymmetry the paper exploits: creating these components is
 // expensive (and gets worse under concurrent cold starts: the kernel
@@ -104,37 +106,17 @@ func scaled(base, per, max time.Duration, concurrent int) time.Duration {
 
 // NetNS is an isolated network environment (namespace + veth).
 type NetNS struct {
-	ID          int
-	Connections int // open connections of the current occupant
+	ID int
 }
 
-// Rootfs is a mount namespace with a base union filesystem and one
-// function-specific overlay overmounted on top (§5.2.1).
-type Rootfs struct {
-	Overlay    string // function whose overlay is currently mounted
-	DirtyUpper bool   // upper dir holds the previous instance's writes
-	Mounts     []Mount
-	Func       *Overlay // the function-specific union filesystem
-}
-
-// MountCount returns the mount-table size.
-func (r *Rootfs) MountCount() int { return len(r.Mounts) }
-
-// Cgroup is a resource-isolation group.
-type Cgroup struct {
-	ID       int
-	Function string // whose limits are applied
-	Node     *CgroupNode
-}
-
-// Sandbox bundles the isolation components of one container or VM jailer.
+// Sandbox is one container or VM jailer's set of isolation components.
 type Sandbox struct {
-	ID         int
-	Net        *NetNS
-	Rootfs     *Rootfs
-	Cgroup     *Cgroup
-	Function   string // current occupant ("" when clean in the pool)
-	Generation int    // times this sandbox has been repurposed
+	ID       int
+	Function string // current occupant ("" when clean in the pool)
+	// DirtyUpper marks an overlayfs upper dir that still holds the
+	// previous occupant's writes: Clean starts an asynchronous purge, and
+	// a Repurpose that arrives before it finishes pays for it.
+	DirtyUpper bool
 }
 
 // Breakdown itemizes where sandbox-path latency went (Figure 4, Table 1).
@@ -159,18 +141,11 @@ type Factory struct {
 	creating int // concurrent creations in flight
 	created  sim.Counter
 	reused   sim.Counter
-
-	// Overlays pools purged function-specific overlays for reuse.
-	Overlays OverlayPool
-	// Syscalls tallies mount-path syscalls (the §5.2.1 comparison).
-	Syscalls SyscallTally
-	// Cgroups is the node's cgroup-v2 hierarchy.
-	Cgroups *Hierarchy
 }
 
 // NewFactory returns a factory with the given cost model.
 func NewFactory(cm CostModel) *Factory {
-	return &Factory{cm: cm, Cgroups: NewHierarchy()}
+	return &Factory{cm: cm}
 }
 
 // Created returns how many sandboxes were created from scratch.
@@ -196,49 +171,16 @@ func (f *Factory) Create(p *sim.Proc, fn string) (*Sandbox, Breakdown) {
 	p.Sleep(b.Total())
 	f.nextID++
 	f.created.Inc()
-	// A cold rootfs build: every base mount, the device nodes, a
-	// pivot_root, and the function overlay on top.
-	ov := f.Overlays.Get(fn)
-	ov.Mounted = true
-	rootfs := &Rootfs{
-		Overlay: fn,
-		Mounts:  append(baseMounts(), Mount{Kind: MountFuncUnion, Path: "/srv/function", ReadOnly: false}),
-		Func:    ov,
-	}
-	f.Syscalls.Mounts += int64(len(rootfs.Mounts))
-	f.Syscalls.Mknods += 6
-	f.Syscalls.PivotRoots++
-	node, err := f.Cgroups.MkDir(nil, fmt.Sprintf("sb-%d", f.nextID), FunctionLimits(0))
-	if err != nil {
-		panic(err) // IDs are unique; MkDir cannot collide
-	}
-	node.AttachProc() // the cgroup-migration step the Breakdown charges
-	return &Sandbox{
-		ID:       f.nextID,
-		Net:      &NetNS{ID: f.nextID},
-		Rootfs:   rootfs,
-		Cgroup:   &Cgroup{ID: f.nextID, Function: fn, Node: node},
-		Function: fn,
-	}, b
+	return &Sandbox{ID: f.nextID, Function: fn}, b
 }
 
 // CreateWarm builds a cleaned, pool-ready sandbox without charging
 // simulated time — pre-provisioning that happened before the measured
-// window. The sandbox carries the full component set (netns, base
-// mounts, cgroup) but no function overlay or occupant.
+// window. The sandbox has no occupant.
 func (f *Factory) CreateWarm() *Sandbox {
 	f.nextID++
 	f.created.Inc()
-	node, err := f.Cgroups.MkDir(nil, fmt.Sprintf("sb-%d", f.nextID), FunctionLimits(0))
-	if err != nil {
-		panic(err)
-	}
-	return &Sandbox{
-		ID:     f.nextID,
-		Net:    &NetNS{ID: f.nextID},
-		Rootfs: &Rootfs{Mounts: baseMounts()},
-		Cgroup: &Cgroup{ID: f.nextID, Node: node},
-	}
+	return &Sandbox{ID: f.nextID}
 }
 
 // CreateNetNS builds a bare network namespace (for microVM baselines
@@ -260,26 +202,12 @@ func (f *Factory) CreateNetNS(p *sim.Proc) (*NetNS, time.Duration) {
 func (f *Factory) Clean(p *sim.Proc, sb *Sandbox) time.Duration {
 	d := f.cm.KillProcesses + f.cm.TeardownConns
 	p.Sleep(d)
-	sb.Net.Connections = 0
 	sb.Function = ""
-	if sb.Cgroup.Node != nil && sb.Cgroup.Node.Procs > 0 {
-		sb.Cgroup.Node.DetachProc() // occupant's process tree is gone
-	}
-	sb.Rootfs.DirtyUpper = true
-	if sb.Rootfs.Func != nil && !sb.Rootfs.Func.Dirty() {
-		// The occupant modified files; they live in the upper dir until
-		// the purge completes.
-		sb.Rootfs.Func.RecordWrite(4, 128<<10)
-	}
-	// Purge is asynchronous (§5.2.1); schedule completion off the
-	// critical path.
-	rootfs := sb.Rootfs
-	p.Engine().After(2*time.Millisecond, func() {
-		if rootfs.Func != nil {
-			rootfs.Func.Purge()
-		}
-		rootfs.DirtyUpper = false
-	})
+	// The occupant's writes live in the upper dir until the purge
+	// completes. Purge is asynchronous (§5.2.1); schedule completion off
+	// the critical path.
+	sb.DirtyUpper = true
+	p.Engine().After(2*time.Millisecond, func() { sb.DirtyUpper = false })
 	return d
 }
 
@@ -292,45 +220,13 @@ func (f *Factory) Repurpose(p *sim.Proc, sb *Sandbox, fn string) (time.Duration,
 	}
 	rng := p.Rand()
 	d := 2*f.cm.OverlayMount + uniform(rng, f.cm.CloneIntoCgroupMin, f.cm.CloneIntoCgroupMax)
-	if sb.Rootfs.DirtyUpper {
+	if sb.DirtyUpper {
 		// Async purge has not finished; it completes synchronously now.
 		d += 2 * time.Millisecond
-		if sb.Rootfs.Func != nil {
-			sb.Rootfs.Func.Purge()
-		}
-		sb.Rootfs.DirtyUpper = false
+		sb.DirtyUpper = false
 	}
 	p.Sleep(d)
-	// Swap the function-specific overlay: unmount the predecessor's
-	// (recycling it) and overmount fn's — the 2-syscall transition.
-	if old := sb.Rootfs.Func; old != nil {
-		old.Mounted = false
-		f.Overlays.Put(old)
-	}
-	ov := f.Overlays.Get(fn)
-	ov.Mounted = true
-	sb.Rootfs.Func = ov
-	if n := len(sb.Rootfs.Mounts); n > 0 && sb.Rootfs.Mounts[n-1].Kind == MountFuncUnion {
-		sb.Rootfs.Mounts[n-1] = Mount{Kind: MountFuncUnion, Path: "/srv/function"}
-	} else {
-		// Pre-warmed sandboxes carry only the base mounts until their
-		// first occupant.
-		sb.Rootfs.Mounts = append(sb.Rootfs.Mounts, Mount{Kind: MountFuncUnion, Path: "/srv/function"})
-	}
-	f.Syscalls.Unmounts++
-	f.Syscalls.Mounts += 2
-	sb.Rootfs.Overlay = fn
-	sb.Cgroup.Function = fn
-	if sb.Cgroup.Node != nil {
-		// Reconfigure the controllers in place and enter at spawn time
-		// (CLONE_INTO_CGROUP) — no migration synchronization.
-		if err := sb.Cgroup.Node.SetLimits(FunctionLimits(0)); err != nil {
-			return 0, err
-		}
-		sb.Cgroup.Node.AttachProc()
-	}
 	sb.Function = fn
-	sb.Generation++
 	f.reused.Inc()
 	return d, nil
 }
@@ -390,25 +286,8 @@ func (p *NetNSPool) Get() *NetNS {
 
 // Put recycles a namespace after teardown.
 func (p *NetNSPool) Put(ns *NetNS) {
-	ns.Connections = 0
 	p.idle = append(p.idle, ns)
 }
 
 // Len returns the pooled count.
 func (p *NetNSPool) Len() int { return len(p.idle) }
-
-// Destroy tears a sandbox down entirely (non-recycled paths): the
-// occupant's process leaves the cgroup and the cgroup directory is
-// removed.
-func (f *Factory) Destroy(sb *Sandbox) error {
-	if sb.Cgroup.Node != nil {
-		if sb.Cgroup.Node.Procs > 0 {
-			sb.Cgroup.Node.DetachProc()
-		}
-		if err := f.Cgroups.RmDir(sb.Cgroup.Node); err != nil {
-			return err
-		}
-		sb.Cgroup.Node = nil
-	}
-	return nil
-}

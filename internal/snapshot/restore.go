@@ -285,8 +285,8 @@ func RestoreTemplate(img *Image, tracker *mem.Tracker, lat mem.LatencyModel, att
 		}
 	}
 	res := &Restored{Snapshot: snap}
-	bd := Breakdown{Orchestration: costs.RepurposeOrchestration}
-	for pi, tpl := range img.Templates {
+	bd := Breakdown{Orchestration: costs.RepurposeOrchestration, Procs: procRestoreCost(snap, costs)}
+	for _, tpl := range img.Templates {
 		as, d, err := tpl.Attach(tracker, lat, attach)
 		if err != nil {
 			res.ReleaseAll()
@@ -294,8 +294,6 @@ func RestoreTemplate(img *Image, tracker *mem.Tracker, lat mem.LatencyModel, att
 		}
 		res.Spaces = append(res.Spaces, as)
 		bd.Attach += d
-		bd.Procs += time.Duration(snap.Procs[pi].Threads) * costs.ThreadClone
-		bd.Procs += time.Duration(snap.Procs[pi].FDs) * costs.FDRestore
 	}
 	res.Latency = bd.Total()
 	res.BD = bd

@@ -285,6 +285,52 @@ func TestRestoreTemplateIsMetadataOnly(t *testing.T) {
 	}
 }
 
+// TestProcsPhasePricesThreadsAndFDs pins the procs restore phase: every
+// restore engine charges threads × ThreadClone plus descriptors ×
+// FDRestore, summed over the snapshot's processes.
+func TestProcsPhasePricesThreadsAndFDs(t *testing.T) {
+	lat := mem.DefaultLatencyModel()
+	costs := DefaultCosts()
+	heap := func(mb int64) []Region {
+		return []Region{{Name: "heap", Bytes: mb << 20, Prot: pagetable.Read | pagetable.Write, Kind: pagetable.Anon}}
+	}
+	snap := &Snapshot{Function: "fn", Procs: []ProcessImage{
+		{Name: "main", Threads: 14, FDs: 20, Regions: heap(4)},
+		{Name: "worker", Threads: 3, FDs: 7, Regions: heap(1)},
+	}}
+	want := (14+3)*costs.ThreadClone + (20+7)*costs.FDRestore
+	restores := []struct {
+		name    string
+		restore func() (*Restored, error)
+	}{
+		{"full-copy", func() (*Restored, error) {
+			return RestoreFullCopy(snap, mem.NewTracker("n", 0), lat, costs)
+		}},
+		{"lazy", func() (*Restored, error) {
+			return RestoreLazy(snap, mem.NewTracker("n", 0), tmpfsPool(), ReapConfig(nil), lat, costs)
+		}},
+		{"template", func() (*Restored, error) {
+			st, pool := newStore()
+			img, err := st.Preprocess(snap, Placement{Hot: pool, HotFraction: 1})
+			if err != nil {
+				return nil, err
+			}
+			return RestoreTemplate(img, mem.NewTracker("n", 0), lat, mmtemplate.DefaultCostModel(), costs)
+		}},
+	}
+	for _, tc := range restores {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BD.Procs != want {
+				t.Fatalf("procs phase = %v, want %v", res.BD.Procs, want)
+			}
+		})
+	}
+}
+
 func TestRestoredRegionLookup(t *testing.T) {
 	lat := mem.DefaultLatencyModel()
 	snap := testSnap("fn", 8, 1)

@@ -18,7 +18,10 @@
 #   8. every committed BENCH_*.json baseline (each a lean
 #      trenv-report/v1 bundle that trenv-diff gates) and every
 #      BENCH_*.sha256 output pin appears in EXPERIMENTS.md's
-#      "Regenerating baselines" section.
+#      "Regenerating baselines" section;
+#   9. the `internal/<pkg>` rows of README.md's layout table and of
+#      ARCHITECTURE.md's package map name exactly the directories under
+#      internal/ (no package missing, none deleted, none twice).
 # The simulator's host cost is not checked here: bench/ measures it.
 # Exits non-zero listing everything that is missing.
 set -eu
@@ -120,6 +123,26 @@ for b in BENCH_*.json BENCH_*.sha256; do
         echo "committed baseline undocumented in EXPERIMENTS.md: $b" >&2
         fail=1
     fi
+done
+
+pkgs=$(for d in internal/*/; do basename "$d"; done | sort)
+for doc in README.md ARCHITECTURE.md; do
+    rows=$(sed -n 's/^| `internal\/\([^`/]*\)`.*/\1/p' "$doc" | sort)
+    [ "$rows" = "$pkgs" ] && continue
+    for pkg in $pkgs; do
+        if ! echo "$rows" | grep -qx "$pkg"; then
+            echo "$doc package table has no row for internal/$pkg" >&2
+        fi
+    done
+    for pkg in $(echo "$rows" | uniq); do
+        if [ ! -d "internal/$pkg" ]; then
+            echo "$doc package table lists internal/$pkg, which does not exist" >&2
+        fi
+    done
+    for pkg in $(echo "$rows" | uniq -d); do
+        echo "$doc package table lists internal/$pkg twice" >&2
+    done
+    fail=1
 done
 
 if [ -e .docs-check-failed ]; then
