@@ -34,9 +34,12 @@ const (
 	// primary attempt is still in flight.
 	HedgeDelay HedgeMode = "delay"
 	// HedgePercentile launches one clone once the primary outlives the
-	// observed P<n> end-to-end latency of its function (merged across
-	// the fleet's flight recorders), falling back to a fixed delay
-	// until enough samples exist.
+	// observed P<n> end-to-end latency of its function, falling back to
+	// a fixed delay until enough samples exist. The samples are the
+	// rack's nodes' per-function E2E histograms: every successful or
+	// fallback attempt admitted at or after faas.Config.Warmup, timed
+	// from admission. Other racks' nodes and the flight recorders play
+	// no part.
 	HedgePercentile HedgeMode = "percentile"
 	// HedgeClone dispatches N attempts eagerly on distinct nodes — the
 	// PS-model clone-factor experiment's mode.
@@ -62,8 +65,9 @@ type HedgePolicy struct {
 	// HedgePercentile before the estimator has MinSamples observations
 	// (0 = DefaultHedgeDelay).
 	Delay time.Duration
-	// Percentile (e.g. 95) picks the trigger off the function's merged
-	// end-to-end distribution in HedgePercentile mode.
+	// Percentile (e.g. 95) picks the trigger in HedgePercentile mode:
+	// that percentile of the function's E2E samples on all of the
+	// rack's nodes taken together (see HedgePercentile).
 	Percentile float64
 	// MinDelay floors the percentile-derived trigger.
 	MinDelay time.Duration
@@ -247,6 +251,8 @@ type hedger struct {
 	cancelled    sim.Counter // losing attempts cooperatively cancelled
 	exhausted    sim.Counter // invocations that spent the re-dispatch budget
 	spans        int64       // hedge-span sequence (trace identity)
+
+	e2e []*sim.Histogram // estimate's scratch: the nodes' E2E histograms for one function
 }
 
 func newHedger(c *Cluster) *hedger {
@@ -378,24 +384,26 @@ func (h *hedger) hedgeDelay(fn string) time.Duration {
 	return 0
 }
 
-// estimate merges the rack's per-node end-to-end latency histograms
-// for fn and reads the policy's percentile off the merged distribution;
+// estimate reads the policy's percentile off the union of the rack's
+// per-node end-to-end latency histograms for fn, without copying them;
 // ok=false until MinSamples post-warmup observations exist.
 func (h *hedger) estimate(fn string) (time.Duration, bool) {
-	var merged sim.Histogram
+	h.e2e = h.e2e[:0]
+	n := 0
 	for _, node := range h.c.nodes {
 		if fm, ok := node.Metrics().PerFn[fn]; ok {
-			merged.Merge(&fm.E2E)
+			h.e2e = append(h.e2e, &fm.E2E)
+			n += fm.E2E.N()
 		}
 	}
 	min := h.policy.MinSamples
 	if min <= 0 {
 		min = defaultHedgeMinSamples
 	}
-	if merged.N() < min {
+	if n < min {
 		return 0, false
 	}
-	return time.Duration(merged.Percentile(h.policy.Percentile) * float64(time.Millisecond)), true
+	return time.Duration(sim.Percentile(h.policy.Percentile, h.e2e...) * float64(time.Millisecond)), true
 }
 
 // onResult is the single funnel every node's terminal outcomes flow

@@ -114,6 +114,100 @@ func hedgeCluster(t *testing.T, n int) (*Cluster, *[]faas.InvocationResult, *[]f
 	return c, terminal, settled
 }
 
+// addE2E deals samples (ms) to JS's E2E histogram on the rack's nodes,
+// round robin over the nodes named by spread.
+func addE2E(c *Cluster, spread []int, samples ...float64) {
+	for i, v := range samples {
+		c.Nodes()[spread[i%len(spread)]].Metrics().Fn("JS").E2E.Add(v)
+	}
+}
+
+// oneTo returns the samples 1, 2, ..., n.
+func oneTo(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i + 1)
+	}
+	return out
+}
+
+// mergedPercentile is the estimator as it was: copy every node's JS
+// samples into one histogram, sort it and read the percentile.
+func mergedPercentile(c *Cluster, p float64) time.Duration {
+	var merged sim.Histogram
+	for _, node := range c.Nodes() {
+		merged.Merge(&node.Metrics().PerFn["JS"].E2E)
+	}
+	return time.Duration(merged.Percentile(p) * float64(time.Millisecond))
+}
+
+// TestHedgeDelayPercentile: in percentile mode the trigger is the
+// fallback until the rack's nodes together hold enough E2E samples for
+// the function, then the percentile of their union, floored by min=.
+func TestHedgeDelayPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	wide := make([]float64, 301)
+	for i := range wide {
+		wide[i] = float64(rng.Intn(4000)) / 8 // ties and fractions
+	}
+	for _, tc := range []struct {
+		name    string
+		spec    string
+		nodes   []int // the nodes that get samples, round robin
+		samples []float64
+		want    time.Duration // 0: the copy-merge-sort percentile
+	}{
+		{"below the default 20 samples", "p95", []int{0, 1, 2}, oneTo(19), DefaultHedgeDelay},
+		{"at the default 20 samples", "p50", []int{0, 1, 2}, oneTo(20), 10500 * time.Microsecond},
+		{"below samples= falls back", "p95,fallback=40ms,samples=10", []int{0, 1, 2}, oneTo(9), 40 * time.Millisecond},
+		{"below samples= without fallback", "p95,samples=10", []int{0, 1}, oneTo(9), DefaultHedgeDelay},
+		{"at samples= reads the percentile", "p50,samples=10", []int{0, 1, 2}, oneTo(10), 5500 * time.Microsecond},
+		{"min= floors the percentile", "p50,min=8ms,samples=10", []int{0, 1, 2}, oneTo(10), 8 * time.Millisecond},
+		{"min= below the percentile", "p50,min=2ms,samples=10", []int{0, 1, 2}, oneTo(10), 5500 * time.Microsecond},
+		{"p95 over three nodes, one empty", "p95", []int{0, 2, 2}, wide, 0},
+		{"p5 over three nodes, one empty", "p5", []int{2, 0}, wide, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _, _ := hedgeCluster(t, 3)
+			hp, err := ParseHedgePolicy(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetHedgePolicy(hp)
+			for _, node := range c.Nodes() {
+				node.Metrics().Fn("JS") // every node knows JS; some have no samples
+			}
+			addE2E(c, tc.nodes, tc.samples...)
+			want := tc.want
+			if want == 0 {
+				want = mergedPercentile(c, hp.Percentile)
+			}
+			if got := c.hedge.hedgeDelay("JS"); got != want {
+				t.Fatalf("hedgeDelay = %v, want %v", got, want)
+			}
+			// Samples added after a query join the sorted ones.
+			addE2E(c, []int{1}, 1000, 0.5, 1000)
+			if est, ok := c.hedge.estimate("JS"); !ok || est != mergedPercentile(c, hp.Percentile) {
+				t.Fatalf("after 3 more samples estimate = %v, %v; want %v, true", est, ok, mergedPercentile(c, hp.Percentile))
+			}
+		})
+	}
+}
+
+// TestHedgeEstimateAllocatesNothing: on a warmed rack, reading the
+// percentile trigger copies no sample and allocates nothing.
+func TestHedgeEstimateAllocatesNothing(t *testing.T) {
+	c, _, _ := hedgeCluster(t, 3)
+	c.SetHedgePolicy(HedgePolicy{Mode: HedgePercentile, Percentile: 95})
+	addE2E(c, []int{0, 1, 2}, oneTo(500)...)
+	if _, ok := c.hedge.estimate("JS"); !ok {
+		t.Fatal("estimate has no data on a warmed rack")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.hedge.estimate("JS") }); allocs != 0 {
+		t.Fatalf("estimate allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestHedgeLoserCancelled: with equal nodes the primary (head start)
 // wins the race; the delayed hedge is cooperatively cancelled and the
 // accounting still balances.

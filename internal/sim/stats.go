@@ -3,23 +3,25 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
 // Histogram collects samples and answers percentile / CDF queries. It
 // stores raw samples (experiments here produce at most a few hundred
-// thousand), keeping percentiles exact.
+// thousand), keeping percentiles exact. A query sorts only the samples
+// added since the last one and merges them into the sorted prefix, so a
+// histogram queried as it grows pays O(k log k + n) per query, not
+// O(n log n).
 type Histogram struct {
-	vals   []float64
-	sorted bool
+	vals   []float64 // vals[:sorted] ascending, NaNs first as in slices.Sort
+	sorted int
 	sum    float64
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
 	h.vals = append(h.vals, v)
-	h.sorted = false
 	h.sum += v
 }
 
@@ -31,13 +33,13 @@ func (h *Histogram) AddDuration(d time.Duration) {
 // Merge folds other's samples into h (other is unchanged). Because the
 // histogram stores raw samples, percentiles over the merged set are
 // exact — cluster experiments use this to get fleet-wide tails from
-// per-node histograms.
+// per-node histograms. To read one percentile across histograms
+// without copying their samples, use the package-level Percentile.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || len(other.vals) == 0 {
 		return
 	}
 	h.vals = append(h.vals, other.vals...)
-	h.sorted = false
 	h.sum += other.sum
 }
 
@@ -55,34 +57,129 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(len(h.vals))
 }
 
+// less is slices.Sort's order on float64: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// sort sorts the samples added since the last query and merges them
+// into the sorted prefix back to front. The new run is copied into the
+// spare capacity past the samples, so a histogram that grows by a few
+// samples between queries allocates nothing, unless those samples have
+// just filled its array.
 func (h *Histogram) sort() {
-	if !h.sorted {
-		sort.Float64s(h.vals)
-		h.sorted = true
+	n, s := len(h.vals), h.sorted
+	if s == n {
+		return
+	}
+	h.sorted = n
+	run := h.vals[s:]
+	slices.Sort(run)
+	if s == 0 || !less(run[0], h.vals[s-1]) {
+		return // the new run already sorts after the prefix
+	}
+	run = append(h.vals[n:], run...)
+	i, k := s-1, n-1
+	for j := len(run) - 1; j >= 0; k-- {
+		if i >= 0 && less(run[j], h.vals[i]) {
+			h.vals[k] = h.vals[i]
+			i--
+		} else {
+			h.vals[k] = run[j]
+			j--
+		}
 	}
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. Returns 0 for an empty histogram.
-func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.vals) == 0 {
+func (h *Histogram) Percentile(p float64) float64 { return Percentile(p, h) }
+
+// Percentile returns the p-th percentile (p in [0,100]) of the samples of
+// every histogram in hs taken together: exactly what merging them into
+// one histogram and calling its Percentile returns, without copying a
+// sample. It reads the two closest ranks off the histograms' sorted
+// runs, walking from whichever end is nearer. Nil histograms count as
+// empty; with no samples at all it returns 0.
+func Percentile(p float64, hs ...*Histogram) float64 {
+	n := 0
+	for _, h := range hs {
+		if h != nil {
+			h.sort()
+			n += len(h.vals)
+		}
+	}
+	if n == 0 {
 		return 0
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		panic(fmt.Sprintf("sim: percentile %v out of range", p))
 	}
-	h.sort()
-	if len(h.vals) == 1 {
-		return h.vals[0]
-	}
-	rank := p / 100 * float64(len(h.vals)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	vlo, vhi := ranked(hs, n, lo, hi)
 	if lo == hi {
-		return h.vals[lo]
+		return vlo
 	}
 	frac := rank - float64(lo)
-	return h.vals[lo]*(1-frac) + h.vals[hi]*frac
+	return vlo*(1-frac) + vhi*frac
+}
+
+// ranked returns the samples at ranks lo and hi (lo <= hi <= lo+1) of
+// the union of hs's n sorted samples. One non-empty histogram is
+// indexed directly; several are walked as a k-way merge from the nearer
+// end, one cursor per histogram.
+func ranked(hs []*Histogram, n, lo, hi int) (vlo, vhi float64) {
+	var only *Histogram
+	runs := 0
+	for _, h := range hs {
+		if h != nil && len(h.vals) > 0 {
+			only, runs = h, runs+1
+		}
+	}
+	if runs == 1 {
+		return only.vals[lo], only.vals[hi]
+	}
+	var stack [8]int
+	taken := stack[:] // samples taken so far from each histogram's walk end
+	if len(hs) > len(stack) {
+		taken = make([]int, len(hs))
+	}
+	fromFront := lo+hi < n-1
+	steps := hi + 1
+	if !fromFront {
+		steps = n - lo
+	}
+	for k := 0; k < steps; k++ {
+		// Take the next sample in walk order: the smallest remaining
+		// from the front, the largest remaining from the back.
+		best, v := -1, 0.0
+		for i, h := range hs {
+			if h == nil || taken[i] == len(h.vals) {
+				continue
+			}
+			var x float64
+			if fromFront {
+				x = h.vals[taken[i]]
+			} else {
+				x = h.vals[len(h.vals)-1-taken[i]]
+			}
+			if best < 0 || (fromFront && less(x, v)) || (!fromFront && less(v, x)) {
+				best, v = i, x
+			}
+		}
+		taken[best]++
+		r := k
+		if !fromFront {
+			r = n - 1 - k
+		}
+		if r == lo {
+			vlo = v
+		}
+		if r == hi {
+			vhi = v
+		}
+	}
+	return vlo, vhi
 }
 
 // Min returns the smallest sample (0 if empty).
