@@ -178,7 +178,7 @@ func TestClusterRecorderDeterministic(t *testing.T) {
 // and its fabric window under scope="fabric", and its trenv_cluster_*
 // roll-ups still equal the sum of the node series.
 func TestShardedFleetMetricsLabelsAndAggregates(t *testing.T) {
-	f := newShardedFleet(t, 2, 1)
+	f := newShardedFleet(t, 2, 0, 1)
 	reg := obs.NewRegistry()
 	f.RegisterMetrics(reg)
 	f.RunTrace(shardedTestTrace())

@@ -37,10 +37,12 @@ type ShardedConfig struct {
 	// TraceCap, when > 0, attaches one span tracer per rack with this
 	// ring capacity; Spans() merges them deterministically.
 	TraceCap int
-	// Workers is the number of OS goroutines executing rack windows in
-	// parallel (0 or 1 = sequential). Workers changes wall-clock speed
-	// only — the schedule, and therefore every exported artifact, is
-	// byte-identical at any worker count.
+	// Workers is the most OS goroutines executing a rack window in
+	// parallel (0 or 1 = sequential). A window starts no more of them
+	// than it has racks with an event below its horizon, and runs on the
+	// calling goroutine when only one rack has work. Workers changes
+	// wall-clock speed only — the schedule, and therefore every exported
+	// artifact, is byte-identical at any worker count.
 	Workers int
 }
 

@@ -15,10 +15,15 @@ import (
 	"repro/internal/workload"
 )
 
-func newShardedFleet(t *testing.T, racks, workers int) *ShardedFleet {
+// newShardedFleet builds a traced fleet with every Table 4 function
+// registered; cores > 0 overrides the default per-node core count.
+func newShardedFleet(t *testing.T, racks, cores, workers int) *ShardedFleet {
 	t.Helper()
 	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
 	cfg.Seed = 1
+	if cores > 0 {
+		cfg.Cores = cores
+	}
 	f, err := NewShardedFleet(ShardedConfig{
 		Racks:        racks,
 		NodesPerRack: 2,
@@ -48,12 +53,13 @@ func shardedTestTrace() workload.Trace {
 }
 
 // runShardedExports runs a fixed trace and returns two export surfaces
-// the byte-identity contract covers: the Prometheus text and a digest
-// of the merged span list. (The report-bundle surface is asserted in
-// the report package, which sits above this one.)
-func runShardedExports(t *testing.T, workers int) (string, string) {
+// the byte-identity contract covers, the Prometheus text and a digest
+// of the merged span list, plus how many cross-shard messages the run
+// delivered. (The report-bundle surface is asserted in the report
+// package, which sits above this one.)
+func runShardedExports(t *testing.T, cores, workers int) (string, string, int64) {
 	t.Helper()
-	f := newShardedFleet(t, 4, workers)
+	f := newShardedFleet(t, 4, cores, workers)
 	f.RunTrace(shardedTestTrace())
 	if f.Wedged() != 0 {
 		t.Fatalf("workers=%d: wedged=%d, want 0", workers, f.Wedged())
@@ -68,11 +74,11 @@ func runShardedExports(t *testing.T, workers int) (string, string) {
 	for _, sp := range f.Spans() {
 		fmt.Fprintf(&spans, "%s %s %d %d\n", sp.TraceID, sp.Name, sp.Start, sp.End)
 	}
-	return prom.String(), spans.String()
+	return prom.String(), spans.String(), f.Group().Messages()
 }
 
 func TestShardedFleetRunsTraceAndSpills(t *testing.T) {
-	f := newShardedFleet(t, 2, 1)
+	f := newShardedFleet(t, 2, 0, 1)
 	tr := shardedTestTrace()
 	f.RunTrace(tr)
 	if got := f.Invocations(); got != len(tr) {
@@ -90,20 +96,35 @@ func TestShardedFleetRunsTraceAndSpills(t *testing.T) {
 }
 
 // The fleet's logical schedule — and therefore every exported artifact —
-// must be byte-identical at any worker count.
+// must be byte-identical at any worker count. One-core nodes saturate, so
+// the second input spills and its windows carry cross-shard messages.
 func TestShardedFleetInvariantOfWorkerCount(t *testing.T) {
-	promWant, reportWant := runShardedExports(t, 1)
-	if !strings.Contains(promWant, "trenv_shard_windows_total") {
-		t.Fatal("shard coordinator series missing from export")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		prom, spans := runShardedExports(t, workers)
-		if prom != promWant {
-			t.Fatalf("workers=%d: Prometheus export differs from workers=1", workers)
-		}
-		if spans != reportWant {
-			t.Fatalf("workers=%d: merged span export differs from workers=1", workers)
-		}
+	for _, tc := range []struct {
+		name     string
+		cores    int
+		messages bool
+	}{
+		{"default-cores", 0, false},
+		{"one-core-spills", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			promWant, spansWant, messages := runShardedExports(t, tc.cores, 1)
+			if !strings.Contains(promWant, "trenv_shard_windows_total") {
+				t.Fatal("shard coordinator series missing from export")
+			}
+			if tc.messages && messages == 0 {
+				t.Fatal("no cross-shard message delivered: the input checks no window that carries one")
+			}
+			for _, workers := range []int{2, 4, 8} {
+				prom, spans, _ := runShardedExports(t, tc.cores, workers)
+				if prom != promWant {
+					t.Fatalf("workers=%d: Prometheus export differs from workers=1", workers)
+				}
+				if spans != spansWant {
+					t.Fatalf("workers=%d: merged span export differs from workers=1", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -149,8 +170,8 @@ func TestShardedFleetSpillover(t *testing.T) {
 
 // Registration and homing must be pure functions of registration order.
 func TestShardedFleetHomingDeterministic(t *testing.T) {
-	f := newShardedFleet(t, 3, 1)
-	g := newShardedFleet(t, 3, 1)
+	f := newShardedFleet(t, 3, 0, 1)
+	g := newShardedFleet(t, 3, 0, 1)
 	for _, p := range workload.Table4() {
 		if f.Home(p.Name) != g.Home(p.Name) {
 			t.Fatalf("homing for %q differs between identical fleets", p.Name)

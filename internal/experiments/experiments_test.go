@@ -11,11 +11,16 @@ func small() Options { return Options{Seed: 1, Scale: 0.12} }
 
 func runAndCheck(t *testing.T, id string) *Result {
 	t.Helper()
+	return runAndCheckWith(t, id, small())
+}
+
+func runAndCheckWith(t *testing.T, id string, o Options) *Result {
+	t.Helper()
 	run, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	r := run(small())
+	r := run(o)
 	if r.ID != id {
 		t.Fatalf("result ID %q, want %q", r.ID, id)
 	}
@@ -208,23 +213,29 @@ func TestPrefetchExperimentRuns(t *testing.T) {
 	}
 }
 
+// Worker invariance holds at CI scale and at paper scale alike.
 func TestSharding(t *testing.T) {
-	r := runAndCheck(t, "sharding")
-	// header + reference row + one row per worker count + sim-time
-	// footer; a divergence line would push the count past 6.
-	if len(r.Lines) != 6 {
-		t.Fatalf("sharding lines = %d, want 6:\n%s", len(r.Lines), r)
-	}
-	for _, l := range r.Lines {
-		if strings.Contains(l, "DIVERGENCE") {
-			t.Fatalf("sharded schedule diverged across worker counts:\n%s", r)
-		}
-	}
-	// The -shards knob moves physical parallelism only: a run at 8
-	// workers must render byte-identically to the sequential run.
-	o := small()
-	o.Shards = 8
-	if got, want := Sharding(o).String(), r.String(); got != want {
-		t.Fatalf("sharding output depends on Options.Shards:\n--- shards=8\n%s--- shards=0\n%s", got, want)
+	for _, o := range []Options{small(), {Seed: 1, Scale: 1}} {
+		o := o
+		t.Run(fmt.Sprintf("scale=%g", o.Scale), func(t *testing.T) {
+			t.Parallel()
+			r := runAndCheckWith(t, "sharding", o)
+			// header + reference row + one row per worker count + sim-time
+			// footer; a divergence line would push the count past 6.
+			if len(r.Lines) != 6 {
+				t.Fatalf("sharding lines = %d, want 6:\n%s", len(r.Lines), r)
+			}
+			for _, l := range r.Lines {
+				if strings.Contains(l, "DIVERGENCE") {
+					t.Fatalf("sharded schedule diverged across worker counts:\n%s", r)
+				}
+			}
+			// The -shards knob moves physical parallelism only: a run at 8
+			// workers must render byte-identically to the sequential run.
+			o.Shards = 8
+			if got, want := Sharding(o).String(), r.String(); got != want {
+				t.Fatalf("sharding output depends on Options.Shards:\n--- shards=8\n%s--- shards=0\n%s", got, want)
+			}
+		})
 	}
 }

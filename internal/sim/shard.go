@@ -20,9 +20,12 @@ import (
 // group's lookahead, so a message emitted at any time t < T+lookahead
 // lands at t+delay >= T+lookahead, i.e. at or beyond the horizon. The
 // coordinator therefore runs each shard up to (exclusive of) the horizon,
-// waits for all of them at a barrier, delivers the accumulated messages
-// in a deterministic order — sorted by (arrival time, sending shard,
-// emission index) — and opens the next window.
+// delivers the accumulated messages in a deterministic order — sorted by
+// (arrival time, sending shard, emission index) — and opens the next
+// window. A window in which only one shard has an event below the horizon
+// runs on the coordinator's goroutine. Only a window with several such
+// shards fans them out over worker goroutines, and the coordinator waits
+// for all of them before it delivers.
 //
 // Because the logical schedule depends only on the per-shard event order
 // and the sorted message delivery, it is invariant of how many OS worker
@@ -74,9 +77,11 @@ func NewShardGroup(seed int64, n int, lookahead time.Duration) *ShardGroup {
 	return g
 }
 
-// SetWorkers sets how many OS goroutines execute shard windows in
-// parallel. It affects wall-clock speed only, never the schedule; values
-// below 1 are clamped to 1.
+// SetWorkers sets how many OS goroutines may execute a shard window in
+// parallel. A window starts no more of them than it has shards with an
+// event below its horizon, and runs on the calling goroutine when it has
+// one. It affects wall-clock speed only, never the schedule; values below
+// 1 are clamped to 1.
 func (g *ShardGroup) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -199,22 +204,23 @@ func (g *ShardGroup) nextEventTime() (time.Duration, bool) {
 	return min, found
 }
 
-// runWindow executes every shard's events strictly below horizon,
-// fanning the shards over the configured number of worker goroutines and
-// waiting for all of them at a barrier.
+// runWindow executes every shard's events strictly below horizon. It
+// fans the shards over at most as many worker goroutines as there are
+// shards with an event below the horizon, and waits for all of them; a
+// window with one such shard runs on the calling goroutine.
 func (g *ShardGroup) runWindow(horizon time.Duration) {
 	g.windows++
-	n := len(g.shards)
 	workers := g.workers
-	if workers > n {
-		workers = n
+	if workers > 1 {
+		workers = min(workers, g.activeShards(horizon))
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		for _, e := range g.shards {
 			e.runWindow(horizon)
 		}
 		return
 	}
+	n := len(g.shards)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -231,6 +237,17 @@ func (g *ShardGroup) runWindow(horizon time.Duration) {
 		}()
 	}
 	wg.Wait()
+}
+
+// activeShards counts the shards with an event strictly below horizon.
+func (g *ShardGroup) activeShards(horizon time.Duration) int {
+	active := 0
+	for _, e := range g.shards {
+		if at, ok := e.nextEventAt(); ok && at < horizon {
+			active++
+		}
+	}
+	return active
 }
 
 // deliver pushes all accumulated cross-shard messages into their target

@@ -194,3 +194,68 @@ func TestShardGroupRunUntilClampsFinalWindow(t *testing.T) {
 		t.Fatal("event inside lookahead window but past deadline ran")
 	}
 }
+
+// A window in which only one shard has an event below the horizon runs
+// on the calling goroutine at any worker count: it starts no worker and
+// waits at no barrier, so a warm window allocates nothing.
+func TestShardGroupOneActiveShardWindowAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		g := NewShardGroup(1, 4, time.Millisecond)
+		g.SetWorkers(workers)
+		g.Shard(0).Go("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(5 * time.Millisecond)
+			}
+		})
+		var deadline time.Duration
+		window := func() {
+			deadline += 5 * time.Millisecond
+			g.RunUntil(deadline)
+		}
+		for i := 0; i < 10; i++ {
+			window()
+		}
+		before := g.Windows()
+		allocs := testing.AllocsPerRun(100, window)
+		if got := g.Windows() - before; got != 101 {
+			t.Fatalf("workers=%d: %d windows in 101 runs, want one per run", workers, got)
+		}
+		if allocs != 0 {
+			t.Fatalf("workers=%d: %.1f allocs per window, want 0", workers, allocs)
+		}
+		g.Shutdown()
+	}
+}
+
+// A window with two active shards still fans out: each shard's callback
+// signals its peer and then waits for the peer's signal, which only
+// arrives if the two callbacks run on different goroutines at once.
+func TestShardGroupTwoActiveShardsRunConcurrently(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		g := NewShardGroup(1, 4, time.Millisecond)
+		g.SetWorkers(workers)
+		active := [2]int{1, 3}
+		signals := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+		var met [2]bool
+		for k, s := range active {
+			k := k
+			g.Shard(s).After(time.Duration(k)*100*time.Microsecond, func() {
+				signals[1-k] <- struct{}{}
+				select {
+				case <-signals[k]:
+					met[k] = true
+				case <-time.After(time.Second):
+				}
+			})
+		}
+		g.Run()
+		if g.Windows() != 1 {
+			t.Fatalf("workers=%d: %d windows, want both callbacks in one", workers, g.Windows())
+		}
+		for k, s := range active {
+			if !met[k] {
+				t.Fatalf("workers=%d: shard %d's callback never met its peer: the window ran its shards one after another", workers, s)
+			}
+		}
+	}
+}
