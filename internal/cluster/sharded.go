@@ -217,12 +217,15 @@ func (f *ShardedFleet) rackHasRoom(rack *Cluster, fn string) bool {
 }
 
 // nextSpillTarget rotates rack ri's private round-robin cursor over the
-// other racks. Blind by design: reading another shard's load during a
-// window would break causal closure, so the fleet trades placement
-// quality for parallelism on the spill path.
+// other racks, in rack order after ri: from rack 0 of 4 the targets run
+// 1, 2, 3, 1, …, never 0. It needs at least two racks; dispatchOn never
+// spills from a one-rack fleet. Blind by design: reading another shard's
+// load during a window would break causal closure, so the fleet trades
+// placement quality for parallelism on the spill path.
 func (f *ShardedFleet) nextSpillTarget(ri int) int {
-	f.spillRR[ri]++
-	return (ri + f.spillRR[ri]) % len(f.racks)
+	n := len(f.racks)
+	f.spillRR[ri] = f.spillRR[ri]%(n-1) + 1
+	return (ri + f.spillRR[ri]) % n
 }
 
 // RunTrace dispatches a trace across the fleet and advances every rack

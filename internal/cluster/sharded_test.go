@@ -168,6 +168,32 @@ func TestShardedFleetSpillover(t *testing.T) {
 	}
 }
 
+// A saturated rack spills round robin over the other racks only: each
+// target is the rack after the previous one, skipping the origin, so 2n
+// successive targets visit every other rack twice and never the origin.
+func TestNextSpillTargetSkipsOrigin(t *testing.T) {
+	for _, racks := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("racks=%d", racks), func(t *testing.T) {
+			f, err := NewShardedFleet(ShardedConfig{Racks: racks, NodesPerRack: 1}, faas.DefaultConfig(faas.PolicyTrEnvCXL))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ri := 0; ri < racks; ri++ {
+				want := ri
+				for k := 0; k < 2*racks; k++ {
+					want = (want + 1) % racks
+					if want == ri {
+						want = (want + 1) % racks
+					}
+					if got := f.nextSpillTarget(ri); got != want {
+						t.Fatalf("spill %d from rack %d went to rack %d, want %d", k, ri, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // Registration and homing must be pure functions of registration order.
 func TestShardedFleetHomingDeterministic(t *testing.T) {
 	f := newShardedFleet(t, 3, 0, 1)
