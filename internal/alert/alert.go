@@ -329,9 +329,9 @@ func (e *Engine) condition(st *ruleState, now time.Duration) (bool, string) {
 			return true, fmt.Sprintf("%s never sampled", r.seriesKey())
 		}
 		for _, ts := range st.matched {
-			// The ring only retains sampled points, so "no point newer than
+			// A series only retains sampled points, so "no point newer than
 			// now-Window" covers both a stopped series and a window that has
-			// aged entirely out of the buffer.
+			// aged entirely out of its retained points.
 			if ts.Len() == 0 || ts.Last().T <= now-r.Window {
 				return true, fmt.Sprintf("%s silent for > %s", ts.Key, r.Window)
 			}

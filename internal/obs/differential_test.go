@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -14,9 +16,14 @@ import (
 // render-every-gather reference (reference_test.go) through the same
 // random program — static counters, gauges and summaries, value and
 // histogram sets that grow between gathers, exemplars, hostile label
-// values, duplicate label sets, and recorder samples at repeated and
-// increasing instants — and after every step requires identical Gather
-// output, WritePrometheus bytes and recorder JSON.
+// values, duplicate label sets, NaN, −0 and +Inf values, and recorder
+// samples at repeated and increasing instants into rings that wrap —
+// and after every step requires identical Gather output,
+// WritePrometheus bytes, recorder JSON (or the same encoding error),
+// and the same points, lengths, drops, last points and windowed rates
+// from the change-step recorder as from the per-point reference ring.
+// Values compare by their bits, so NaN equals NaN and −0 differs from
+// +0.
 func FuzzRegistryDifferential(f *testing.F) {
 	f.Add([]byte{})
 	// One of each registration, then growth, observations and samples.
@@ -35,11 +42,29 @@ func FuzzRegistryDifferential(f *testing.F) {
 		7, 2, 9, 0, // set a value
 		10, 2, 0, 0, // sample later
 	})
-	// Duplicate label sets: the same labels statically and in a set, and
-	// pair-order versus key-order labels ("a" vs "a0").
+	// Values whose bits, not their comparison, decide a change step: a
+	// gauge and a set counter that read NaN, −0, +0 and +Inf in turn, so
+	// the counter's rates are NaN, −0 and Inf, sampled past the ring.
 	f.Add([]byte{
-		0, 0, 2, 0, 0, 0, 8, 1, 3, 0, 0, 0, 4, 0, 2, 2, 4, 0, 7, 3,
-		10, 1, 0, 0, 7, 0, 5, 0, 7, 1, 6, 0, 10, 1, 0, 0, 4, 0, 8, 1, 10, 3, 0, 0,
+		1, 0, 0, 253, // static gauge reading NaN (cell 1)
+		3, 0, 0, 0, // counter set
+		4, 0, 3, 254, // grow it with a −0 member (cell 2)
+		10, 1, 0, 0, // sample
+		10, 0, 0, 0, // same instant
+		7, 1, 0, 255, // cell 1 to +Inf
+		7, 2, 0, 255, // cell 2 to +Inf: an Inf rate
+		10, 1, 0, 0,
+		10, 1, 0, 0, // Inf − Inf: a NaN rate
+		7, 1, 0, 254, // cell 1 to −0
+		7, 2, 0, 253, // cell 2 to NaN
+		10, 2, 0, 0,
+		7, 1, 0, 0, // cell 1 to +0: the same value, other bits
+		7, 2, 0, 0, // cell 2 to +0
+		10, 1, 0, 0,
+		10, 2, 0, 0,
+		7, 2, 0, 254, // cell 2 to −0: a −0 rate
+		10, 1, 0, 0,
+		10, 1, 0, 0,
 	})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		m := newDiffModel()
@@ -124,8 +149,22 @@ func newDiffModel() *diffModel {
 
 func (m *diffModel) cellReader(i int) func() float64 { return func() float64 { return m.cells[i] } }
 
+// cellValue decodes a cell value: a quarter in [-32, 31.5], or, for the
+// top three bytes, NaN, −0 and +Inf.
+func cellValue(b byte) float64 {
+	switch b {
+	case 253:
+		return math.NaN()
+	case 254:
+		return math.Copysign(0, -1)
+	case 255:
+		return math.Inf(1)
+	}
+	return float64(int8(b)) / 4
+}
+
 func (m *diffModel) newCell(b byte) int {
-	m.cells = append(m.cells, float64(int8(b))/4)
+	m.cells = append(m.cells, cellValue(b))
 	return len(m.cells) - 1
 }
 
@@ -212,7 +251,7 @@ func (m *diffModel) apply(op, a, b, c byte) {
 		hs.set.Add(labels, m.hists[h], ex)
 		hs.members = append(hs.members, diffHist{labels: labels, hist: h, exemplars: ex != nil})
 	case 7: // set a cell
-		m.cells[int(a)%len(m.cells)] = float64(int8(c)) / 4
+		m.cells[int(a)%len(m.cells)] = cellValue(c)
 	case 8: // observe into a histogram
 		if len(m.hists) > 0 {
 			m.hists[int(a)%len(m.hists)].Add(float64(c) / 8)
@@ -237,7 +276,7 @@ func (m *diffModel) apply(op, a, b, c byte) {
 // reference.
 func (m *diffModel) check(t *testing.T, step int) {
 	t.Helper()
-	if got, want := m.reg.Gather(), m.ref.Gather(); !reflect.DeepEqual(got, want) {
+	if got, want := m.reg.Gather(), m.ref.Gather(); !sameSamples(got, want) {
 		t.Fatalf("step %d: Gather differs\n got %+v\nwant %+v", step, got, want)
 	}
 	var got, want bytes.Buffer
@@ -252,15 +291,71 @@ func (m *diffModel) check(t *testing.T, step int) {
 	}
 	got.Reset()
 	want.Reset()
-	if err := m.rec.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
+	gotErr := m.rec.WriteJSON(&got)
 	enc := json.NewEncoder(&want)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(m.rr.export()); err != nil {
-		t.Fatal(err)
+	wantErr := enc.Encode(m.rr.export())
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.String() != want.String() {
+		t.Fatalf("step %d: recorder JSON differs\n got (%v):\n%s\nwant (%v):\n%s", step, gotErr, got.String(), wantErr, want.String())
 	}
-	if got.String() != want.String() {
-		t.Fatalf("step %d: recorder JSON differs\n got:\n%s\nwant:\n%s", step, got.String(), want.String())
+	m.checkSeries(t, step)
+}
+
+// checkSeries compares every recorded series, and what the alert engine
+// and the exports read from it, with the reference ring.
+func (m *diffModel) checkSeries(t *testing.T, step int) {
+	t.Helper()
+	series := m.rec.Series()
+	if len(series) != len(m.rr.order) {
+		t.Fatalf("step %d: %d series, reference has %d", step, len(series), len(m.rr.order))
 	}
+	for i, ts := range series {
+		ref := m.rr.series[m.rr.order[i]]
+		if ts.Key != ref.Key || ts.Name != ref.Name || ts.Counter != ref.Counter || !reflect.DeepEqual(ts.Labels, ref.Labels) {
+			t.Fatalf("step %d: series %d is %q, reference %q", step, i, ts.Key, ref.Key)
+		}
+		if ts.Len() != ref.Len() || ts.Dropped() != ref.Dropped() {
+			t.Fatalf("step %d: %s holds %d points, %d dropped; reference %d, %d", step, ts.Key, ts.Len(), ts.Dropped(), ref.Len(), ref.Dropped())
+		}
+		if got, want := ts.Last(), ref.Last(); !samePoint(got, want) {
+			t.Fatalf("step %d: %s last point %+v, reference %+v", step, ts.Key, got, want)
+		}
+		got, want := ts.Points(), ref.Points()
+		for j := range want {
+			if !samePoint(got[j], want[j]) {
+				t.Fatalf("step %d: %s point %d is %+v, reference %+v", step, ts.Key, j, got[j], want[j])
+			}
+		}
+		for _, w := range []time.Duration{-time.Second, 0, 50 * time.Millisecond, 100 * time.Millisecond, 125 * time.Millisecond, time.Hour} {
+			rate, ok := ts.RateOver(m.now, w)
+			wantRate, wantOK := ref.RateOver(m.now, w)
+			if ok != wantOK || !sameFloat(rate, wantRate) {
+				t.Fatalf("step %d: %s RateOver(%v, %v) = %v, %v; reference %v, %v", step, ts.Key, m.now, w, rate, ok, wantRate, wantOK)
+			}
+		}
+	}
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func samePoint(a, b Point) bool {
+	return a.T == b.T && sameFloat(a.Value, b.Value) && sameFloat(a.Rate, b.Rate)
+}
+
+// sameSamples compares two gathers field by field, values by their bits.
+func sameSamples(a, b []Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if !sameFloat(x.Value, y.Value) {
+			return false
+		}
+		x.Value, y.Value = 0, 0
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
 }

@@ -54,3 +54,40 @@ func TestRecorderRejectsNonAdvancingSamples(t *testing.T) {
 		t.Errorf("second sample rate = %v, want 50", pts[1].Rate)
 	}
 }
+
+// A sample instant earlier than the newest records nothing for any
+// series, one registered since included, yet still counts as a sample
+// and runs the hook. The next advancing instant starts the new series.
+func TestRecorderBackwardInstantIsNoOp(t *testing.T) {
+	reg := NewRegistry()
+	n := int64(5)
+	reg.CounterFunc("old_total", "o", nil, func() int64 { return n })
+	rec := NewRecorder(reg, 0)
+	var hooked []time.Duration
+	rec.SetOnSample(func(now time.Duration) { hooked = append(hooked, now) })
+
+	rec.Sample(200 * time.Millisecond)
+	n = 9
+	reg.GaugeFunc("new_g", "n", nil, func() float64 { return 3 })
+	rec.Sample(100 * time.Millisecond) // backward: a no-op for both series
+
+	if rec.NumSeries() != 1 || rec.Lookup("new_g", nil) != nil {
+		t.Fatalf("backward instant created a series: %d series", rec.NumSeries())
+	}
+	old := rec.Lookup("old_total", nil)
+	if got := old.Points(); len(got) != 1 || got[0] != (Point{T: 200 * time.Millisecond, Value: 5}) {
+		t.Fatalf("backward instant changed an existing series: %+v", got)
+	}
+	if rec.Samples() != 2 || len(hooked) != 2 || hooked[1] != 100*time.Millisecond {
+		t.Fatalf("samples = %d, hook saw %v; every call counts and runs the hook", rec.Samples(), hooked)
+	}
+
+	rec.Sample(300 * time.Millisecond)
+	if g := rec.Lookup("new_g", nil); g == nil || g.Len() != 1 || g.Last() != (Point{T: 300 * time.Millisecond, Value: 3}) {
+		t.Fatalf("new series after the backward instant = %+v", g)
+	}
+	// 5 -> 9 over the 100ms between the two recorded instants = 40/s.
+	if got := old.Last(); got != (Point{T: 300 * time.Millisecond, Value: 9, Rate: 40}) {
+		t.Fatalf("existing series after the backward instant: last = %+v", got)
+	}
+}

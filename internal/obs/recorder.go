@@ -4,20 +4,25 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"math"
+	"sort"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// The flight recorder snapshots every registered counter and gauge into
-// fixed-capacity ring-buffer time series as virtual time advances. It
-// is the aggregate complement to per-invocation spans: pool
+// The flight recorder samples every registered counter and gauge as
+// virtual time advances and keeps each as a time series of its newest
+// points. It is the aggregate complement to per-invocation spans: pool
 // utilization, warm-hit ratio, fault rates, and sharing factor *over a
-// run*, cheap enough to leave on for every figure run.
+// run*, cheap enough to leave on for every figure run. It stores each
+// sample instant once per recorder and, per series, only the instants
+// where the value changed, so its memory grows with value changes, not
+// with ticks.
 
 const (
-	// DefaultSeriesCapacity bounds each ring-buffer series; once full the
-	// oldest points are overwritten in place.
+	// DefaultSeriesCapacity bounds how many points each series retains;
+	// once full, the oldest point ages out as a new one arrives.
 	DefaultSeriesCapacity = 4096
 	// DefaultSampleInterval is the virtual-time spacing between samples
 	// when the caller does not choose one.
@@ -33,105 +38,154 @@ type Point struct {
 	Rate  float64
 }
 
-// TimeSeries is a fixed-capacity ring of points for one registry
-// series.
+// step is a series' value from sample instant i until its next step.
+type step struct {
+	i int
+	v float64
+}
+
+// TimeSeries is one registry series as the flight recorder holds it:
+// the index of its first sample instant and a step at every instant
+// where its value changed. It has a point at every instant from its
+// first to the recorder's newest, and retains the newest cap of them,
+// as a fixed-capacity ring of points would; values and rates are read
+// off the steps and the recorder's instant ring.
 type TimeSeries struct {
 	Name    string
 	Labels  map[string]string
 	Key     string
 	Counter bool
 
-	cap     int
-	points  []Point
-	head    int // oldest retained point once full
-	dropped int64
-
-	lastT time.Duration
-	lastV float64
-	seen  bool
+	rec   *Recorder
+	first int
+	// steps is in instant order. Growth prunes it to the step in force at
+	// the instant before the oldest retained point, whose value the oldest
+	// point's rate needs, and every step after.
+	steps []step
 }
 
-func (ts *TimeSeries) push(p Point) {
-	if len(ts.points) < ts.cap {
-		ts.points = append(ts.points, p)
-		return
+// span returns the instant indexes of the retained points, [lo, hi).
+func (ts *TimeSeries) span() (lo, hi int) {
+	hi = ts.rec.n
+	return max(ts.first, hi-ts.rec.cap), hi
+}
+
+// stepAt returns the index of the step in force at instant i, or -1
+// when i precedes every step.
+func (ts *TimeSeries) stepAt(i int) int {
+	return sort.Search(len(ts.steps), func(k int) bool { return ts.steps[k].i > i }) - 1
+}
+
+// add records that the value changed to v at instant i. When the steps
+// fill their slice and at least half of them are older than the step in
+// force at the instant before the oldest retained point, it drops those
+// instead of growing, so a series holds O(cap) steps however long it
+// runs.
+func (ts *TimeSeries) add(i int, v float64) {
+	if len(ts.steps) == cap(ts.steps) {
+		if k := ts.stepAt(i - ts.rec.cap); 2*k >= len(ts.steps) {
+			ts.steps = ts.steps[:copy(ts.steps, ts.steps[k:])]
+		}
 	}
-	ts.points[ts.head] = p
-	ts.head = (ts.head + 1) % ts.cap
-	ts.dropped++
+	ts.steps = append(ts.steps, step{i, v})
+}
+
+// point returns the point at instant j, whose value is v; prev is the
+// value at instant j-1, which a counter's rate needs after its first
+// point.
+func (ts *TimeSeries) point(j int, v, prev float64) Point {
+	p := Point{T: ts.rec.instant(j), Value: v}
+	if ts.Counter && j > ts.first {
+		p.Rate = safeRate(v-prev, p.T-ts.rec.instant(j-1))
+	}
+	return p
 }
 
 // Points returns the retained points, oldest first.
 func (ts *TimeSeries) Points() []Point {
-	out := make([]Point, 0, len(ts.points))
-	out = append(out, ts.points[ts.head:]...)
-	out = append(out, ts.points[:ts.head]...)
+	lo, hi := ts.span()
+	out := make([]Point, 0, hi-lo)
+	k := ts.stepAt(lo)
+	prev := ts.steps[max(ts.stepAt(lo-1), 0)].v
+	for j := lo; j < hi; j++ {
+		if k+1 < len(ts.steps) && ts.steps[k+1].i == j {
+			k++
+		}
+		v := ts.steps[k].v
+		out = append(out, ts.point(j, v, prev))
+		prev = v
+	}
 	return out
 }
 
 // Len returns how many points are retained.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
+func (ts *TimeSeries) Len() int {
+	lo, hi := ts.span()
+	return hi - lo
+}
 
-// Dropped returns how many points aged out of the ring.
-func (ts *TimeSeries) Dropped() int64 { return ts.dropped }
+// Dropped returns how many of the series' points aged out.
+func (ts *TimeSeries) Dropped() int64 {
+	lo, _ := ts.span()
+	return int64(lo - ts.first)
+}
 
 // Last returns the most recent point (zero Point when empty).
 func (ts *TimeSeries) Last() Point {
-	if len(ts.points) == 0 {
+	if ts.Len() == 0 {
 		return Point{}
 	}
-	if len(ts.points) < ts.cap {
-		return ts.points[len(ts.points)-1]
+	j, k := ts.rec.n-1, len(ts.steps)-1
+	prev := ts.steps[k].v
+	if ts.steps[k].i == j && k > 0 {
+		prev = ts.steps[k-1].v
 	}
-	return ts.points[(ts.head+ts.cap-1)%ts.cap]
-}
-
-// at returns the i-th retained point, oldest first.
-func (ts *TimeSeries) at(i int) Point {
-	if len(ts.points) < ts.cap {
-		return ts.points[i]
-	}
-	return ts.points[(ts.head+i)%ts.cap]
+	return ts.point(j, ts.steps[k].v, prev)
 }
 
 // RateOver returns the average per-second rate of change between the
 // newest retained point and the newest point at or before now-window
-// (the oldest retained point when the window reaches past the ring).
+// (the oldest retained point when the window reaches past it).
 // ok is false when fewer than two distinct instants bound the window —
 // no data yields no rate, never zero. Alert rate rules use this instead
 // of the instantaneous per-sample Rate, which is too spiky to threshold.
 func (ts *TimeSeries) RateOver(now, window time.Duration) (rate float64, ok bool) {
-	n := len(ts.points)
-	if n < 2 {
+	lo, hi := ts.span()
+	if hi-lo < 2 {
 		return 0, false
 	}
-	last := ts.at(n - 1)
-	cut := now - window
-	baseline := ts.at(0)
-	for i := n - 2; i >= 0; i-- {
-		if p := ts.at(i); p.T <= cut {
-			baseline = p
-			break
-		}
-	}
-	if baseline.T >= last.T {
-		return 0, false
-	}
-	return safeRate(last.Value-baseline.Value, last.T-baseline.T), true
+	// Sample instants strictly increase, so the baseline is the last
+	// point before the newest whose instant is at or before the cut.
+	last, cut := hi-1, now-window
+	base := max(lo+sort.Search(last-lo, func(k int) bool { return ts.rec.instant(lo+k) > cut })-1, lo)
+	vb, vl := ts.steps[ts.stepAt(base)].v, ts.steps[len(ts.steps)-1].v
+	return safeRate(vl-vb, ts.rec.instant(last)-ts.rec.instant(base)), true
 }
 
-// Recorder samples a registry into per-series rings. Series appear as
-// the registry first reports them (dynamic families grow during a run).
-// The recorder binds one ring to each entry of the registry's sample
-// plan and rebinds only when the plan is recompiled, so a steady tick is
-// one value read and one ring push per series.
+// Recorder samples a registry into per-series change steps. Series
+// appear as the registry first reports them (dynamic families grow
+// during a run). The recorder binds one slot to the first entry of each
+// key in the registry's sample plan and rebinds only when the plan is
+// recompiled, so a steady tick reads one value per series, compares its
+// bits with the slot's last, and writes only where they differ.
 type Recorder struct {
-	reg     *Registry
-	cap     int
-	byKey   map[string]*TimeSeries
-	series  []*TimeSeries // sorted by key
-	slots   []*TimeSeries // slots[i] records reg.plan[i]
-	gen     int           // plan generation the slots are bound to
+	reg   *Registry
+	cap   int
+	byKey map[string]*TimeSeries
+	// series, entry and last run in parallel, in key order: series[k]
+	// records reg.plan[entry[k]], and last[k] holds the bits of its
+	// newest value. fresh lists the slots bound by the running sample
+	// whose series have no point yet.
+	series []*TimeSeries
+	entry  []int
+	last   []uint64
+	fresh  []int
+	gen    int // plan generation the slots are bound to
+	// times rings the newest cap+1 sample instants, one more than a
+	// series retains, so its oldest point keeps its rate. n counts every
+	// instant; instant i lives at times[i%len(times)].
+	times   []time.Duration
+	n       int
 	samples int64
 
 	// onSample, when set, runs after every Sample with the sampled
@@ -141,36 +195,28 @@ type Recorder struct {
 	onSample func(now time.Duration)
 }
 
-// NewRecorder records reg's series into rings of the given capacity
-// (DefaultSeriesCapacity when capacity <= 0).
+// NewRecorder records reg's series, retaining the given number of
+// points per series (DefaultSeriesCapacity when capacity <= 0).
 func NewRecorder(reg *Registry, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	return &Recorder{reg: reg, cap: capacity, byKey: make(map[string]*TimeSeries)}
+	return &Recorder{reg: reg, cap: capacity, byKey: make(map[string]*TimeSeries),
+		times: make([]time.Duration, capacity+1)}
 }
 
-// Sample gathers the registry once at virtual time now. Re-sampling the
-// same instant is a no-op per series, so overlapping pumps cannot
-// duplicate points.
+func (r *Recorder) instant(i int) time.Duration { return r.times[i%len(r.times)] }
+
+// Sample records the registry at virtual time now. An instant later
+// than the newest gives every series a point. Re-sampling the newest
+// instant gives a point only to series that appear then, so overlapping
+// pumps cannot duplicate points. An earlier instant records nothing for
+// any series, new ones included; no pump produces one. Every call
+// counts as a sample and runs the onSample hook.
 func (r *Recorder) Sample(now time.Duration) {
-	r.reg.compile()
-	if r.gen != r.reg.gen {
-		r.bind()
-	}
-	for i := range r.reg.plan {
-		ts := r.slots[i]
-		if ts.seen && now <= ts.lastT {
-			continue
-		}
-		e := &r.reg.plan[i]
-		v := e.read()
-		var rate float64
-		if e.counter && ts.seen {
-			rate = safeRate(v-ts.lastV, now-ts.lastT)
-		}
-		ts.push(Point{T: now, Value: v, Rate: rate})
-		ts.lastT, ts.lastV, ts.seen = now, v, true
+	advance := r.n == 0 || now > r.instant(r.n-1)
+	if advance || now == r.instant(r.n-1) {
+		r.record(now, advance)
 	}
 	r.samples++
 	if r.onSample != nil {
@@ -178,32 +224,67 @@ func (r *Recorder) Sample(now time.Duration) {
 	}
 }
 
-// bind points one slot at each entry of the freshly compiled plan,
-// creating rings for keys never sampled before. Duplicate keys share a
-// ring, whose first sample at an instant wins.
-func (r *Recorder) bind() {
-	plan := r.reg.plan
-	r.slots = r.slots[:0]
-	grew := false
-	for i := range plan {
-		e := &plan[i]
-		ts, ok := r.byKey[e.key]
-		if !ok {
-			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, cap: r.cap}
-			r.byKey[e.key] = ts
-			grew = true
-		}
-		r.slots = append(r.slots, ts)
+func (r *Recorder) record(now time.Duration, advance bool) {
+	r.reg.compile()
+	if advance {
+		r.times[r.n%len(r.times)] = now
+		r.n++
 	}
-	if grew {
-		// The plan is key-sorted and holds every key ever sampled (series
-		// never leave a registry), so its distinct slots are the series.
-		r.series = r.series[:0]
-		for i, ts := range r.slots {
-			if i == 0 || ts != r.slots[i-1] {
-				r.series = append(r.series, ts)
+	if r.gen != r.reg.gen {
+		r.bind()
+	}
+	i := r.n - 1
+	if advance {
+		plan := r.reg.plan
+		for k, e := range r.entry {
+			v := plan[e].read()
+			if b := math.Float64bits(v); b != r.last[k] {
+				r.last[k] = b
+				r.series[k].add(i, v)
 			}
 		}
+	}
+	// A series bound by this sample starts at its instant. The loop above
+	// gave it a step unless it read +0, the bits last[k] starts with.
+	for _, k := range r.fresh {
+		ts := r.series[k]
+		ts.first = i
+		if len(ts.steps) == 0 {
+			var v float64
+			if !advance {
+				v = r.reg.plan[r.entry[k]].read()
+				r.last[k] = math.Float64bits(v)
+			}
+			ts.steps = append(ts.steps, step{i, v})
+		}
+	}
+	r.fresh = r.fresh[:0]
+}
+
+// bind points one slot at the first plan entry of each key, creating
+// series for keys never sampled before. Later entries with the same key
+// share its series and are not read, so the first entry wins. The plan
+// is key-sorted and holds every key ever sampled (series never leave a
+// registry), so the slots are the series in key order.
+func (r *Recorder) bind() {
+	r.series, r.entry, r.last = r.series[:0], r.entry[:0], r.last[:0]
+	for i := range r.reg.plan {
+		e := &r.reg.plan[i]
+		if k := len(r.series); k > 0 && r.series[k-1].Key == e.key {
+			continue
+		}
+		var bits uint64
+		ts, ok := r.byKey[e.key]
+		if ok {
+			bits = math.Float64bits(ts.steps[len(ts.steps)-1].v)
+		} else {
+			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, rec: r}
+			r.byKey[e.key] = ts
+			r.fresh = append(r.fresh, len(r.series))
+		}
+		r.series = append(r.series, ts)
+		r.entry = append(r.entry, i)
+		r.last = append(r.last, bits)
 	}
 	r.gen = r.reg.gen
 }
@@ -291,7 +372,7 @@ func durMS(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 func (r *Recorder) export() recorderJSON {
 	doc := recorderJSON{Samples: r.samples, Series: make([]seriesJSON, 0, len(r.series))}
 	for _, ts := range r.series {
-		sj := seriesJSON{Name: ts.Name, Labels: ts.Labels, Counter: ts.Counter, Dropped: ts.dropped}
+		sj := seriesJSON{Name: ts.Name, Labels: ts.Labels, Counter: ts.Counter, Dropped: ts.Dropped()}
 		for _, p := range ts.Points() {
 			sj.Points = append(sj.Points, pointJSON{TMS: durMS(p.T), Value: p.Value, Rate: p.Rate})
 		}
@@ -359,8 +440,9 @@ type recorderRun struct {
 	Rec *Recorder
 }
 
-// NewRecorderSet builds a set whose recorders sample every interval
-// into rings of the given capacity (defaults apply when <= 0).
+// NewRecorderSet builds a set whose recorders sample every interval and
+// retain the given number of points per series (defaults apply when
+// <= 0).
 func NewRecorderSet(every time.Duration, capacity int) *RecorderSet {
 	if every <= 0 {
 		every = DefaultSampleInterval

@@ -318,3 +318,67 @@ func TestSLOValidation(t *testing.T) {
 		}()
 	}
 }
+
+// A series registered between two samples at the same instant gets its
+// first point at that instant. Series that already have a point there
+// keep their first read, and both continue at the next instant.
+func TestRecorderSeriesFirstAppearsAtSameInstantResample(t *testing.T) {
+	reg := NewRegistry()
+	a, b := int64(1), int64(7)
+	reg.CounterFunc("a_total", "a", nil, func() int64 { return a })
+	rec := NewRecorder(reg, 0)
+	rec.Sample(time.Second)
+	a = 2
+	reg.CounterFunc("b_total", "b", nil, func() int64 { return b })
+	rec.Sample(time.Second)
+
+	at, bt := rec.Lookup("a_total", nil), rec.Lookup("b_total", nil)
+	if got := at.Points(); len(got) != 1 || got[0].Value != 1 {
+		t.Fatalf("same-instant resample changed an existing series: %+v", got)
+	}
+	if bt == nil || bt.Len() != 1 || bt.Last() != (Point{T: time.Second, Value: 7}) {
+		t.Fatalf("series appearing at the resample = %+v", bt)
+	}
+	b = 9
+	rec.Sample(1500 * time.Millisecond)
+	if got := bt.Points(); len(got) != 2 || got[1] != (Point{T: 1500 * time.Millisecond, Value: 9, Rate: 4}) {
+		t.Fatalf("new series next instant = %+v, want 7 -> 9 over 500ms = 4/s", got)
+	}
+	if got := at.Last(); got != (Point{T: 1500 * time.Millisecond, Value: 2, Rate: 2}) {
+		t.Fatalf("existing series next instant = %+v, want 1 -> 2 over 500ms = 2/s", got)
+	}
+}
+
+// A series stores one step per value change, not one point per tick: a
+// constant series holds one step after 10,000 ticks, and one that
+// changes on every tick holds O(capacity) steps however long it runs.
+func TestRecorderStorageGrowsWithChangesNotTicks(t *testing.T) {
+	reg := NewRegistry()
+	var c int64
+	reg.GaugeFunc("flat", "f", nil, func() float64 { return 42 })
+	reg.CounterFunc("c_total", "c", nil, func() int64 { return c })
+	const capacity, ticks = 64, 10000
+	rec := NewRecorder(reg, capacity)
+	for i := 1; i <= ticks; i++ {
+		c++
+		rec.Sample(time.Duration(i) * DefaultSampleInterval)
+	}
+
+	flat := rec.Lookup("flat", nil)
+	if n := len(flat.steps); n != 1 {
+		t.Fatalf("constant series holds %d steps after %d ticks, want 1", n, ticks)
+	}
+	if flat.Len() != capacity || flat.Dropped() != ticks-capacity || flat.Last().Value != 42 {
+		t.Fatalf("constant series: len %d, dropped %d, last %+v", flat.Len(), flat.Dropped(), flat.Last())
+	}
+	busy := rec.Lookup("c_total", nil)
+	if n := cap(busy.steps); n > 4*(capacity+1) {
+		t.Fatalf("series changing every tick holds room for %d steps, want at most %d", n, 4*(capacity+1))
+	}
+	pts := busy.Points()
+	for i, p := range pts {
+		if want := float64(ticks - capacity + 1 + i); p.Value != want || p.Rate != 10 {
+			t.Fatalf("point %d = %+v, want value %v at 10/s", i, p, want)
+		}
+	}
+}

@@ -13,11 +13,13 @@ import (
 // The reference registry is the render-every-gather implementation the
 // compiled sample plan replaced, kept as the differential oracle: every
 // gather materialises each family's static and gathered series, renders
-// every key, and sorts. It shares only the leaf helpers (renderLabels,
-// escapeLabel, formatValue, FormatLe) and the ring type with the real
-// registry, so a plan that drops, duplicates, misorders or stale-reads a
-// series shows up as a difference in Gather, WritePrometheus or the
-// recorder's JSON.
+// every key, and sorts. Its recorder pushes every sampled point into a
+// per-series ring (refRing), the storage the change steps replaced. It
+// shares only the leaf helpers (renderLabels, escapeLabel, formatValue,
+// FormatLe, safeRate) and the export types with the real registry and
+// recorder, so a plan that drops, duplicates, misorders or stale-reads a
+// series, or a step that derives a wrong point, shows up as a difference
+// in Gather, WritePrometheus or the recorder's series.
 //
 // Two things differ from the historical code, both to make the oracle
 // deterministic: families are visited in name order, and the final sort
@@ -222,12 +224,86 @@ func (r *refRegistry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// refRing is the historical per-series ring the change-step series
+// replaced: it stores every sampled point, with its rate derived at push
+// time, and overwrites the oldest once full.
+type refRing struct {
+	Name    string
+	Labels  map[string]string
+	Key     string
+	Counter bool
+
+	cap     int
+	points  []Point
+	head    int // oldest retained point once full
+	dropped int64
+
+	lastT time.Duration
+	lastV float64
+	seen  bool
+}
+
+func (ts *refRing) push(p Point) {
+	if len(ts.points) < ts.cap {
+		ts.points = append(ts.points, p)
+		return
+	}
+	ts.points[ts.head] = p
+	ts.head = (ts.head + 1) % ts.cap
+	ts.dropped++
+}
+
+func (ts *refRing) Points() []Point {
+	out := make([]Point, 0, len(ts.points))
+	out = append(out, ts.points[ts.head:]...)
+	return append(out, ts.points[:ts.head]...)
+}
+
+func (ts *refRing) Len() int { return len(ts.points) }
+
+func (ts *refRing) Dropped() int64 { return ts.dropped }
+
+func (ts *refRing) Last() Point {
+	if len(ts.points) == 0 {
+		return Point{}
+	}
+	return ts.at(len(ts.points) - 1)
+}
+
+func (ts *refRing) at(i int) Point {
+	if len(ts.points) < ts.cap {
+		return ts.points[i]
+	}
+	return ts.points[(ts.head+i)%ts.cap]
+}
+
+func (ts *refRing) RateOver(now, window time.Duration) (rate float64, ok bool) {
+	n := len(ts.points)
+	if n < 2 {
+		return 0, false
+	}
+	last := ts.at(n - 1)
+	cut := now - window
+	baseline := ts.at(0)
+	for i := n - 2; i >= 0; i-- {
+		if p := ts.at(i); p.T <= cut {
+			baseline = p
+			break
+		}
+	}
+	if baseline.T >= last.T {
+		return 0, false
+	}
+	return safeRate(last.Value-baseline.Value, last.T-baseline.T), true
+}
+
 // refRecorder is the historical flight recorder: it gathers the whole
-// reference registry every sample and looks every key up in a map.
+// reference registry every sample, looks every key up in a map, and
+// pushes one point per series into its ring.
 type refRecorder struct {
 	reg     *refRegistry
 	cap     int
-	series  map[string]*TimeSeries
+	series  map[string]*refRing
 	order   []string
 	samples int64
 }
@@ -236,14 +312,14 @@ func newRefRecorder(reg *refRegistry, capacity int) *refRecorder {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	return &refRecorder{reg: reg, cap: capacity, series: make(map[string]*TimeSeries)}
+	return &refRecorder{reg: reg, cap: capacity, series: make(map[string]*refRing)}
 }
 
 func (r *refRecorder) Sample(now time.Duration) {
 	for _, s := range r.reg.Gather() {
 		ts, ok := r.series[s.Key]
 		if !ok {
-			ts = &TimeSeries{Name: s.Name, Labels: s.Labels, Key: s.Key, Counter: s.Counter, cap: r.cap}
+			ts = &refRing{Name: s.Name, Labels: s.Labels, Key: s.Key, Counter: s.Counter, cap: r.cap}
 			r.series[s.Key] = ts
 			i := sort.SearchStrings(r.order, s.Key)
 			r.order = append(r.order, "")

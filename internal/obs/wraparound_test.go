@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -108,5 +109,52 @@ func TestRateOverWindows(t *testing.T) {
 	}
 	if want := 10.0 / 0.2; v != want { // +10 over the retained 200ms
 		t.Fatalf("clamped-window rate = %v, want %v", v, want)
+	}
+}
+
+// TestRecorderOldestRetainedRateAfterWrap checks that the oldest point
+// a wrapped series retains keeps the rate from its dropped predecessor:
+// when the predecessor's value was set a hundred instants earlier, and
+// when that rate is NaN (+Inf − +Inf) or −0 (−0 − +0).
+func TestRecorderOldestRetainedRateAfterWrap(t *testing.T) {
+	reg := NewRegistry()
+	var c int64
+	inf, zero := math.Inf(1), 0.0
+	var set ValueSet
+	set.Add(map[string]string{"v": "inf"}, func() float64 { return inf })
+	set.Add(map[string]string{"v": "zero"}, func() float64 { return zero })
+	reg.CounterFunc("c_total", "c", nil, func() int64 { return c })
+	reg.CounterSet("x_total", "x", &set)
+
+	const capacity = 3
+	rec := NewRecorder(reg, capacity)
+	step := 100 * time.Millisecond
+	for i := 1; i <= 100; i++ {
+		rec.Sample(time.Duration(i) * step)
+	}
+	c, zero = 5, math.Copysign(0, -1)
+	for i := 101; i <= 103; i++ {
+		rec.Sample(time.Duration(i) * step)
+	}
+
+	pts := rec.Lookup("c_total", nil).Points()
+	if len(pts) != capacity || pts[0].T != 101*step {
+		t.Fatalf("retained window = %+v", pts)
+	}
+	// 0 -> 5 over the 100ms from the dropped instant 100.
+	if pts[0].Rate != 50 || pts[1].Rate != 0 || pts[2].Rate != 0 {
+		t.Fatalf("rates after the wrap = %+v, want 50, 0, 0", pts)
+	}
+	for _, p := range rec.Lookup("x_total", map[string]string{"v": "inf"}).Points() {
+		if !math.IsNaN(p.Rate) {
+			t.Fatalf("+Inf counter point %+v: want a NaN rate", p)
+		}
+	}
+	zpts := rec.Lookup("x_total", map[string]string{"v": "zero"}).Points()
+	if r := zpts[0].Rate; r != 0 || !math.Signbit(r) {
+		t.Fatalf("oldest retained rate after +0 -> -0 = %v, want -0", r)
+	}
+	if r := zpts[1].Rate; r != 0 || math.Signbit(r) {
+		t.Fatalf("rate after -0 -> -0 = %v, want +0", r)
 	}
 }
