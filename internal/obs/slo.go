@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -37,8 +38,10 @@ type sloEvent struct {
 }
 
 type sloSeries struct {
-	slo      SLO
-	events   []sloEvent // ring, oldest at head once full
+	slo SLO
+	// events is a ring in time order, oldest at head once full. Ties keep
+	// record order.
+	events   []sloEvent
 	head     int
 	total    int64
 	breaches int64
@@ -49,12 +52,30 @@ func (s *sloSeries) record(e sloEvent, cap int) {
 	if e.bad {
 		s.breaches++
 	}
-	if len(s.events) < cap {
+	switch n := len(s.events); {
+	case n > 0 && e.t < s.events[(s.head+n-1)%n].t:
+		s.insert(e, cap)
+	case n < cap:
 		s.events = append(s.events, e)
-		return
+	default:
+		s.events[s.head] = e
+		s.head = (s.head + 1) % cap
 	}
-	s.events[s.head] = e
-	s.head = (s.head + 1) % cap
+}
+
+// insert places an event older than the newest after every event at or
+// before its instant, so the ring stays in time order. A full ring then
+// drops its oldest event, which is e itself when e is older than all of
+// them: the ring keeps the newest cap events by time. In a run every
+// event is recorded at the engine's now, so this never happens there.
+func (s *sloSeries) insert(e sloEvent, cap int) {
+	ev := append(append([]sloEvent(nil), s.events[s.head:]...), s.events[:s.head]...)
+	i := sort.Search(len(ev), func(k int) bool { return ev[k].t > e.t })
+	ev = slices.Insert(ev, i, e)
+	if len(ev) > cap {
+		ev = ev[1:]
+	}
+	s.events, s.head = ev, 0
 }
 
 // burnRate is SLOTracker.BurnRate for this function.
@@ -72,14 +93,24 @@ func (s *sloSeries) burnRate(now, window time.Duration) float64 {
 	return (float64(bad) / float64(total)) / den
 }
 
-// window counts events with t in (now-window, now].
+// window counts events with t in (now-window, now]. The ring is in time
+// order, so it scans back from the newest event and stops at the first
+// one at or before now-window. A binary search measured slower at the
+// ~50 events per function a burn window holds on the W1 trace.
 func (s *sloSeries) window(now, window time.Duration) (total, bad int64) {
 	lo := now - window
-	for _, e := range s.events {
-		if e.t > lo && e.t <= now {
-			total++
-			if e.bad {
-				bad++
+	// Once the ring wraps, events[:head] holds its newest events.
+	for _, seg := range [2][]sloEvent{s.events[:s.head], s.events[s.head:]} {
+		for k := len(seg) - 1; k >= 0; k-- {
+			e := seg[k]
+			if e.t <= lo {
+				return total, bad
+			}
+			if e.t <= now {
+				total++
+				if e.bad {
+					bad++
+				}
 			}
 		}
 	}
