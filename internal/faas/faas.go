@@ -202,6 +202,7 @@ type Platform struct {
 	store   *snapshot.Store
 	fns     map[string]*Function
 	warm    map[string][]*core.Instance
+	warmN   int // instances in warm, kept so WarmCount need not walk it
 	metrics *Metrics
 	tracer  *obs.Tracer
 
@@ -545,6 +546,7 @@ func (pl *Platform) Redeploy(prof workload.FunctionProfile) error {
 	// Drain stale warm instances; their sandboxes recycle as usual.
 	stale := pl.warm[prof.Name]
 	pl.warm[prof.Name] = nil
+	pl.warmN -= len(stale)
 	pl.eng.Go("redeploy-drain/"+prof.Name, func(p *sim.Proc) {
 		for _, in := range stale {
 			pl.release(p, in)
@@ -564,6 +566,7 @@ func (pl *Platform) takeWarm(fn string) *core.Instance {
 	}
 	in := list[len(list)-1]
 	pl.warm[fn] = list[:len(list)-1]
+	pl.warmN--
 	return in
 }
 
@@ -572,6 +575,7 @@ func (pl *Platform) takeWarm(fn string) *core.Instance {
 func (pl *Platform) parkWarm(in *core.Instance) {
 	in.IdleSince = pl.eng.Now()
 	pl.warm[in.Function] = append(pl.warm[in.Function], in)
+	pl.warmN++
 	idleMark := in.IdleSince
 	pl.eng.After(pl.cfg.KeepAlive, func() {
 		// Still idle since the same moment? Then it expired.
@@ -607,6 +611,7 @@ func (pl *Platform) removeWarm(in *core.Instance) bool {
 	for i, cand := range list {
 		if cand == in {
 			pl.warm[in.Function] = append(list[:i], list[i+1:]...)
+			pl.warmN--
 			return true
 		}
 	}
@@ -1156,10 +1161,4 @@ func (pl *Platform) HasWarm(fn string) bool { return len(pl.warm[fn]) > 0 }
 func (pl *Platform) Store() *snapshot.Store { return pl.store }
 
 // WarmCount returns the current number of kept-alive instances.
-func (pl *Platform) WarmCount() int {
-	n := 0
-	for _, l := range pl.warm {
-		n += len(l)
-	}
-	return n
-}
+func (pl *Platform) WarmCount() int { return pl.warmN }

@@ -74,6 +74,7 @@ func (pl *Platform) Crash() {
 		}
 		delete(pl.warm, name)
 	}
+	pl.warmN = 0
 	for name, q := range pl.waiting {
 		for _, proc := range q {
 			pl.eng.Resume(proc)

@@ -67,6 +67,7 @@ type Registry struct {
 	next      uint64
 	templates map[uint64]*Template
 	attaches  int64 // cumulative, survives template destruction
+	live      int64 // attaches to the templates still in templates
 }
 
 // NewRegistry returns an empty registry.
@@ -97,10 +98,12 @@ func (r *Registry) Get(id uint64) (*Template, bool) {
 func (r *Registry) Destroy(id uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.templates[id]; !ok {
+	t, ok := r.templates[id]
+	if !ok {
 		return fmt.Errorf("mmtemplate: destroy of unknown template %d", id)
 	}
 	delete(r.templates, id)
+	r.live -= t.Attaches()
 	return nil
 }
 
@@ -122,23 +125,27 @@ func (r *Registry) TotalAttaches() int64 {
 
 // SharingFactor returns attached mms per live template — how many
 // address spaces each shared memory template has spawned. Zero when no
-// templates are live.
+// templates are live. It reads a running sum, so the flight recorder can
+// sample it every tick without walking the templates.
 func (r *Registry) SharingFactor() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.templates) == 0 {
 		return 0
 	}
-	var sum int64
-	for _, t := range r.templates {
-		sum += t.Attaches()
-	}
-	return float64(sum) / float64(len(r.templates))
+	return float64(r.live) / float64(len(r.templates))
 }
 
-func (r *Registry) noteAttach() {
+// noteAttach counts one attach of t. It bumps t's count under r.mu, so
+// Destroy subtracts exactly the attaches the running sum holds; an
+// attach to a destroyed template counts toward the total only.
+func (r *Registry) noteAttach(t *Template) {
 	r.mu.Lock()
+	t.attaches.Add(1)
 	r.attaches++
+	if r.templates[t.id] == t {
+		r.live++
+	}
 	r.mu.Unlock()
 }
 
@@ -150,7 +157,7 @@ type Template struct {
 
 	mu       sync.Mutex
 	maps     []*tmap
-	attaches atomic.Int64 // atomic so registry-wide reads skip t.mu
+	attaches atomic.Int64 // written under reg.mu; atomic so readers take no lock
 }
 
 type tmap struct {
@@ -305,10 +312,7 @@ func (t *Template) Attach(tracker *mem.Tracker, lat mem.LatencyModel, cost CostM
 			}
 		}
 	}
-	t.attaches.Add(1)
-	if t.reg != nil {
-		t.reg.noteAttach()
-	}
+	t.reg.noteAttach(t)
 	d := cost.AttachSyscall +
 		time.Duration(float64(t.MetadataBytesLocked())/cost.MetadataBandwidth*float64(time.Second)) +
 		time.Duration(len(t.maps))*cost.PerMapOverhead

@@ -254,3 +254,74 @@ func TestDestroyedTemplateAttachesKeepWorking(t *testing.T) {
 		t.Fatalf("attached address space broken by destroy: %v", err)
 	}
 }
+
+// TestSharingFactorMatchesWalk drives random create, attach and destroy
+// sequences, with attaches to destroyed templates and repeated destroys,
+// and checks SharingFactor's running sum against a walk of the live
+// templates after every step. It then runs the mix from 8 goroutines at
+// once, so an attach racing a destroy of its template is counted once.
+func TestSharingFactorMatchesWalk(t *testing.T) {
+	lat, cost := mem.DefaultLatencyModel(), DefaultCostModel()
+	rng := rand.New(rand.NewSource(1))
+	reg := NewRegistry()
+	tr := mem.NewTracker("node", 0)
+	var all []*Template
+	var attaches int64
+	destroyedAttach := false
+	for step := 0; step < 2000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 2 || len(all) == 0:
+			all = append(all, reg.Create("t"))
+		case op < 8:
+			tpl := all[rng.Intn(len(all))]
+			if _, ok := reg.Get(tpl.ID()); !ok {
+				destroyedAttach = true
+			}
+			if _, _, err := tpl.Attach(tr, lat, cost); err != nil {
+				t.Fatal(err)
+			}
+			attaches++
+		default:
+			reg.Destroy(all[rng.Intn(len(all))].ID()) // a repeat is an error and changes nothing
+		}
+		if got, want := reg.SharingFactor(), WalkSharingFactor(reg); got != want {
+			t.Fatalf("step %d: SharingFactor = %v, walk %v", step, got, want)
+		}
+	}
+	if !destroyedAttach || reg.Len() == 0 {
+		t.Fatalf("sequence never attached to a destroyed template (%v) or left none live (%d)", destroyedAttach, reg.Len())
+	}
+	if reg.TotalAttaches() != attaches {
+		t.Fatalf("total attaches = %d, want %d", reg.TotalAttaches(), attaches)
+	}
+
+	reg = NewRegistry()
+	shared := make([]*Template, 16)
+	for i := range shared {
+		shared[i] = reg.Create("s")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			tr := mem.NewTracker("node", 0)
+			for j := 0; j < 200; j++ {
+				tpl := shared[rng.Intn(len(shared))]
+				if rng.Intn(8) == 0 {
+					reg.Destroy(tpl.ID())
+					continue
+				}
+				if _, _, err := tpl.Attach(tr, lat, cost); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	if got, want := reg.SharingFactor(), WalkSharingFactor(reg); got != want {
+		t.Fatalf("after concurrent use: SharingFactor = %v, walk %v", got, want)
+	}
+}
