@@ -245,11 +245,10 @@ func (r *Recorder) record(now time.Duration, advance bool) {
 		}
 	}
 	// A series bound by this sample starts at its instant. The loop above
-	// gave it a step unless it read +0, the bits last[k] starts with.
+	// gave it its first step, unless it read +0, the bits last[k] starts
+	// with, or this sample re-read the newest instant and ran no loop.
 	for _, k := range r.fresh {
-		ts := r.series[k]
-		ts.first = i
-		if len(ts.steps) == 0 {
+		if ts := r.series[k]; len(ts.steps) == 0 {
 			var v float64
 			if !advance {
 				v = r.reg.plan[r.entry[k]].read()
@@ -262,7 +261,8 @@ func (r *Recorder) record(now time.Duration, advance bool) {
 }
 
 // bind points one slot at the first plan entry of each key, creating
-// series for keys never sampled before. Later entries with the same key
+// series, which start at the newest instant, for keys never sampled
+// before. Later entries with the same key
 // share its series and are not read, so the first entry wins. The plan
 // is key-sorted and holds every key ever sampled (series never leave a
 // registry), so the slots are the series in key order.
@@ -278,7 +278,7 @@ func (r *Recorder) bind() {
 		if ok {
 			bits = math.Float64bits(ts.steps[len(ts.steps)-1].v)
 		} else {
-			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, rec: r}
+			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, rec: r, first: r.n - 1}
 			r.byKey[e.key] = ts
 			r.fresh = append(r.fresh, len(r.series))
 		}
