@@ -42,6 +42,12 @@ func FuzzRegistryDifferential(f *testing.F) {
 		7, 2, 9, 0, // set a value
 		10, 2, 0, 0, // sample later
 	})
+	// Duplicate label sets: the same labels statically and in a set, and
+	// pair-order versus key-order labels ("a" vs "a0").
+	f.Add([]byte{
+		0, 0, 2, 0, 0, 0, 8, 1, 3, 0, 0, 0, 4, 0, 2, 2, 4, 0, 7, 3,
+		10, 1, 0, 0, 7, 0, 5, 0, 7, 1, 6, 0, 10, 1, 0, 0, 4, 0, 8, 1, 10, 3, 0, 0,
+	})
 	// Values whose bits, not their comparison, decide a change step: a
 	// gauge and a set counter that read NaN, −0, +0 and +Inf in turn, so
 	// the counter's rates are NaN, −0 and Inf, sampled past the ring.
