@@ -76,19 +76,30 @@ func (ts *TimeSeries) stepAt(i int) int {
 	return sort.Search(len(ts.steps), func(k int) bool { return ts.steps[k].i > i }) - 1
 }
 
-// add records that the value changed to v at instant i. When the steps
-// fill their slice and at least half of them are older than the step in
-// force at the instant before the oldest retained point, it drops those
-// instead of growing, so a series holds O(cap) steps however long it
-// runs.
+// add records that the value changed to v at instant i. A series needs
+// the step in force at the instant before its oldest retained point and
+// every step after it: at most cap+1 steps. When the steps fill their
+// slice, add drops the older ones if they are at least half of it or the
+// slice has reached maxSteps; otherwise it doubles the slice, up to
+// maxSteps. So a series that changes on every tick holds maxSteps steps
+// of 16 bytes, less than cap points of 24, and each drop copies at most
+// cap steps after at least cap/4 adds.
 func (ts *TimeSeries) add(i int, v float64) {
-	if len(ts.steps) == cap(ts.steps) {
-		if k := ts.stepAt(i - ts.rec.cap); 2*k >= len(ts.steps) {
+	if n := len(ts.steps); n == cap(ts.steps) {
+		limit := maxSteps(ts.rec.cap)
+		if k := ts.stepAt(i - ts.rec.cap); 2*k >= n || n >= limit {
 			ts.steps = ts.steps[:copy(ts.steps, ts.steps[k:])]
+		} else {
+			grown := make([]step, n, min(2*n, limit))
+			ts.steps = grown[:copy(grown, ts.steps)]
 		}
 	}
 	ts.steps = append(ts.steps, step{i, v})
 }
+
+// maxSteps is the most steps a series of capacity points holds:
+// capacity plus a quarter of it, rounded up.
+func maxSteps(capacity int) int { return capacity + (capacity+3)/4 }
 
 // point returns the point at instant j, whose value is v; prev is the
 // value at instant j-1, which a counter's rate needs after its first
@@ -174,12 +185,10 @@ type Recorder struct {
 	byKey map[string]*TimeSeries
 	// series, entry and last run in parallel, in key order: series[k]
 	// records reg.plan[entry[k]], and last[k] holds the bits of its
-	// newest value. fresh lists the slots bound by the running sample
-	// whose series have no point yet.
+	// newest value.
 	series []*TimeSeries
 	entry  []int
 	last   []uint64
-	fresh  []int
 	gen    int // plan generation the slots are bound to
 	// times rings the newest cap+1 sample instants, one more than a
 	// series retains, so its oldest point keeps its rate. n counts every
@@ -233,39 +242,25 @@ func (r *Recorder) record(now time.Duration, advance bool) {
 	if r.gen != r.reg.gen {
 		r.bind()
 	}
-	i := r.n - 1
-	if advance {
-		plan := r.reg.plan
-		for k, e := range r.entry {
-			v := plan[e].read()
-			if b := math.Float64bits(v); b != r.last[k] {
-				r.last[k] = b
-				r.series[k].add(i, v)
-			}
+	if !advance {
+		return
+	}
+	i, plan := r.n-1, r.reg.plan
+	for k, e := range r.entry {
+		v := plan[e].read()
+		if b := math.Float64bits(v); b != r.last[k] {
+			r.last[k] = b
+			r.series[k].add(i, v)
 		}
 	}
-	// A series bound by this sample starts at its instant. The loop above
-	// gave it its first step, unless it read +0, the bits last[k] starts
-	// with, or this sample re-read the newest instant and ran no loop.
-	for _, k := range r.fresh {
-		if ts := r.series[k]; len(ts.steps) == 0 {
-			var v float64
-			if !advance {
-				v = r.reg.plan[r.entry[k]].read()
-				r.last[k] = math.Float64bits(v)
-			}
-			ts.steps = append(ts.steps, step{i, v})
-		}
-	}
-	r.fresh = r.fresh[:0]
 }
 
-// bind points one slot at the first plan entry of each key, creating
-// series, which start at the newest instant, for keys never sampled
-// before. Later entries with the same key
-// share its series and are not read, so the first entry wins. The plan
-// is key-sorted and holds every key ever sampled (series never leave a
-// registry), so the slots are the series in key order.
+// bind points one slot at the first plan entry of each key. A key never
+// sampled before gets a series whose first point, read here, is at the
+// newest instant. Later entries with the same key share its series and
+// are not read, so the first entry wins. The plan is key-sorted and
+// holds every key ever sampled (series never leave a registry), so the
+// slots are the series in key order.
 func (r *Recorder) bind() {
 	r.series, r.entry, r.last = r.series[:0], r.entry[:0], r.last[:0]
 	for i := range r.reg.plan {
@@ -273,18 +268,15 @@ func (r *Recorder) bind() {
 		if k := len(r.series); k > 0 && r.series[k-1].Key == e.key {
 			continue
 		}
-		var bits uint64
 		ts, ok := r.byKey[e.key]
-		if ok {
-			bits = math.Float64bits(ts.steps[len(ts.steps)-1].v)
-		} else {
-			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, rec: r, first: r.n - 1}
+		if !ok {
+			ts = &TimeSeries{Name: e.name, Labels: e.s.labels, Key: e.key, Counter: e.counter, rec: r,
+				first: r.n - 1, steps: []step{{r.n - 1, e.read()}}}
 			r.byKey[e.key] = ts
-			r.fresh = append(r.fresh, len(r.series))
 		}
 		r.series = append(r.series, ts)
 		r.entry = append(r.entry, i)
-		r.last = append(r.last, bits)
+		r.last = append(r.last, math.Float64bits(ts.steps[len(ts.steps)-1].v))
 	}
 	r.gen = r.reg.gen
 }

@@ -372,8 +372,8 @@ func TestRecorderStorageGrowsWithChangesNotTicks(t *testing.T) {
 		t.Fatalf("constant series: len %d, dropped %d, last %+v", flat.Len(), flat.Dropped(), flat.Last())
 	}
 	busy := rec.Lookup("c_total", nil)
-	if n := cap(busy.steps); n > 4*(capacity+1) {
-		t.Fatalf("series changing every tick holds room for %d steps, want at most %d", n, 4*(capacity+1))
+	if n := cap(busy.steps); n > maxSteps(capacity) {
+		t.Fatalf("series changing every tick holds room for %d steps, want at most %d", n, maxSteps(capacity))
 	}
 	pts := busy.Points()
 	for i, p := range pts {

@@ -1,6 +1,8 @@
 package obs_test
 
 import (
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -95,4 +97,43 @@ func BenchmarkRecorderSample(b *testing.B) {
 		rec.Sample(now)
 	}
 	b.ReportMetric(float64(rec.NumSeries()), "series")
+}
+
+// BenchmarkRecorderSampleDense is the recorder's worst case: every
+// series changes on every tick, so each keeps a step per retained
+// point. It reports the per-tick cost with full rings and the heap the
+// recorder retains per series.
+func BenchmarkRecorderSampleDense(b *testing.B) {
+	const series = 200
+	var tick int64
+	reg := obs.NewRegistry()
+	for i := 0; i < series/2; i++ {
+		labels := map[string]string{"i": strconv.Itoa(i)}
+		step := int64(i + 1)
+		reg.CounterFunc("dense_total", "A counter that grows every tick.", labels, func() int64 { return tick * step })
+		reg.GaugeFunc("dense_gauge", "A gauge that moves every tick.", labels, func() float64 { return float64(tick%7) * float64(step) })
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := obs.NewRecorder(reg, obs.DefaultSeriesCapacity)
+	var now time.Duration
+	sample := func() {
+		tick++
+		now += obs.DefaultSampleInterval
+		rec.Sample(now)
+	}
+	for i := 0; i < 3*obs.DefaultSeriesCapacity; i++ {
+		sample()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sample()
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/series, "heap-B/series")
+	runtime.KeepAlive(rec)
 }
