@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/sim"
@@ -350,4 +353,461 @@ func (r *refRecorder) export() recorderJSON {
 		doc.Series = append(doc.Series, sj)
 	}
 	return doc
+}
+
+// The reference span is the span before attribute slices and integer
+// span IDs, kept as the oracle of FuzzSpanDifferential: attributes in a
+// map, IDs rendered by fmt.Sprintf when they are stamped, and every
+// export, Find and Analyze written against that shape. It shares only
+// the leaf helpers (micros, foldFrame) and the analysis output types
+// with the real span code, so an attribute lookup, ID rendering or
+// export that differs from the historical bytes shows up as a
+// difference in an export, a rendered ID or a Find.
+
+type refSpan struct {
+	Name     string
+	Start    time.Duration
+	End      time.Duration
+	TraceID  string
+	SpanID   string
+	Links    []refLink
+	Attrs    map[string]string
+	Error    string
+	Children []*refSpan
+}
+
+type refLink struct {
+	TraceID string `json:"trace_id"`
+	SpanID  string `json:"span_id,omitempty"`
+	Type    string `json:"type,omitempty"`
+}
+
+func refFNV1a64(parts ...string) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			h ^= uint64(p[i])
+			h *= prime
+		}
+		h ^= 0x1f
+		h *= prime
+	}
+	return h
+}
+
+func refTraceIDFor(parts ...string) string {
+	return fmt.Sprintf("%016x", refFNV1a64(parts...))
+}
+
+func refSpanIDFor(traceID string, walkIndex int) string {
+	return fmt.Sprintf("%08x", uint32(refFNV1a64(traceID, strconv.Itoa(walkIndex))))
+}
+
+func newRefSpan(name string, start, end time.Duration) *refSpan {
+	return &refSpan{Name: name, Start: start, End: end}
+}
+
+func (s *refSpan) Duration() time.Duration { return s.End - s.Start }
+
+func (s *refSpan) SetAttr(k, v string) *refSpan {
+	if s.Attrs == nil {
+		s.Attrs = make(map[string]string)
+	}
+	s.Attrs[k] = v
+	return s
+}
+
+func (s *refSpan) Child(name string, start, end time.Duration) *refSpan {
+	c := newRefSpan(name, start, end)
+	s.Children = append(s.Children, c)
+	return c
+}
+
+func (s *refSpan) Fail(err error) *refSpan {
+	if err != nil {
+		s.Error = err.Error()
+	}
+	return s
+}
+
+func (s *refSpan) AddLink(l refLink) *refSpan {
+	s.Links = append(s.Links, l)
+	return s
+}
+
+func (s *refSpan) AssignIDs(traceID string) *refSpan {
+	i := 0
+	s.Walk(func(_ int, sp *refSpan) {
+		sp.TraceID = traceID
+		sp.SpanID = refSpanIDFor(traceID, i)
+		i++
+	})
+	return s
+}
+
+func (s *refSpan) Find(spanID string) *refSpan {
+	var out *refSpan
+	s.Walk(func(_ int, sp *refSpan) {
+		if out == nil && sp.SpanID == spanID {
+			out = sp
+		}
+	})
+	return out
+}
+
+func (s *refSpan) SelfTime() time.Duration {
+	self := s.Duration() - s.ChildrenTotal()
+	if self < 0 {
+		return 0
+	}
+	return self
+}
+
+func (s *refSpan) Walk(fn func(depth int, sp *refSpan)) {
+	var rec func(d int, sp *refSpan)
+	rec = func(d int, sp *refSpan) {
+		fn(d, sp)
+		for _, c := range sp.Children {
+			rec(d+1, c)
+		}
+	}
+	rec(0, s)
+}
+
+func (s *refSpan) ChildrenTotal() time.Duration {
+	var t time.Duration
+	for _, c := range s.Children {
+		t += c.Duration()
+	}
+	return t
+}
+
+func (s *refSpan) String() string {
+	var b strings.Builder
+	s.Walk(func(d int, sp *refSpan) {
+		fmt.Fprintf(&b, "%s%-20s %12v +%v", strings.Repeat("  ", d), sp.Name, sp.Start, sp.Duration())
+		if sp.Error != "" {
+			fmt.Fprintf(&b, "  ERROR: %s", sp.Error)
+		}
+		b.WriteByte('\n')
+	})
+	return b.String()
+}
+
+// refTracer keeps every recorded root (the fuzz programs record fewer
+// than a tracer's capacity) and streams each as a JSONL line, stamping
+// unstamped roots from its sequence counter as Tracer.Record does.
+type refTracer struct {
+	roots  []*refSpan
+	seq    int64
+	stream bytes.Buffer
+}
+
+func (t *refTracer) Record(root *refSpan) {
+	if root.TraceID == "" {
+		root.AssignIDs(refTraceIDFor("tracer", strconv.FormatInt(t.seq, 10), root.Name))
+	}
+	t.seq++
+	t.roots = append(t.roots, root)
+	json.NewEncoder(&t.stream).Encode(refSpanToJSON(root)) //nolint:errcheck // as Tracer.Record
+}
+
+type refSpanJSON struct {
+	Name     string            `json:"name"`
+	TraceID  string            `json:"trace_id,omitempty"`
+	SpanID   string            `json:"span_id,omitempty"`
+	StartUs  float64           `json:"start_us"`
+	DurUs    float64           `json:"dur_us"`
+	Links    []refLink         `json:"links,omitempty"`
+	Attrs    map[string]string `json:"attrs,omitempty"`
+	Error    string            `json:"error,omitempty"`
+	Children []refSpanJSON     `json:"children,omitempty"`
+}
+
+func refSpanToJSON(s *refSpan) refSpanJSON {
+	out := refSpanJSON{
+		Name:    s.Name,
+		TraceID: s.TraceID,
+		SpanID:  s.SpanID,
+		StartUs: micros(s.Start),
+		DurUs:   micros(s.Duration()),
+		Links:   s.Links,
+		Attrs:   s.Attrs,
+		Error:   s.Error,
+	}
+	for _, c := range s.Children {
+		out.Children = append(out.Children, refSpanToJSON(c))
+	}
+	return out
+}
+
+func refWriteJSONL(w io.Writer, roots []*refSpan) error {
+	enc := json.NewEncoder(w)
+	for _, r := range roots {
+		if err := enc.Encode(refSpanToJSON(r)); err != nil {
+			return fmt.Errorf("obs: write jsonl: %w", err)
+		}
+	}
+	return nil
+}
+
+type refChromeEvent struct {
+	Name string            `json:"name"`
+	Ph   string            `json:"ph"`
+	Ts   float64           `json:"ts"`
+	Dur  float64           `json:"dur"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
+	Args map[string]string `json:"args,omitempty"`
+}
+
+type refChromeDoc struct {
+	TraceEvents     []refChromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string           `json:"displayTimeUnit"`
+}
+
+func refWriteChromeTrace(w io.Writer, roots []*refSpan) error {
+	doc := refChromeDoc{DisplayTimeUnit: "ms", TraceEvents: []refChromeEvent{}}
+	for i, root := range roots {
+		tid := i + 1
+		root.Walk(func(_ int, sp *refSpan) {
+			args := make(map[string]string, len(sp.Attrs)+3)
+			for k, v := range sp.Attrs {
+				args[k] = v
+			}
+			if sp.TraceID != "" {
+				args["trace_id"] = sp.TraceID
+			}
+			if sp.SpanID != "" {
+				args["span_id"] = sp.SpanID
+			}
+			if sp.Error != "" {
+				args["error"] = sp.Error
+			}
+			if len(args) == 0 {
+				args = nil
+			}
+			doc.TraceEvents = append(doc.TraceEvents, refChromeEvent{
+				Name: sp.Name,
+				Ph:   "X",
+				Ts:   micros(sp.Start),
+				Dur:  micros(sp.Duration()),
+				Pid:  1,
+				Tid:  tid,
+				Args: args,
+			})
+		})
+	}
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(doc); err != nil {
+		return fmt.Errorf("obs: write chrome trace: %w", err)
+	}
+	return nil
+}
+
+func refWriteFolded(w io.Writer, roots []*refSpan) error {
+	stacks := make(map[string]int64)
+	for _, root := range roots {
+		var frames []string
+		var rec func(sp *refSpan)
+		rec = func(sp *refSpan) {
+			frames = append(frames, foldFrame(sp.Name))
+			if self := sp.SelfTime(); self > 0 {
+				stacks[strings.Join(frames, ";")] += self.Microseconds()
+			}
+			for _, c := range sp.Children {
+				rec(c)
+			}
+			frames = frames[:len(frames)-1]
+		}
+		rec(root)
+	}
+	keys := make([]string, 0, len(stacks))
+	for k := range stacks {
+		if stacks[k] > 0 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, err := fmt.Fprintf(w, "%s %d\n", k, stacks[k]); err != nil {
+			return fmt.Errorf("obs: write folded: %w", err)
+		}
+	}
+	return nil
+}
+
+func refCriticalPath(root *refSpan) []PathStep {
+	var path []PathStep
+	for sp := root; sp != nil; {
+		step := PathStep{
+			Name:    sp.Name,
+			SpanID:  sp.SpanID,
+			StartUs: micros(sp.Start),
+			DurUs:   micros(sp.Duration()),
+			SelfUs:  micros(sp.SelfTime()),
+		}
+		if sp.Attrs != nil {
+			step.Node = sp.Attrs["node"]
+		}
+		for _, l := range sp.Links {
+			if l.TraceID != "" && l.TraceID != sp.TraceID {
+				step.LinkedTrace = l.TraceID
+				break
+			}
+		}
+		path = append(path, step)
+		var next *refSpan
+		for _, c := range sp.Children {
+			if next == nil ||
+				c.Duration() > next.Duration() ||
+				(c.Duration() == next.Duration() && (c.Start < next.Start ||
+					(c.Start == next.Start && c.Name < next.Name))) {
+				next = c
+			}
+		}
+		sp = next
+	}
+	return path
+}
+
+func refPhaseSelfTimes(root *refSpan) map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	root.Walk(func(_ int, sp *refSpan) {
+		if self := sp.SelfTime(); self > 0 {
+			out[sp.Name] += self
+		}
+	})
+	return out
+}
+
+func refAttr(sp *refSpan, k string) string {
+	if sp.Attrs != nil {
+		return sp.Attrs[k]
+	}
+	return ""
+}
+
+func refPickAtOrAbove(invs []*refSpan, q time.Duration) *refSpan {
+	var best *refSpan
+	for _, sp := range invs {
+		if sp.Duration() < q {
+			continue
+		}
+		if best == nil || sp.Duration() < best.Duration() ||
+			(sp.Duration() == best.Duration() && sp.TraceID < best.TraceID) {
+			best = sp
+		}
+	}
+	return best
+}
+
+func refAnalyze(roots []*refSpan, topK int) *Report {
+	if topK <= 0 {
+		topK = 10
+	}
+	var invs []*refSpan
+	for _, r := range roots {
+		if strings.HasPrefix(r.Name, invokePrefix) {
+			invs = append(invs, r)
+		}
+	}
+	rep := &Report{Invocations: len(invs)}
+	sorted := append([]*refSpan(nil), invs...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].Duration() != sorted[j].Duration() {
+			return sorted[i].Duration() > sorted[j].Duration()
+		}
+		return sorted[i].TraceID < sorted[j].TraceID
+	})
+	for _, sp := range sorted {
+		if sp.Error != "" {
+			rep.Errors++
+		}
+	}
+	for i := 0; i < len(sorted) && i < topK; i++ {
+		sp := sorted[i]
+		rep.Slowest = append(rep.Slowest, SlowInvocation{
+			TraceID:      sp.TraceID,
+			Function:     refAttr(sp, "function"),
+			Node:         refAttr(sp, "node"),
+			DurUs:        micros(sp.Duration()),
+			Error:        sp.Error,
+			CriticalPath: refCriticalPath(sp),
+		})
+	}
+	byFn := make(map[string][]*refSpan)
+	for _, sp := range invs {
+		byFn[refAttr(sp, "function")] = append(byFn[refAttr(sp, "function")], sp)
+	}
+	fns := make([]string, 0, len(byFn))
+	for fn := range byFn {
+		fns = append(fns, fn)
+	}
+	sort.Strings(fns)
+	for _, fn := range fns {
+		group := byFn[fn]
+		perInv := make([]map[string]time.Duration, len(group))
+		phaseSet := make(map[string]bool)
+		for i, sp := range group {
+			perInv[i] = refPhaseSelfTimes(sp)
+			for p := range perInv[i] {
+				phaseSet[p] = true
+			}
+		}
+		phases := make([]string, 0, len(phaseSet))
+		for p := range phaseSet {
+			phases = append(phases, p)
+		}
+		sort.Strings(phases)
+		attr := PhaseAttribution{Function: fn, Invocations: len(group)}
+		for _, p := range phases {
+			var h sim.Histogram
+			for i := range group {
+				h.Add(micros(perInv[i][p]))
+			}
+			attr.Phases = append(attr.Phases, PhaseQuantiles{
+				Phase:  p,
+				P50Us:  h.Percentile(50),
+				P99Us:  h.Percentile(99),
+				P999Us: h.Percentile(99.9),
+				MaxUs:  h.Max(),
+			})
+		}
+		rep.Attribution = append(rep.Attribution, attr)
+		var durs sim.Histogram
+		for _, sp := range group {
+			durs.AddDuration(sp.Duration())
+		}
+		tail := refPickAtOrAbove(group, time.Duration(durs.Percentile(99)*float64(time.Millisecond)))
+		median := refPickAtOrAbove(group, time.Duration(durs.Percentile(50)*float64(time.Millisecond)))
+		if tail == nil || median == nil {
+			continue
+		}
+		diff := TailDiff{
+			Function:      fn,
+			TailTraceID:   tail.TraceID,
+			MedianTraceID: median.TraceID,
+			TailDurUs:     micros(tail.Duration()),
+			MedianDurUs:   micros(median.Duration()),
+		}
+		tp, mp := refPhaseSelfTimes(tail), refPhaseSelfTimes(median)
+		for _, p := range phases {
+			t, m := micros(tp[p]), micros(mp[p])
+			if t == 0 && m == 0 {
+				continue
+			}
+			r := PhaseRatio{Phase: p, TailUs: t, MedianUs: m}
+			if m > 0 {
+				r.Ratio = t / m
+			}
+			diff.Phases = append(diff.Phases, r)
+		}
+		rep.TailDiffs = append(rep.TailDiffs, diff)
+	}
+	return rep
 }
