@@ -77,9 +77,9 @@ func TestRemoteFetchOnTailCriticalPathLinksAcrossNodes(t *testing.T) {
 			if pool == nil {
 				t.Fatalf("linked trace %s not in tracer", step.LinkedTrace)
 			}
-			if pool.Attrs["node"] == inv.Attrs["node"] {
+			if pool.Attr("node") == inv.Attr("node") {
 				t.Fatalf("pool-fetch span on %q is not cross-node (invocation on %q)",
-					pool.Attrs["node"], inv.Attrs["node"])
+					pool.Attr("node"), inv.Attr("node"))
 			}
 			served := false
 			for _, l := range pool.Links {
@@ -111,16 +111,16 @@ func TestClusterSpansCarryNodeIdentity(t *testing.T) {
 			if r.TraceID == "" {
 				t.Fatalf("invocation %s has no trace id", r.Name)
 			}
-			n := r.Attrs["node"]
+			n := r.Attr("node")
 			if n != "n0" && n != "n1" && n != "n2" {
 				t.Fatalf("invocation on unexpected node %q", n)
 			}
-			if r.Error == "" && r.Attrs["dispatcher"] != "rack" {
+			if r.Error == "" && r.Attr("dispatcher") != "rack" {
 				t.Fatalf("invocation missing dispatcher attr: %v", r.Attrs)
 			}
 			nodes[n] = true
 		case strings.HasPrefix(r.Name, "pool-fetch/"):
-			if got := r.Attrs["node"]; got != "mem0" {
+			if got := r.Attr("node"); got != "mem0" {
 				t.Fatalf("pool-fetch span homed on %q, want mem0", got)
 			}
 			poolFetches++

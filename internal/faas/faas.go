@@ -765,7 +765,7 @@ func (pl *Platform) emitPoolFetch(target *obs.Span, fn, kind, site string, seq i
 	ftid := obs.TraceIDFor(home, "pool-fetch", kind, site, fn, strconv.FormatInt(seq, 10))
 	ps := obs.NewSpan("pool-fetch/"+kind, target.Start, target.End)
 	ps.SetAttr("node", home).SetAttr("pool", kind).SetAttr("function", fn).SetAttr("site", site)
-	if pages := target.Attrs["pages"]; pages != "" {
+	if pages := target.Attr("pages"); pages != "" {
 		ps.SetAttr("pages", pages)
 	}
 	ps.AssignIDs(ftid)

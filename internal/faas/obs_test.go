@@ -307,12 +307,12 @@ func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
 				}
 			}
 
-			wantAttrs := map[string]string{"function": tc.fn, "policy": string(tc.policy), "node": "n0"}
+			wantAttrs := []obs.Attr{{Key: "function", Value: tc.fn}, {Key: "policy", Value: string(tc.policy)}, {Key: "node", Value: "n0"}}
 			if tc.errType != "" {
-				wantAttrs["error_type"] = tc.errType
+				wantAttrs = append(wantAttrs, obs.Attr{Key: "error_type", Value: tc.errType})
 			}
 			if tc.cancelReason != "" {
-				wantAttrs["cancel_reason"] = tc.cancelReason
+				wantAttrs = append(wantAttrs, obs.Attr{Key: "cancel_reason", Value: tc.cancelReason})
 			}
 			if !reflect.DeepEqual(sp.Attrs, wantAttrs) {
 				t.Fatalf("span attrs %v, want %v", sp.Attrs, wantAttrs)

@@ -45,13 +45,11 @@ func CriticalPath(root *Span) []PathStep {
 	for sp := root; sp != nil; {
 		step := PathStep{
 			Name:    sp.Name,
-			SpanID:  sp.SpanID,
+			SpanID:  sp.SpanID.String(),
+			Node:    sp.Attr("node"),
 			StartUs: micros(sp.Start),
 			DurUs:   micros(sp.Duration()),
 			SelfUs:  micros(sp.SelfTime()),
-		}
-		if sp.Attrs != nil {
-			step.Node = sp.Attrs["node"]
 		}
 		for _, l := range sp.Links {
 			if l.TraceID != "" && l.TraceID != sp.TraceID {
@@ -151,14 +149,6 @@ func phaseSelfTimes(root *Span) map[string]time.Duration {
 	return out
 }
 
-// functionOf reads the invocation's function attr ("" if unset).
-func functionOf(sp *Span) string {
-	if sp.Attrs != nil {
-		return sp.Attrs["function"]
-	}
-	return ""
-}
-
 // invocationRoots filters to invocation roots, preserving order.
 func invocationRoots(roots []*Span) []*Span {
 	var out []*Span
@@ -215,8 +205,8 @@ func Analyze(roots []*Span, topK int) *Report {
 		sp := sorted[i]
 		rep.Slowest = append(rep.Slowest, SlowInvocation{
 			TraceID:      sp.TraceID,
-			Function:     functionOf(sp),
-			Node:         spNode(sp),
+			Function:     sp.Attr("function"),
+			Node:         sp.Attr("node"),
 			DurUs:        micros(sp.Duration()),
 			Error:        sp.Error,
 			CriticalPath: CriticalPath(sp),
@@ -226,7 +216,8 @@ func Analyze(roots []*Span, topK int) *Report {
 	// Per-function phase attribution.
 	byFn := make(map[string][]*Span)
 	for _, sp := range invs {
-		byFn[functionOf(sp)] = append(byFn[functionOf(sp)], sp)
+		fn := sp.Attr("function")
+		byFn[fn] = append(byFn[fn], sp)
 	}
 	fns := make([]string, 0, len(byFn))
 	for fn := range byFn {
@@ -297,13 +288,6 @@ func Analyze(roots []*Span, topK int) *Report {
 		rep.TailDiffs = append(rep.TailDiffs, diff)
 	}
 	return rep
-}
-
-func spNode(sp *Span) string {
-	if sp.Attrs != nil {
-		return sp.Attrs["node"]
-	}
-	return ""
 }
 
 // foldFrame sanitises a span name for the folded-stack format, where

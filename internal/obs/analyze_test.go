@@ -298,7 +298,7 @@ func TestPrometheusEscapesHostileLabelsAndExemplars(t *testing.T) {
 
 func TestAssignIDsAndFindAreDeterministic(t *testing.T) {
 	a, b := invTree("JS", TraceIDFor("n0", "JS", "0")), invTree("JS", TraceIDFor("n0", "JS", "0"))
-	var ids []string
+	var ids []SpanID
 	a.Walk(func(_ int, sp *Span) { ids = append(ids, sp.SpanID) })
 	i := 0
 	b.Walk(func(_ int, sp *Span) {
@@ -307,7 +307,7 @@ func TestAssignIDsAndFindAreDeterministic(t *testing.T) {
 		}
 		i++
 	})
-	seen := map[string]bool{}
+	seen := map[SpanID]bool{}
 	for _, id := range ids {
 		if seen[id] {
 			t.Fatalf("duplicate span id %q in one tree", id)
@@ -319,8 +319,8 @@ func TestAssignIDsAndFindAreDeterministic(t *testing.T) {
 	if got := a.Find(target.SpanID); got != target {
 		t.Fatalf("Find(%q) = %v, want the remote-fetch span", target.SpanID, got)
 	}
-	if a.Find("nope") != nil {
-		t.Fatal("Find of unknown id returned a span")
+	if a.Find(0) != nil {
+		t.Fatal("Find of the unset id returned a span of a stamped tree")
 	}
 }
 

@@ -37,14 +37,14 @@ func WriteChromeTrace(w io.Writer, roots []*Span) error {
 		tid := i + 1
 		root.Walk(func(_ int, sp *Span) {
 			args := make(map[string]string, len(sp.Attrs)+3)
-			for k, v := range sp.Attrs {
-				args[k] = v
+			for _, a := range sp.Attrs {
+				args[a.Key] = a.Value
 			}
 			if sp.TraceID != "" {
 				args["trace_id"] = sp.TraceID
 			}
-			if sp.SpanID != "" {
-				args["span_id"] = sp.SpanID
+			if sp.SpanID != 0 {
+				args["span_id"] = sp.SpanID.String()
 			}
 			if sp.Error != "" {
 				args["error"] = sp.Error

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Trace identity is derived, not random: IDs are FNV-1a hashes of
 // stable strings (node name, function, per-platform sequence number),
@@ -11,35 +8,83 @@ import (
 // exported artifacts (traces, exemplars, analysis reports) stay
 // byte-identical and cross-referenceable.
 
-// fnv1a64 hashes parts with FNV-1a, separating them with 0x1f so
-// ("a","bc") and ("ab","c") hash differently.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvPart continues the FNV-1a hash h over p and then the separator
+// 0x1f, so ("a","bc") and ("ab","c") hash differently.
+func fnvPart[T string | []byte](h uint64, p T) uint64 {
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
+		h *= fnvPrime
+	}
+	h ^= 0x1f
+	return h * fnvPrime
+}
+
+// fnv1a64 hashes parts with FNV-1a, one separator after each.
 func fnv1a64(parts ...string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	for _, p := range parts {
-		for i := 0; i < len(p); i++ {
-			h ^= uint64(p[i])
-			h *= prime
-		}
-		h ^= 0x1f
-		h *= prime
+		h = fnvPart(h, p)
 	}
 	return h
+}
+
+// putHex writes the low 4·len(b) bits of v into b as lowercase hex
+// digits, most significant first.
+func putHex(b []byte, v uint64) {
+	const digits = "0123456789abcdef"
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
 }
 
 // TraceIDFor derives a deterministic 16-hex-digit trace identifier from
 // the given parts (typically node, function, and invocation sequence).
 func TraceIDFor(parts ...string) string {
-	return fmt.Sprintf("%016x", fnv1a64(parts...))
+	var b [16]byte
+	putHex(b[:], fnv1a64(parts...))
+	return string(b[:])
 }
 
-// spanIDFor derives a span identifier from its trace and the span's
-// position in the tree's depth-first walk order.
-func spanIDFor(traceID string, walkIndex int) string {
-	return fmt.Sprintf("%08x", uint32(fnv1a64(traceID, strconv.Itoa(walkIndex))))
+// SpanID identifies a span within its trace. The zero SpanID means
+// unset; a set one holds the low 32 bits of the FNV-1a hash of the
+// trace ID and the span's depth-first walk index, plus bit 32, so a
+// hash of zero is still a set ID.
+type SpanID uint64
+
+const spanIDSet SpanID = 1 << 32
+
+// spanIDAt derives the ID of the span at walkIndex in a tree whose
+// trace ID hashed to h (fnvPart from fnvOffset).
+func spanIDAt(h uint64, walkIndex int) SpanID {
+	var digits [20]byte
+	return SpanID(uint32(fnvPart(h, strconv.AppendInt(digits[:0], int64(walkIndex), 10)))) | spanIDSet
+}
+
+// String renders the ID as 8 hex digits, or "" when it is unset.
+func (id SpanID) String() string {
+	if id == 0 {
+		return ""
+	}
+	var b [8]byte
+	putHex(b[:], uint64(id))
+	return string(b[:])
+}
+
+// MarshalText renders the ID as String does, so JSON carries it as a
+// string; a field tagged omitempty omits an unset ID.
+func (id SpanID) MarshalText() ([]byte, error) {
+	if id == 0 {
+		return []byte{}, nil
+	}
+	b := make([]byte, 8)
+	putHex(b, uint64(id))
+	return b, nil
 }
 
 // Link is a causal reference from one span to a span in another trace —
@@ -48,7 +93,7 @@ func spanIDFor(traceID string, walkIndex int) string {
 // eviction pointing at the invocation whose admission triggered it.
 type Link struct {
 	TraceID string `json:"trace_id"`
-	SpanID  string `json:"span_id,omitempty"`
+	SpanID  SpanID `json:"span_id,omitempty"`
 	// Type names the causal relation ("remote-fetch", "serves",
 	// "evicted-by", "after").
 	Type string `json:"type,omitempty"`

@@ -27,19 +27,25 @@ type Span struct {
 	End   time.Duration // virtual-time offset of the phase end
 	// TraceID identifies the root tree this span belongs to; SpanID
 	// identifies the span within it. Both are deterministic (see
-	// TraceIDFor): assigned by the recording layer or, as a fallback,
-	// by Tracer.Record from its sequence counter.
+	// TraceIDFor and SpanID): assigned by the recording layer or, as a
+	// fallback, by Tracer.Record from its sequence counter.
 	TraceID string
-	SpanID  string
+	SpanID  SpanID
 	// Links reference causally-related spans in other traces (a remote
 	// memory-pool fetch serving this restore, the invocation that
 	// triggered this eviction).
 	Links []Link
-	// Attrs carry small key/value annotations (function, policy, path).
-	Attrs map[string]string
+	// Attrs carry small key/value annotations (function, policy, path),
+	// one per key, in the order the keys were first set.
+	Attrs []Attr
 	// Error is the failure description ("" = success).
 	Error    string
 	Children []*Span
+}
+
+// Attr is one span annotation.
+type Attr struct {
+	Key, Value string
 }
 
 // NewSpan returns a span covering [start, end].
@@ -53,13 +59,27 @@ func NewSpan(name string, start, end time.Duration) *Span {
 // Duration returns the span's length.
 func (s *Span) Duration() time.Duration { return s.End - s.Start }
 
-// SetAttr annotates the span.
+// SetAttr annotates the span, replacing the value of a key it already
+// carries.
 func (s *Span) SetAttr(k, v string) *Span {
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]string)
+	for i := range s.Attrs {
+		if s.Attrs[i].Key == k {
+			s.Attrs[i].Value = v
+			return s
+		}
 	}
-	s.Attrs[k] = v
+	s.Attrs = append(s.Attrs, Attr{Key: k, Value: v})
 	return s
+}
+
+// Attr returns the value of the span's attribute k ("" if unset).
+func (s *Span) Attr(k string) string {
+	for _, a := range s.Attrs {
+		if a.Key == k {
+			return a.Value
+		}
+	}
+	return ""
 }
 
 // Child appends a child phase covering [start, end] and returns it.
@@ -87,24 +107,34 @@ func (s *Span) AddLink(l Link) *Span {
 // per-span IDs derived from the tree's depth-first walk order. Safe to
 // call once the tree's shape is final.
 func (s *Span) AssignIDs(traceID string) *Span {
-	i := 0
-	s.Walk(func(_ int, sp *Span) {
-		sp.TraceID = traceID
-		sp.SpanID = spanIDFor(traceID, i)
-		i++
-	})
+	s.assignIDs(traceID, fnvPart(fnvOffset, traceID), 0)
 	return s
 }
 
-// Find returns the span in s's subtree with the given SpanID, or nil.
-func (s *Span) Find(spanID string) *Span {
-	var out *Span
-	s.Walk(func(_ int, sp *Span) {
-		if out == nil && sp.SpanID == spanID {
-			out = sp
+// assignIDs stamps s, the span at walk index i of a tree whose trace ID
+// hashed to h, and its subtree, and returns the walk index after them.
+func (s *Span) assignIDs(traceID string, h uint64, i int) int {
+	s.TraceID = traceID
+	s.SpanID = spanIDAt(h, i)
+	i++
+	for _, c := range s.Children {
+		i = c.assignIDs(traceID, h, i)
+	}
+	return i
+}
+
+// Find returns the first span in s's subtree, in walk order, with the
+// given SpanID, or nil.
+func (s *Span) Find(id SpanID) *Span {
+	if s.SpanID == id {
+		return s
+	}
+	for _, c := range s.Children {
+		if sp := c.Find(id); sp != nil {
+			return sp
 		}
-	})
-	return out
+	}
+	return nil
 }
 
 // SelfTime returns the span's duration not covered by its direct
@@ -119,15 +149,13 @@ func (s *Span) SelfTime() time.Duration {
 
 // Walk visits the span and its subtree depth-first, parents before
 // children, in recorded order.
-func (s *Span) Walk(fn func(depth int, sp *Span)) {
-	var rec func(d int, sp *Span)
-	rec = func(d int, sp *Span) {
-		fn(d, sp)
-		for _, c := range sp.Children {
-			rec(d+1, c)
-		}
+func (s *Span) Walk(fn func(depth int, sp *Span)) { s.walk(0, fn) }
+
+func (s *Span) walk(d int, fn func(depth int, sp *Span)) {
+	fn(d, s)
+	for _, c := range s.Children {
+		c.walk(d+1, fn)
 	}
-	rec(0, s)
 }
 
 // ChildrenTotal sums the direct children's durations — phase
@@ -258,12 +286,13 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // spanJSON is the serialized span shape shared by the JSONL stream and
-// WriteJSONL. Map attrs serialize with sorted keys, keeping output
-// deterministic.
+// WriteJSONL. Attrs becomes a map only here, at export, so it
+// serializes with sorted keys and output stays deterministic whatever
+// order the attributes were set in.
 type spanJSON struct {
 	Name     string            `json:"name"`
 	TraceID  string            `json:"trace_id,omitempty"`
-	SpanID   string            `json:"span_id,omitempty"`
+	SpanID   SpanID            `json:"span_id,omitempty"`
 	StartUs  float64           `json:"start_us"`
 	DurUs    float64           `json:"dur_us"`
 	Links    []Link            `json:"links,omitempty"`
@@ -282,8 +311,13 @@ func spanToJSON(s *Span) spanJSON {
 		StartUs: micros(s.Start),
 		DurUs:   micros(s.Duration()),
 		Links:   s.Links,
-		Attrs:   s.Attrs,
 		Error:   s.Error,
+	}
+	if len(s.Attrs) > 0 {
+		out.Attrs = make(map[string]string, len(s.Attrs))
+		for _, a := range s.Attrs {
+			out.Attrs[a.Key] = a.Value
+		}
 	}
 	for _, c := range s.Children {
 		out.Children = append(out.Children, spanToJSON(c))

@@ -226,11 +226,11 @@ func (m *spanModel) checkSpans(t *testing.T) {
 	}
 	for i, sp := range m.spans {
 		ref := m.refs[i]
-		if sp.TraceID != ref.TraceID || sp.SpanID != ref.SpanID {
+		if sp.TraceID != ref.TraceID || sp.SpanID.String() != ref.SpanID {
 			t.Fatalf("span %d (%q): IDs %q/%q, reference %q/%q", i, sp.Name, sp.TraceID, sp.SpanID, ref.TraceID, ref.SpanID)
 		}
 		for _, k := range diffAttrKeys {
-			if got, want := sp.Attrs[k], refAttr(ref, k); got != want {
+			if got, want := sp.Attr(k), refAttr(ref, k); got != want {
 				t.Fatalf("span %d (%q): attr %q = %q, reference %q", i, sp.Name, k, got, want)
 			}
 		}

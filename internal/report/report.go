@@ -225,22 +225,17 @@ func thinPoints(pts []obs.Point, max int) []obs.Point {
 // stay attributable.
 func (r *Report) AddSpans(roots []*obs.Span) {
 	for _, root := range roots {
-		fn := ""
-		if root.Attrs != nil {
-			fn = root.Attrs["function"]
-		}
+		fn := root.Attr("function")
 		root.Walk(func(_ int, sp *obs.Span) {
 			rec := SpanRecord{
 				TraceID:  sp.TraceID,
-				SpanID:   sp.SpanID,
+				SpanID:   sp.SpanID.String(),
 				Name:     sp.Name,
+				Node:     sp.Attr("node"),
 				Function: fn,
 				StartUs:  float64(sp.Start.Nanoseconds()) / 1000,
 				DurUs:    float64(sp.Duration().Nanoseconds()) / 1000,
 				Error:    sp.Error,
-			}
-			if sp.Attrs != nil {
-				rec.Node = sp.Attrs["node"]
 			}
 			r.Spans = append(r.Spans, rec)
 		})

@@ -39,7 +39,7 @@ func TestAgentRunsRecordSpans(t *testing.T) {
 				sawStartup = true
 			case "llm":
 				sawLLM = true
-				if c.Attrs["in_tokens"] == "" {
+				if c.Attr("in_tokens") == "" {
 					t.Fatalf("llm step span missing token attrs: %v", c.Attrs)
 				}
 			}

@@ -374,8 +374,14 @@ func (pl *Platform) runAgent(p *sim.Proc, prof agent.Profile) {
 		readSoFar += s.FileBytes
 		if root != nil {
 			sp := root.Child(s.Kind.String(), stepStart, p.Now())
-			for k, v := range s.SpanAttrs() {
-				sp.SetAttr(k, v)
+			attrs := s.SpanAttrs()
+			keys := make([]string, 0, len(attrs))
+			for k := range attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys) // a fixed attribute order, run to run
+			for _, k := range keys {
+				sp.SetAttr(k, attrs[k])
 			}
 		}
 	}
