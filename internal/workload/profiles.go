@@ -131,16 +131,42 @@ func (p FunctionProfile) ReadOnlyRatio() float64 {
 // ImagePages returns the snapshot size in pages.
 func (p FunctionProfile) ImagePages() int { return mem.PagesFor(p.MemBytes) }
 
-// Snapshot synthesizes the function's CRIU snapshot: a runtime region and
-// a libs region shared (same content key) with all functions of the same
-// language, and a private heap.
-func (p FunctionProfile) Snapshot() *snapshot.Snapshot {
-	pages := p.ImagePages()
+// imageRegions lays out every function image: a runtime region and a
+// libs region shared (same content key) with all functions of the same
+// language, then the private heap, the only writable region.
+var imageRegions = [...]struct {
+	name   string
+	prot   pagetable.Prot
+	kind   pagetable.MapKind
+	shared bool
+}{
+	{"runtime", pagetable.Read | pagetable.Exec, pagetable.File, true},
+	{"libs", pagetable.Read, pagetable.File, true},
+	{"heap", pagetable.Read | pagetable.Write, pagetable.Anon, false},
+}
+
+// regionPages returns the page count of each of the image's regions, in
+// imageRegions order.
+func (p FunctionProfile) regionPages() [len(imageRegions)]int {
 	runtimePages := mem.PagesFor(langRuntimeBytes[p.Lang])
 	libPages := mem.PagesFor(langLibsBytes[p.Lang])
-	heapPages := pages - runtimePages - libPages
+	heapPages := p.ImagePages() - runtimePages - libPages
 	if heapPages < 1 {
 		panic(fmt.Sprintf("workload: %s image smaller than shared content", p.Name))
+	}
+	return [len(imageRegions)]int{runtimePages, libPages, heapPages}
+}
+
+// Snapshot synthesizes the function's CRIU snapshot: one process whose
+// regions are laid out as imageRegions.
+func (p FunctionProfile) Snapshot() *snapshot.Snapshot {
+	pages := p.regionPages()
+	regions := make([]snapshot.Region, len(imageRegions))
+	for i, r := range imageRegions {
+		regions[i] = snapshot.Region{Name: r.name, Bytes: int64(pages[i]) * mem.PageSize, Prot: r.prot, Kind: r.kind}
+		if r.shared {
+			regions[i].ContentKey = r.name + "/" + p.Lang
+		}
 	}
 	return &snapshot.Snapshot{
 		Function: p.Name,
@@ -148,16 +174,7 @@ func (p FunctionProfile) Snapshot() *snapshot.Snapshot {
 			Name:    "main",
 			Threads: p.Threads,
 			FDs:     p.FDs,
-			Regions: []snapshot.Region{
-				{Name: "runtime", Bytes: int64(runtimePages) * mem.PageSize,
-					Prot: pagetable.Read | pagetable.Exec, Kind: pagetable.File,
-					ContentKey: "runtime/" + p.Lang},
-				{Name: "libs", Bytes: int64(libPages) * mem.PageSize,
-					Prot: pagetable.Read, Kind: pagetable.File,
-					ContentKey: "libs/" + p.Lang},
-				{Name: "heap", Bytes: int64(heapPages) * mem.PageSize,
-					Prot: pagetable.Read | pagetable.Write, Kind: pagetable.Anon},
-			},
+			Regions: regions,
 		}},
 	}
 }
@@ -171,19 +188,20 @@ type RegionAccess struct {
 	WritePages int
 }
 
-// Accesses returns the per-region working set of one invocation.
+// Accesses returns the per-region working set of one invocation, one
+// entry per image region. It reads the image layout without building
+// the snapshot, since every invocation calls it.
 func (p FunctionProfile) Accesses() []RegionAccess {
-	snap := p.Snapshot()
+	pages := p.regionPages()
 	totalPages := p.ImagePages()
 	readTotal := int(float64(totalPages) * p.ReadFrac)
 	writeTotal := int(float64(totalPages) * p.WriteFrac)
-	var out []RegionAccess
-	regs := snap.Procs[0].Regions
+	out := make([]RegionAccess, len(imageRegions))
 	assigned := 0
-	for i, r := range regs {
-		rp := r.Pages()
+	for i, r := range imageRegions {
+		rp := pages[i]
 		var reads int
-		if i == len(regs)-1 {
+		if i == len(imageRegions)-1 {
 			reads = readTotal - assigned
 		} else {
 			reads = int(float64(readTotal) * float64(rp) / float64(totalPages))
@@ -192,8 +210,8 @@ func (p FunctionProfile) Accesses() []RegionAccess {
 			reads = rp
 		}
 		assigned += reads
-		ra := RegionAccess{Region: r.Name, ReadPages: reads}
-		if r.Prot&pagetable.Write != 0 {
+		ra := RegionAccess{Region: r.name, ReadPages: reads}
+		if r.prot&pagetable.Write != 0 {
 			w := writeTotal
 			if w > rp {
 				w = rp
@@ -203,7 +221,7 @@ func (p FunctionProfile) Accesses() []RegionAccess {
 				ra.ReadPages = w // written pages are also touched
 			}
 		}
-		out = append(out, ra)
+		out[i] = ra
 	}
 	return out
 }

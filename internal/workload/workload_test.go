@@ -2,11 +2,13 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/pagetable"
 )
 
 func TestTable4MatchesPaper(t *testing.T) {
@@ -122,6 +124,49 @@ func TestAccessesConsistentWithFractions(t *testing.T) {
 		wantWrites := int(float64(p.ImagePages()) * p.WriteFrac)
 		if writes < wantWrites*9/10 || writes > wantWrites*11/10 {
 			t.Errorf("%s: writes %d vs target %d", p.Name, writes, wantWrites)
+		}
+	}
+}
+
+// accessesFromSnapshot is Accesses as it was when it built the
+// snapshot to read its region sizes and protections.
+func accessesFromSnapshot(p FunctionProfile) []RegionAccess {
+	totalPages := p.ImagePages()
+	readTotal := int(float64(totalPages) * p.ReadFrac)
+	writeTotal := int(float64(totalPages) * p.WriteFrac)
+	var out []RegionAccess
+	regs := p.Snapshot().Procs[0].Regions
+	assigned := 0
+	for i, r := range regs {
+		rp := r.Pages()
+		var reads int
+		if i == len(regs)-1 {
+			reads = readTotal - assigned
+		} else {
+			reads = int(float64(readTotal) * float64(rp) / float64(totalPages))
+		}
+		reads = min(reads, rp)
+		assigned += reads
+		ra := RegionAccess{Region: r.Name, ReadPages: reads}
+		if r.Prot&pagetable.Write != 0 {
+			ra.WritePages = min(writeTotal, rp)
+			ra.ReadPages = max(ra.ReadPages, ra.WritePages)
+		}
+		out = append(out, ra)
+	}
+	return out
+}
+
+// Accesses reads the image layout Snapshot builds without building it:
+// the same entries as a walk of the snapshot's regions, in one
+// allocation.
+func TestAccessesFollowSnapshotRegions(t *testing.T) {
+	for _, p := range Table4() {
+		if got, want := p.Accesses(), accessesFromSnapshot(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Accesses() = %+v, want %+v", p.Name, got, want)
+		}
+		if n := testing.AllocsPerRun(20, func() { p.Accesses() }); n != 1 {
+			t.Errorf("%s: Accesses allocates %v times, want 1", p.Name, n)
 		}
 	}
 }
