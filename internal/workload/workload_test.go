@@ -284,13 +284,17 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// Property: poisson sampling is non-negative and roughly centered.
+// Property: poisson sampling is non-negative and roughly centered. With
+// n = 1,200 draws the ±25% window is at least 6 standard errors wide
+// for every mean the property picks (at mean 0.5 it is 6.1), so a
+// correct sampler does not fail it; the inputs come from a fixed
+// source, so a failure reproduces.
 func TestPoissonProperty(t *testing.T) {
 	f := func(seed int64, mean8 uint8) bool {
 		mean := float64(mean8%60) + 0.5
 		rng := rand.New(rand.NewSource(seed))
 		var sum int
-		const n = 400
+		const n = 1200
 		for i := 0; i < n; i++ {
 			v := poisson(rng, mean)
 			if v < 0 {
@@ -301,7 +305,12 @@ func TestPoissonProperty(t *testing.T) {
 		got := float64(sum) / n
 		return got > mean*0.75 && got < mean*1.25
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	// At n = 400 this input's sample mean was 0.655 against a bound of
+	// 0.625.
+	if !f(-833001274061889524, 0x3c) {
+		t.Fatal("poisson sample mean left the ±25% window at mean 0.5")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
