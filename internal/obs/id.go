@@ -78,14 +78,7 @@ func (id SpanID) String() string {
 
 // MarshalText renders the ID as String does, so JSON carries it as a
 // string; a field tagged omitempty omits an unset ID.
-func (id SpanID) MarshalText() ([]byte, error) {
-	if id == 0 {
-		return []byte{}, nil
-	}
-	b := make([]byte, 8)
-	putHex(b, uint64(id))
-	return b, nil
-}
+func (id SpanID) MarshalText() ([]byte, error) { return []byte(id.String()), nil }
 
 // Link is a causal reference from one span to a span in another trace —
 // a cluster dispatch pointing at the invocation it placed, a restore's
