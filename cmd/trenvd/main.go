@@ -8,7 +8,7 @@
 //	trenvd [-addr :8080] [-policy trenv-cxl] [-seed 1] [-node n0]
 //	       [-slo-target-ms 0] [-slo-objective 0.99] [-sample-ms 100]
 //	       [-prefetch] [-promote-threshold 0] [-pprof] [-rules <spec>]
-//	       [-hedge-policy <spec>] [-hedge-delay <dur>] [-shards N]
+//	       [-hedge-policy <spec>] [-shards N]
 //	trenvd -version
 //
 // -node labels every exported series (node="n0") so several trenvd
@@ -25,12 +25,12 @@
 // compact spec, "@file" to read one clause per line, or "default" for
 // the built-in set) evaluated on every flight-recorder sample and
 // served on /alerts; -hedge-policy arms a request-hedging policy
-// ("delay:<dur>", "p<pct>", "clone:<n>" — README has the grammar) on
-// every cluster POST /experiments/run builds, and -hedge-delay is
-// shorthand for "delay:<dur>"; -shards sets the worker parallelism for
-// sharded-fleet runs under POST /experiments/run — physical parallelism
-// only, so every byte the daemon serves (including /report bundles) is
-// invariant of it; -version prints the build and exits.
+// ("delay:<dur>", "p<pct>", "clone:<n>" — README has the grammar; e.g.
+// -hedge-policy delay:50ms) on every cluster POST /experiments/run
+// builds; -shards sets the worker parallelism for sharded-fleet runs
+// under POST /experiments/run — physical parallelism only, so every
+// byte the daemon serves (including /report bundles) is invariant of
+// it; -version prints the build and exits.
 //
 // Endpoints:
 //
@@ -273,7 +273,6 @@ func main() {
 	promoteAfter := flag.Int("promote-threshold", 0, "replay count that promotes a working set into the direct-access cache (0 = never; needs -prefetch)")
 	rulesSpec := flag.String("rules", "default", "alerting rules: a spec string, @file, \"default\" for the built-in set, or \"none\"")
 	hedgePolicy := flag.String("hedge-policy", "", "request-hedging policy for POST /experiments/run clusters, e.g. 'delay:50ms', 'p95', 'clone:2'")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "shorthand for -hedge-policy delay:<dur>")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "bounded drain window for graceful shutdown on SIGINT/SIGTERM")
 	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet runs under POST /experiments/run (0 = sequential; every served byte is invariant of it)")
 	pprofOn := flag.Bool("pprof", false, "serve Go net/http/pprof profiles under /debug/pprof/")
@@ -292,16 +291,7 @@ func main() {
 	}
 
 	var hedge *trenv.HedgePolicy
-	switch {
-	case *hedgePolicy != "" && *hedgeDelay != 0:
-		fmt.Fprintln(os.Stderr, "trenvd: -hedge-policy and -hedge-delay are mutually exclusive")
-		os.Exit(2)
-	case *hedgeDelay < 0:
-		fmt.Fprintln(os.Stderr, "trenvd: -hedge-delay must be positive")
-		os.Exit(2)
-	case *hedgeDelay != 0:
-		hedge = &trenv.HedgePolicy{Mode: trenv.HedgeDelay, Delay: *hedgeDelay}
-	case *hedgePolicy != "":
+	if *hedgePolicy != "" {
 		hp, err := trenv.ParseHedgePolicy(*hedgePolicy)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "trenvd: -hedge-policy:", err)
@@ -442,6 +432,11 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+		return
+	}
+	if req.SpacingMS < 0 {
+		// A batch cannot reach back before the virtual clock.
+		httpError(w, http.StatusBadRequest, "bad spacing_ms=%d (want >= 0)", req.SpacingMS)
 		return
 	}
 	if req.Count <= 0 {
@@ -786,6 +781,10 @@ func (s *server) armChaos(w http.ResponseWriter, r *http.Request) {
 		}
 	case req.Scenario != nil:
 		sc = *req.Scenario
+		if err := sc.Validate(); err != nil {
+			httpError(w, http.StatusBadRequest, "bad scenario: %v", err)
+			return
+		}
 	}
 	if sc.Empty() {
 		httpError(w, http.StatusBadRequest, "empty fault scenario")
@@ -803,13 +802,7 @@ func (s *server) armChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	inj := trenv.NewFaultInjector(s.platform.Engine(), seed, sc)
 	inj.SetTracer(s.tracer)
-	s.platform.AttachFaults(inj)
-	inj.OnNodeCrash(func(name string) {
-		if name == s.platform.NodeName() {
-			s.platform.Crash()
-		}
-	})
-	inj.Arm()
+	s.platform.AttachChaos(inj)
 	inj.RegisterMetrics(s.registry, s.labels)
 	s.chaos = inj
 	writeJSON(w, http.StatusCreated, inj.Status())

@@ -158,3 +158,22 @@ func TestBadJSONRejected(t *testing.T) {
 		t.Fatalf("bad json status = %d", resp.StatusCode)
 	}
 }
+
+// TestInvokeRejectsNegativeSpacing: a batch whose spacing would reach
+// back before the virtual clock is refused whole, so it leaves nothing
+// queued for the next batch to complete.
+func TestInvokeRejectsNegativeSpacing(t *testing.T) {
+	ts := testServer(t)
+	postJSON(t, ts.URL+"/functions", map[string]string{"name": "JS"})
+	resp, out := postJSON(t, ts.URL+"/invoke", map[string]any{"function": "JS", "count": 2, "spacing_ms": -10})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative spacing status = %d (%v), want 400", resp.StatusCode, out)
+	}
+	resp, out = postJSON(t, ts.URL+"/invoke", map[string]any{"function": "JS", "count": 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next batch status = %d (%v)", resp.StatusCode, out)
+	}
+	if out["completed"].(float64) != 1 {
+		t.Fatalf("next batch completed = %v, want 1", out["completed"])
+	}
+}

@@ -1,6 +1,6 @@
 // Multilayer: the hot/cold memory architecture of §3.1 — consolidated
 // images split between a small byte-addressable CXL tier and a large
-// RDMA tier, plus frequency-based promotion between them.
+// RDMA tier, swept over the share of each image kept on CXL.
 //
 //	go run ./examples/multilayer
 package main
@@ -11,13 +11,12 @@ import (
 	"time"
 
 	trenv "repro"
-	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
 func main() {
-	// Part 1: run the container platform with progressively less CXL
-	// (the tail of each image spills to RDMA).
+	// Run the container platform with progressively less CXL (the tail
+	// of each image spills to RDMA).
 	var names []string
 	for _, fn := range trenv.Functions() {
 		names = append(names, fn.Name)
@@ -42,33 +41,4 @@ func main() {
 			frac*100, pl.Metrics().All.E2E.Percentile(99),
 			float64(cxl)/(1<<30), float64(rdma)/(1<<30))
 	}
-
-	// Part 2: the tier manager — blocks earn CXL residency by access
-	// frequency under a byte budget.
-	fmt.Println("\ntier manager (40 MB hot budget, blocks promoted by heat):")
-	lat := mem.DefaultLatencyModel()
-	hot := mem.NewPool(mem.CXL, 0, lat)
-	cold := mem.NewPool(mem.RDMA, 0, lat)
-	m, err := mem.NewTierManager(hot, cold, 40<<20)
-	if err != nil {
-		panic(err)
-	}
-	blocks := map[string]int{"python-runtime": 4500, "numpy": 3000, "rarely-used-lib": 6000}
-	for k, pages := range blocks {
-		if err := m.Place(k, pages); err != nil {
-			panic(err)
-		}
-	}
-	m.RecordAccess("python-runtime", 500) // every invocation touches it
-	m.RecordAccess("numpy", 120)
-	m.RecordAccess("rarely-used-lib", 3)
-	copyTime, err := m.Rebalance(1 << 30)
-	if err != nil {
-		panic(err)
-	}
-	for k := range blocks {
-		tier, _ := m.TierOf(k)
-		fmt.Printf("  %-16s -> %s\n", k, tier)
-	}
-	fmt.Printf("  rebalance moved data in %v (off the critical path)\n", copyTime.Round(time.Millisecond))
 }

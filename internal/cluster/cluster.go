@@ -67,7 +67,7 @@ func New(n int, cfg faas.Config) (*Cluster, error) {
 	if cfg.Latency != nil {
 		lat = *cfg.Latency // the same model every node prices its pools with
 	}
-	cxl := mem.NewPool(mem.CXL, cfg.CXLCapacity, lat)
+	cxl := mem.NewPool(mem.CXL, 0, lat)
 	// The shared pool lives on the rack's memory server, not on any
 	// compute node — remote-fetch spans report it as their home.
 	cxl.SetHome("mem0")

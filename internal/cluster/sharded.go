@@ -14,13 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultSpillDelay is the cross-rack dispatch-forwarding latency of the
+// SpillDelay is the cross-rack dispatch-forwarding latency of the
 // sharded fleet — the RPC hop plus fabric queueing that a request pays
 // when its home rack is saturated and it re-dispatches elsewhere. It is
 // also the shard group's conservative lookahead: no rack can influence
 // another in less virtual time than this, which is what lets the racks'
 // event loops run in parallel between synchronization horizons.
-const DefaultSpillDelay = 200 * time.Microsecond
+const SpillDelay = 200 * time.Microsecond
 
 // ShardedConfig sizes a ShardedFleet.
 type ShardedConfig struct {
@@ -30,10 +30,6 @@ type ShardedConfig struct {
 	Racks int
 	// NodesPerRack sizes each rack.
 	NodesPerRack int
-	// SpillDelay is the cross-rack forwarding latency and shard
-	// lookahead (0 = DefaultSpillDelay). Larger values widen the
-	// synchronization windows — more parallelism, laggier spillover.
-	SpillDelay time.Duration
 	// TraceCap, when > 0, attaches one span tracer per rack with this
 	// ring capacity; Spans() merges them deterministically.
 	TraceCap int
@@ -65,15 +61,13 @@ type ShardedConfig struct {
 // load would couple two shards below the lookahead. Hedging, crash
 // re-dispatch, and breaker routing all stay intra-rack.
 type ShardedFleet struct {
-	group      *sim.ShardGroup
-	racks      []*Cluster
-	fabric     []*snapshot.Store // rack i's window onto images homed elsewhere
-	tracers    []*obs.Tracer
-	homes      map[string]int
-	regOrder   int
-	spillDelay time.Duration
-	seed       int64
-	scale      float64
+	group    *sim.ShardGroup
+	racks    []*Cluster
+	fabric   []*snapshot.Store // rack i's window onto images homed elsewhere
+	tracers  []*obs.Tracer
+	homes    map[string]int
+	regOrder int
+	seed     int64
 
 	// Per-rack state written only by that rack's shard (single-writer,
 	// race-free under parallel windows); summed after the run.
@@ -91,14 +85,9 @@ func NewShardedFleet(sc ShardedConfig, cfg faas.Config) (*ShardedFleet, error) {
 	if cfg.Engine != nil {
 		return nil, fmt.Errorf("cluster: sharded fleet owns its engines; cfg.Engine must be nil")
 	}
-	delay := sc.SpillDelay
-	if delay <= 0 {
-		delay = DefaultSpillDelay
-	}
 	f := &ShardedFleet{
-		group:      sim.NewShardGroup(cfg.Seed, sc.Racks, delay),
+		group:      sim.NewShardGroup(cfg.Seed, sc.Racks, SpillDelay),
 		homes:      make(map[string]int),
-		spillDelay: delay,
 		seed:       cfg.Seed,
 		spillsFrom: make([]int64, sc.Racks),
 		spillRR:    make([]int, sc.Racks),
@@ -197,7 +186,7 @@ func (f *ShardedFleet) dispatchOn(ri int, p *sim.Proc, fn string) {
 	}
 	f.spillsFrom[ri]++
 	target := f.nextSpillTarget(ri)
-	f.group.Send(ri, target, f.spillDelay, func() {
+	f.group.Send(ri, target, SpillDelay, func() {
 		f.group.Shard(target).Go("spill/"+fn, func(p2 *sim.Proc) {
 			f.racks[target].hedge.dispatch(p2, fn, "fleet-spill")
 		})

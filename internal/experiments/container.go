@@ -37,13 +37,7 @@ func containerPlatform(o Options, pol faas.Policy, softCap int64) *faas.Platform
 		}
 	}
 	if inj := o.chaosInjector(pl.Engine()); inj != nil {
-		pl.AttachFaults(inj)
-		inj.OnNodeCrash(func(name string) {
-			if name == pl.NodeName() {
-				pl.Crash()
-			}
-		})
-		inj.Arm()
+		pl.AttachChaos(inj)
 	}
 	return pl
 }

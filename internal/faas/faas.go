@@ -73,8 +73,6 @@ type Config struct {
 	SoftMemCap int64
 	// KeepAlive is the idle retention window (the paper uses 10 min).
 	KeepAlive time.Duration
-	// WarmReuse is the dispatch cost of reusing a kept-alive instance.
-	WarmReuse time.Duration
 	// Warmup excludes invocations arriving before this time from the
 	// metrics (the paper warms every system up for ~5 minutes).
 	Warmup time.Duration
@@ -96,22 +94,11 @@ type Config struct {
 	// internal/prefetch). Same-seed runs stay byte-identical with the
 	// flag on.
 	Prefetch bool
-	// PrefetchBatchPages caps pages per batched fetch (0 =
-	// prefetch.DefaultBatchPages).
-	PrefetchBatchPages int
 	// PromoteThreshold, with Prefetch, promotes a recorded run into the
 	// node's direct-access promotion cache once its cross-invocation
 	// replay count reaches this value — repeat RDMA faults become
 	// CXL-cost hits (0 disables promotion).
 	PromoteThreshold int
-	// PromoteCacheBytes bounds the promotion cache, LRU-evicted
-	// (0 = 256 MB).
-	PromoteCacheBytes int64
-	// PreWarmSandboxes provisions this many cleaned sandboxes into the
-	// universal pool before traffic arrives (TrEnv policies), so even
-	// the very first burst repurposes instead of building isolation
-	// environments under contention.
-	PreWarmSandboxes int
 	// MaxPerFunction caps concurrently-running instances per function
 	// (faasd's scale limit); excess invocations queue FIFO and dispatch
 	// as instances free up. 0 = unlimited.
@@ -123,9 +110,6 @@ type Config struct {
 	// for TrEnv policies (re-attach is a metadata copy); the restore
 	// happens off the request's critical path.
 	CleanAfterUse bool
-	// CXLCapacity / RDMACapacity bound the pools (0 = unlimited).
-	CXLCapacity  int64
-	RDMACapacity int64
 	// Latency overrides the memory-system latency constants (nil =
 	// DefaultLatencyModel). Used by the calibration-sensitivity study.
 	Latency *mem.LatencyModel
@@ -176,10 +160,15 @@ func DefaultConfig(policy Policy) Config {
 		Seed:        1,
 		Cores:       64,
 		KeepAlive:   10 * time.Minute,
-		WarmReuse:   500 * time.Microsecond,
 		HotFraction: 1,
 	}
 }
+
+// warmReuse is the dispatch cost of reusing a kept-alive instance.
+const warmReuse = 500 * time.Microsecond
+
+// promoteCacheBytes bounds each node's LRU promotion cache.
+const promoteCacheBytes = 256 << 20
 
 // Function is a registered function plus its policy-specific artifacts.
 type Function struct {
@@ -206,12 +195,8 @@ type Platform struct {
 	metrics *Metrics
 	tracer  *obs.Tracer
 
-	lat        mem.LatencyModel
-	memGauge   sim.Gauge
-	active     int
-	traceEnd   time.Duration
-	samplerOn  bool
-	sampleStep time.Duration
+	lat    mem.LatencyModel
+	active int
 
 	slo      *obs.SLOTracker
 	recorder *obs.Recorder
@@ -259,23 +244,22 @@ func New(cfg Config) *Platform {
 	}
 	node := mem.NewTracker("node-dram", 0)
 	pl := &Platform{
-		cfg:        cfg,
-		eng:        eng,
-		node:       node,
-		rt:         core.DefaultRuntime(node),
-		lat:        lat,
-		cpu:        sim.NewResource("cores", cfg.Cores),
-		cxl:        mem.NewPool(mem.CXL, cfg.CXLCapacity, lat),
-		rdma:       mem.NewPool(mem.RDMA, cfg.RDMACapacity, lat),
-		tmpfs:      mem.NewPool(mem.Tmpfs, 0, lat),
-		fns:        make(map[string]*Function),
-		warm:       make(map[string][]*core.Instance),
-		metrics:    NewMetrics(),
-		tracer:     cfg.Tracer,
-		sampleStep: time.Second,
-		running:    make(map[string]int),
-		waiting:    make(map[string][]*sim.Proc),
-		nodeName:   cfg.Node,
+		cfg:      cfg,
+		eng:      eng,
+		node:     node,
+		rt:       core.DefaultRuntime(node),
+		lat:      lat,
+		cpu:      sim.NewResource("cores", cfg.Cores),
+		cxl:      mem.NewPool(mem.CXL, 0, lat),
+		rdma:     mem.NewPool(mem.RDMA, 0, lat),
+		tmpfs:    mem.NewPool(mem.Tmpfs, 0, lat),
+		fns:      make(map[string]*Function),
+		warm:     make(map[string][]*core.Instance),
+		metrics:  NewMetrics(),
+		tracer:   cfg.Tracer,
+		running:  make(map[string]int),
+		waiting:  make(map[string][]*sim.Proc),
+		nodeName: cfg.Node,
 	}
 	if pl.nodeName == "" {
 		pl.nodeName = "n0"
@@ -315,17 +299,10 @@ func New(cfg Config) *Platform {
 	// replay.
 	if cfg.Prefetch && cfg.Policy.IsTrEnv() {
 		if cfg.PromoteThreshold > 0 {
-			capBytes := cfg.PromoteCacheBytes
-			if capBytes == 0 {
-				capBytes = 256 << 20
-			}
-			pl.promoCache = mem.NewPromotionCache(capBytes, lat)
+			pl.promoCache = mem.NewPromotionCache(promoteCacheBytes, lat)
 			pl.promoCache.Pool().SetHome(pl.nodeName)
 		}
-		pl.prefetcher = prefetch.New(pl.promoCache, prefetch.Config{
-			BatchPages:   cfg.PrefetchBatchPages,
-			PromoteAfter: cfg.PromoteThreshold,
-		})
+		pl.prefetcher = prefetch.New(pl.promoCache, prefetch.Config{PromoteAfter: cfg.PromoteThreshold})
 		pl.rt.Prefetcher = pl.prefetcher
 	}
 	return pl
@@ -360,13 +337,6 @@ func (pl *Platform) Runtime() *core.Runtime { return pl.rt }
 
 // Metrics returns the collected metrics.
 func (pl *Platform) Metrics() *Metrics { return pl.metrics }
-
-// MemoryGauge returns node DRAM usage over time (sampled).
-func (pl *Platform) MemoryGauge() *sim.Gauge { return &pl.memGauge }
-
-// SetTracer attaches (or detaches, with nil) an invocation span
-// recorder.
-func (pl *Platform) SetTracer(t *obs.Tracer) { pl.tracer = t }
 
 // Tracer returns the attached span recorder (nil when tracing is off).
 func (pl *Platform) Tracer() *obs.Tracer { return pl.tracer }
@@ -827,8 +797,8 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 	var fallbackAt time.Duration
 	var fallbackCause *mem.ErrPoolUnavailable
 	if in != nil {
-		p.Sleep(pl.cfg.WarmReuse)
-		st = core.Startup{Path: core.PathWarm, Restore: pl.cfg.WarmReuse}
+		p.Sleep(warmReuse)
+		st = core.Startup{Path: core.PathWarm, Restore: warmReuse}
 	} else {
 		pl.evictForSpace(p, traceID, pl.estimateStartBytes(fn))
 		tStart = p.Now() // soft-cap eviction work ends here
@@ -1085,51 +1055,19 @@ func (pl *Platform) Invoke(at time.Duration, function string) {
 	pl.eng.At(at, "invoke/"+function, func(p *sim.Proc) { pl.invoke(p, function, "", nil) })
 }
 
-// startSampler records node DRAM usage once per sampleStep until the
-// trace has ended and no invocations remain active.
-func (pl *Platform) startSampler() {
-	if pl.samplerOn {
-		return
-	}
-	pl.samplerOn = true
-	pl.eng.Go("mem-sampler", func(p *sim.Proc) {
-		for {
-			pl.memGauge.Set(p.Now(), float64(pl.node.Used()))
-			if p.Now() >= pl.traceEnd && pl.active == 0 {
-				return
-			}
-			p.Sleep(pl.sampleStep)
-		}
-	})
-}
-
-// PreWarm provisions n cleaned sandboxes into the universal pool at no
-// simulated cost — the operator built them before the measured window.
-// Only TrEnv policies consume the pool.
-func (pl *Platform) PreWarm(n int) {
-	if n <= 0 || !pl.cfg.Policy.IsTrEnv() {
-		return
-	}
-	for i := 0; i < n; i++ {
-		pl.rt.SBPool.Put(pl.rt.Factory.CreateWarm())
-	}
-}
-
 // RunTrace schedules every invocation in tr and runs the simulation to
 // completion (including keep-alive expiries after the last invocation).
 func (pl *Platform) RunTrace(tr workload.Trace) {
-	pl.PreWarm(pl.cfg.PreWarmSandboxes)
-	pl.traceEnd = tr.Duration()
 	for _, inv := range tr {
 		pl.Invoke(inv.At, inv.Function)
 	}
-	pl.startSampler()
 	if pl.recorder != nil {
 		if pl.alerts != nil {
 			pl.alerts.Observe(pl.recorder)
 		}
+		end := tr.Duration()
 		pl.recorder.PumpWhile(pl.eng, pl.recEvery, func() bool {
-			return pl.eng.Now() < pl.traceEnd || pl.active > 0
+			return pl.eng.Now() < end || pl.active > 0
 		})
 	}
 	pl.eng.Run()

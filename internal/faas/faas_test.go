@@ -234,14 +234,6 @@ func TestAblationPoliciesRun(t *testing.T) {
 	}
 }
 
-func TestMemoryGaugeSampled(t *testing.T) {
-	pl := newPlatform(t, PolicyTrEnvCXL)
-	pl.RunTrace(smallTrace(5))
-	if pl.MemoryGauge().Peak() == 0 {
-		t.Fatal("memory gauge never sampled above zero")
-	}
-}
-
 func TestMetricsSummaryRenders(t *testing.T) {
 	pl := newPlatform(t, PolicyTrEnvCXL)
 	pl.Invoke(0, "JS")

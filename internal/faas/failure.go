@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/obs"
 )
@@ -101,6 +102,20 @@ func (pl *Platform) AttachFaults(agent mem.FaultAgent) {
 			pool.SetRetryPolicy(*pl.cfg.Retry)
 		}
 	}
+}
+
+// AttachChaos attaches inj's faults to the node's pools, wires a
+// scheduled crash of this node to Crash and arms the schedule — the
+// single-node counterpart of cluster.Cluster.AttachChaos. Attach before
+// traffic arrives.
+func (pl *Platform) AttachChaos(inj *fault.Injector) {
+	pl.AttachFaults(inj)
+	inj.OnNodeCrash(func(name string) {
+		if name == pl.nodeName {
+			pl.Crash()
+		}
+	})
+	inj.Arm()
 }
 
 // checkpoint reports why an in-flight attempt must stop now, or nil to

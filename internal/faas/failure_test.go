@@ -31,9 +31,30 @@ func outagePlatform(t *testing.T, tweak func(*Config)) (*Platform, *[]Invocation
 	inj := fault.NewInjector(pl.Engine(), cfg.Seed, fault.Scenario{
 		PoolOutages: []fault.PoolOutage{{Pool: "cxl", From: 0, To: time.Hour}},
 	})
-	pl.AttachFaults(inj)
-	inj.Arm()
+	pl.AttachChaos(inj)
 	return pl, results
+}
+
+// TestAttachChaosCrashesOnlyThisNode: AttachChaos arms the schedule and
+// turns a scheduled crash of this node, and of no other, into Crash.
+func TestAttachChaosCrashesOnlyThisNode(t *testing.T) {
+	for _, tc := range []struct {
+		node    string
+		crashed bool
+	}{{"n0", true}, {"n1", false}} {
+		pl := New(DefaultConfig(PolicyTrEnvCXL))
+		inj := fault.NewInjector(pl.Engine(), pl.Seed(), fault.Scenario{
+			NodeCrashes: []fault.NodeCrash{{Node: tc.node, At: time.Second}},
+		})
+		pl.AttachChaos(inj)
+		if !inj.Armed() {
+			t.Fatal("AttachChaos did not arm the schedule")
+		}
+		pl.Engine().Run()
+		if pl.Crashed() != tc.crashed {
+			t.Fatalf("crash of %s: node n0 crashed = %v, want %v", tc.node, pl.Crashed(), tc.crashed)
+		}
+	}
 }
 
 // TestOutageFallsBackToLocalColdStart: with the CXL pool dark, restores

@@ -47,6 +47,28 @@ func TestPlatformRecorderSamplesRun(t *testing.T) {
 	}
 }
 
+// TestMemoryGaugeSampled: node DRAM usage over virtual time is the
+// flight recorder's trenv_node_mem_used_bytes series.
+func TestMemoryGaugeSampled(t *testing.T) {
+	pl := newPlatform(t, PolicyTrEnvCXL)
+	reg := obs.NewRegistry()
+	pl.RegisterMetrics(reg)
+	rec := obs.NewRecorder(reg, 0)
+	pl.AttachRecorder(rec, time.Second)
+	pl.RunTrace(smallTrace(5))
+	ts := rec.Lookup("trenv_node_mem_used_bytes", nil)
+	if ts == nil {
+		t.Fatal("node DRAM series missing from recorder")
+	}
+	var peak float64
+	for _, pt := range ts.Points() {
+		peak = max(peak, pt.Value)
+	}
+	if peak == 0 {
+		t.Fatal("node DRAM never sampled above zero")
+	}
+}
+
 func TestPlatformRecorderDeterministic(t *testing.T) {
 	run := func() string {
 		pl := newPlatform(t, PolicyTrEnvCXL)

@@ -187,8 +187,7 @@ func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
 		inj := fault.NewInjector(pl.Engine(), pl.Seed(), fault.Scenario{
 			PoolOutages: []fault.PoolOutage{{Pool: "cxl", From: 0, To: time.Hour}},
 		})
-		pl.AttachFaults(inj)
-		inj.Arm()
+		pl.AttachChaos(inj)
 	}
 	cases := []struct {
 		name    string

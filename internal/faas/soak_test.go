@@ -26,7 +26,6 @@ func TestSoakLongMixedWorkload(t *testing.T) {
 		t.Run(string(pol), func(t *testing.T) {
 			cfg := DefaultConfig(pol)
 			cfg.SoftMemCap = 3 << 30
-			cfg.PreWarmSandboxes = 8
 			cfg.MaxPerFunction = 32
 			pl := New(cfg)
 			for _, p := range workload.Table4() {

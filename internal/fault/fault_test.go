@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +32,27 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 	if sc.Empty() {
 		t.Fatal("non-trivial scenario reported Empty")
+	}
+}
+
+// TestValidateHoldsScenariosToTheSpecRules: a parsed spec passes
+// Validate, and a structured scenario breaking one of the grammar's
+// rules fails it, naming the clause.
+func TestValidateHoldsScenariosToTheSpecRules(t *testing.T) {
+	sc, err := ParseSpec("outage:cxl:10s-20s,degrade:rdma:3x:5s-15s,flaky:rdma:0.2:burst=3,crash:n1:30s,flap:nas:10s/2s:x3:1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("parsed scenario fails Validate: %v", err)
+	}
+	bad := Scenario{
+		FlakyFetches: []FlakyFetch{{Pool: "rdma", Prob: 0.2}},
+		PoolDegrades: []PoolDegrade{{Pool: "cxl", To: time.Second, Factor: 1}},
+	}
+	err = bad.Validate()
+	if err == nil || !strings.Contains(err.Error(), "pool_degrades[0]") {
+		t.Fatalf("Validate(factor 1) = %v, want an error naming pool_degrades[0]", err)
 	}
 }
 

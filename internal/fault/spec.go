@@ -54,6 +54,87 @@ func ParseSpec(spec string) (Scenario, error) {
 	return sc, nil
 }
 
+// Validate checks a scenario against the rules ParseSpec applies to
+// each clause, so a structured scenario (trenvd's POST /chaos body) is
+// held to the same ones: every window is non-empty (a flaky window may
+// be left out), a degrade factor is finite and above 1, a flaky
+// probability is in (0, 1], a burst is at least 1 when set, crash
+// times and flap offsets are not negative, a flap's down time is in
+// (0, period] and its count is at least 1.
+func (s Scenario) Validate() error {
+	for _, err := range []error{
+		validateAll("pool_outages", s.PoolOutages),
+		validateAll("pool_degrades", s.PoolDegrades),
+		validateAll("flaky_fetches", s.FlakyFetches),
+		validateAll("node_crashes", s.NodeCrashes),
+		validateAll("link_flaps", s.LinkFlaps),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func validateAll[T interface{ validate() error }](field string, clauses []T) error {
+	for i, c := range clauses {
+		if err := c.validate(); err != nil {
+			return fmt.Errorf("fault: %s[%d]: %w", field, i, err)
+		}
+	}
+	return nil
+}
+
+func checkWindow(from, to time.Duration) error {
+	if to <= from {
+		return fmt.Errorf("empty window %v-%v", from, to)
+	}
+	return nil
+}
+
+func (o PoolOutage) validate() error { return checkWindow(o.From, o.To) }
+
+func (d PoolDegrade) validate() error {
+	if !(d.Factor > 1) || math.IsInf(d.Factor, 0) { // written to reject NaN
+		return fmt.Errorf("bad factor %v (want finite > 1)", d.Factor)
+	}
+	return checkWindow(d.From, d.To)
+}
+
+func (f FlakyFetch) validate() error {
+	if !(f.Prob > 0 && f.Prob <= 1) { // written to reject NaN
+		return fmt.Errorf("bad probability %v (want (0,1])", f.Prob)
+	}
+	if f.Burst < 0 {
+		return fmt.Errorf("bad burst %d (want >= 1 when set)", f.Burst)
+	}
+	if f.From == 0 && f.To == 0 {
+		return nil // no window: the whole run
+	}
+	return checkWindow(f.From, f.To)
+}
+
+func (c NodeCrash) validate() error {
+	if c.At < 0 {
+		return fmt.Errorf("negative crash time %v", c.At)
+	}
+	return nil
+}
+
+func (f LinkFlap) validate() error {
+	switch {
+	case f.Down <= 0 || f.Down > f.Period:
+		return fmt.Errorf("down %v must be in (0, period %v]", f.Down, f.Period)
+	case f.Count < 1:
+		return fmt.Errorf("bad count %d (want >= 1)", f.Count)
+	case f.From < 0:
+		return fmt.Errorf("negative flap offset %v", f.From)
+	}
+	return nil
+}
+
+// parseWindow reads a written <from>-<to> window, which must not be
+// empty even where the clause could leave it out.
 func parseWindow(s string) (from, to time.Duration, err error) {
 	lo, hi, ok := strings.Cut(s, "-")
 	if !ok {
@@ -65,21 +146,19 @@ func parseWindow(s string) (from, to time.Duration, err error) {
 	if to, err = time.ParseDuration(hi); err != nil {
 		return 0, 0, err
 	}
-	if to <= from {
-		return 0, 0, fmt.Errorf("empty window %q", s)
-	}
-	return from, to, nil
+	return from, to, checkWindow(from, to)
 }
 
 func parseOutage(p []string, sc *Scenario) error {
 	if len(p) != 2 {
 		return fmt.Errorf("want outage:<pool>:<from>-<to>")
 	}
-	from, to, err := parseWindow(p[1])
-	if err != nil {
+	o := PoolOutage{Pool: p[0]}
+	var err error
+	if o.From, o.To, err = parseWindow(p[1]); err != nil {
 		return err
 	}
-	sc.PoolOutages = append(sc.PoolOutages, PoolOutage{Pool: p[0], From: from, To: to})
+	sc.PoolOutages = append(sc.PoolOutages, o)
 	return nil
 }
 
@@ -87,15 +166,18 @@ func parseDegrade(p []string, sc *Scenario) error {
 	if len(p) != 3 || !strings.HasSuffix(p[1], "x") {
 		return fmt.Errorf("want degrade:<pool>:<factor>x:<from>-<to>")
 	}
-	factor, err := strconv.ParseFloat(strings.TrimSuffix(p[1], "x"), 64)
-	if err != nil || !(factor > 1) || math.IsInf(factor, 0) { // written to reject NaN
+	d := PoolDegrade{Pool: p[0]}
+	var err error
+	if d.Factor, err = strconv.ParseFloat(strings.TrimSuffix(p[1], "x"), 64); err != nil {
 		return fmt.Errorf("bad factor %q (want finite > 1)", p[1])
 	}
-	from, to, err := parseWindow(p[2])
-	if err != nil {
+	if d.From, d.To, err = parseWindow(p[2]); err != nil {
 		return err
 	}
-	sc.PoolDegrades = append(sc.PoolDegrades, PoolDegrade{Pool: p[0], From: from, To: to, Factor: factor})
+	if err := d.validate(); err != nil {
+		return err
+	}
+	sc.PoolDegrades = append(sc.PoolDegrades, d)
 	return nil
 }
 
@@ -103,14 +185,15 @@ func parseFlaky(p []string, sc *Scenario) error {
 	if len(p) < 2 {
 		return fmt.Errorf("want flaky:<pool>:<prob>[:<from>-<to>][:burst=<n>]")
 	}
-	prob, err := strconv.ParseFloat(p[1], 64)
-	if err != nil || !(prob > 0 && prob <= 1) { // written to reject NaN
+	f := FlakyFetch{Pool: p[0]}
+	var err error
+	if f.Prob, err = strconv.ParseFloat(p[1], 64); err != nil {
 		return fmt.Errorf("bad probability %q (want (0,1])", p[1])
 	}
-	f := FlakyFetch{Pool: p[0], Prob: prob}
 	for _, opt := range p[2:] {
 		switch {
 		case strings.HasPrefix(opt, "burst="):
+			// A written burst is set, so 0 is as bad as a negative one.
 			n, err := strconv.Atoi(strings.TrimPrefix(opt, "burst="))
 			if err != nil || n < 1 {
 				return fmt.Errorf("bad burst %q", opt)
@@ -124,6 +207,9 @@ func parseFlaky(p []string, sc *Scenario) error {
 			return fmt.Errorf("bad option %q", opt)
 		}
 	}
+	if err := f.validate(); err != nil {
+		return err
+	}
 	sc.FlakyFetches = append(sc.FlakyFetches, f)
 	return nil
 }
@@ -132,14 +218,15 @@ func parseCrash(p []string, sc *Scenario) error {
 	if len(p) != 2 {
 		return fmt.Errorf("want crash:<node>:<at>")
 	}
-	at, err := time.ParseDuration(p[1])
-	if err != nil {
+	c := NodeCrash{Node: p[0]}
+	var err error
+	if c.At, err = time.ParseDuration(p[1]); err != nil {
 		return err
 	}
-	if at < 0 {
-		return fmt.Errorf("negative crash time %v", at)
+	if err := c.validate(); err != nil {
+		return err
 	}
-	sc.NodeCrashes = append(sc.NodeCrashes, NodeCrash{Node: p[0], At: at})
+	sc.NodeCrashes = append(sc.NodeCrashes, c)
 	return nil
 }
 
@@ -159,22 +246,19 @@ func parseFlap(p []string, sc *Scenario) error {
 	if f.Down, err = time.ParseDuration(down); err != nil {
 		return err
 	}
-	if f.Down <= 0 || f.Down > f.Period {
-		return fmt.Errorf("down %v must be in (0, period %v]", f.Down, f.Period)
-	}
 	if !strings.HasPrefix(p[2], "x") {
 		return fmt.Errorf("bad count %q (want x<count>)", p[2])
 	}
-	if f.Count, err = strconv.Atoi(strings.TrimPrefix(p[2], "x")); err != nil || f.Count < 1 {
+	if f.Count, err = strconv.Atoi(strings.TrimPrefix(p[2], "x")); err != nil {
 		return fmt.Errorf("bad count %q", p[2])
 	}
 	if len(p) == 4 {
 		if f.From, err = time.ParseDuration(p[3]); err != nil {
 			return err
 		}
-		if f.From < 0 {
-			return fmt.Errorf("negative flap offset %v", f.From)
-		}
+	}
+	if err := f.validate(); err != nil {
+		return err
 	}
 	sc.LinkFlaps = append(sc.LinkFlaps, f)
 	return nil

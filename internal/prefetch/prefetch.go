@@ -9,7 +9,7 @@
 //   - Batched replay: the first run against a template records its
 //     fault order into the image's pagetable.WorkingSetLog; every
 //     later restore replays that log through mem.Pool.FetchBatch —
-//     one doorbell round trip amortized over up to Config.BatchPages
+//     one doorbell round trip amortized over up to DefaultBatchPages
 //     pages — concurrently with execution. Replayed pages are marked
 //     in flight (pagetable.AddressSpace.MarkInFlight), so a demand
 //     fault that outruns its batch parks on the batch deadline instead
@@ -36,24 +36,15 @@ import (
 
 // Config tunes the prefetcher.
 type Config struct {
-	// BatchPages caps the pages covered by one doorbell-style batched
-	// fetch (<= 0: DefaultBatchPages).
-	BatchPages int
 	// PromoteAfter is the cross-invocation replay count at which a run
 	// is promoted into the direct-access cache (0 disables promotion).
 	PromoteAfter int
 }
 
-// DefaultBatchPages is the doorbell batch size: 64 pages (256 KB)
-// keeps a batch one work request while amortizing the round trip ~64x.
+// DefaultBatchPages caps the pages one doorbell-style batched fetch
+// covers: 64 pages (256 KB) keeps a batch one work request while
+// amortizing the round trip ~64x.
 const DefaultBatchPages = 64
-
-func (c Config) batchPages() int {
-	if c.BatchPages <= 0 {
-		return DefaultBatchPages
-	}
-	return c.BatchPages
-}
 
 // Summary reports what one restore's prefetch pass did, for spans and
 // metrics. Recording passes set Recording and nothing else.
@@ -159,8 +150,8 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 		// round trip plus streaming, retrying as a unit under the
 		// pool's fault policy; a failed batch aborts the replay and
 		// leaves the rest to demand faults.
-		for off := 0; off < e.Pages; off += pf.cfg.batchPages() {
-			n := pf.cfg.batchPages()
+		for off := 0; off < e.Pages; off += DefaultBatchPages {
+			n := DefaultBatchPages
 			if off+n > e.Pages {
 				n = e.Pages - off
 			}

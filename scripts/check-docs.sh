@@ -6,9 +6,10 @@
 #      endpoint table;
 #   3. every flag cmd/trenv-bench defines appears in EXPERIMENTS.md's
 #      flag table;
-#   4. every flag cmd/trenvd defines appears in README.md's trenvd
-#      flag list, and every trenv-bench flag in README.md's
-#      trenv-bench flag table;
+#   4. README.md's trenvd flag list (the "Flags:" paragraph of its
+#      trenvd section) names, in backquotes, exactly the flags
+#      cmd/trenvd defines, and every trenv-bench flag appears in
+#      README.md's trenv-bench flag table;
 #   5. every flag cmd/trenv-trace defines appears in its own command
 #      comment (the godoc usage block);
 #   6. every flag cmd/trenv-diff defines appears in README.md's
@@ -75,9 +76,20 @@ done
 
 dflags=$(sed -n 's/.*flag\.\(Bool\|String\|Int64\|Int\|Float64\|Duration\)("\([a-z-]*\)".*/\2/p' cmd/trenvd/main.go | sort -u)
 [ -n "$dflags" ] || { echo "found no flags in cmd/trenvd/main.go" >&2; exit 1; }
+# Each backquoted -name in the list counts, "`-hedge-policy delay:50ms`"
+# included, so an example cannot name a flag the daemon dropped.
+listed=$(awk '/^### trenvd HTTP API/ { s = 1 } s && /^Flags:/ { p = 1 } p && /^$/ { exit } p' README.md |
+    grep -o '`-[a-z][a-z-]*' | sed 's/^`-//' | sort -u)
+[ -n "$listed" ] || { echo "found no trenvd Flags: list in README.md" >&2; exit 1; }
 for f in $dflags; do
-    if ! grep -q -- "\`-$f\`" README.md; then
-        echo "trenvd flag undocumented in README.md: -$f" >&2
+    if ! echo "$listed" | grep -qx -- "$f"; then
+        echo "trenvd flag missing from README.md's trenvd flag list: -$f" >&2
+        fail=1
+    fi
+done
+for f in $listed; do
+    if ! echo "$dflags" | grep -qx -- "$f"; then
+        echo "README.md's trenvd flag list names -$f, which cmd/trenvd does not define" >&2
         fail=1
     fi
 done

@@ -289,15 +289,6 @@ const (
 	MapFile MapKind = pagetable.File
 )
 
-// TierManager places image blocks across hot (CXL) and cold (RDMA/NAS)
-// tiers with frequency-based promotion (§3.1's multi-layer architecture).
-type TierManager = mem.TierManager
-
-// NewTierManager manages placement with at most hotBudget bytes hot.
-func NewTierManager(hot, cold *MemoryPool, hotBudget int64) (*TierManager, error) {
-	return mem.NewTierManager(hot, cold, hotBudget)
-}
-
 // Snapshot is a function's checkpointed post-initialization state.
 type Snapshot = snapshot.Snapshot
 
@@ -344,16 +335,15 @@ type WorkingSetFetch = pagetable.WSFetch
 // runs replayed often enough into the node's direct-access cache.
 type Prefetcher = prefetch.Prefetcher
 
-// PrefetchConfig tunes batch size and the promotion threshold.
+// PrefetchConfig sets the promotion threshold.
 type PrefetchConfig = prefetch.Config
 
 // PrefetchSummary reports what one restore's replay did (recording vs
 // batches launched vs pages promoted); Prefetcher.OnRestore returns it.
 type PrefetchSummary = prefetch.Summary
 
-// DefaultPrefetchBatchPages is the doorbell batch size used when
-// PrefetchConfig.BatchPages is zero: 64 pages (256 KB) per remote
-// round trip.
+// DefaultPrefetchBatchPages is the doorbell batch size every replay
+// uses: 64 pages (256 KB) per remote round trip.
 const DefaultPrefetchBatchPages = prefetch.DefaultBatchPages
 
 // NewPrefetcher builds a prefetcher over an optional promotion cache

@@ -110,23 +110,6 @@ func TestPublicAPIShardedFleet(t *testing.T) {
 	}
 }
 
-func TestPublicAPITierManager(t *testing.T) {
-	tm, err := trenv.NewTierManager(trenv.NewCXLPool(0), trenv.NewRDMAPool(0), 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.Place("lib", 100); err != nil {
-		t.Fatal(err)
-	}
-	tm.RecordAccess("lib", 10)
-	if _, err := tm.Rebalance(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	if tier, _ := tm.TierOf("lib"); tier.String() != "cxl" {
-		t.Fatalf("tier = %v", tier)
-	}
-}
-
 func TestPublicAPISerialization(t *testing.T) {
 	a, _ := trenv.AgentByName("blackjack")
 	var buf bytes.Buffer
