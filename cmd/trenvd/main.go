@@ -37,6 +37,9 @@
 //	GET  /functions            list registered and available functions
 //	POST /functions            {"name":"JS"} deploy a Table 4 function
 //	POST /invoke               {"function":"JS","count":5,"spacing_ms":100}
+//	                           (count at most 10,000; 400 past that, or
+//	                           when the batch would pass the largest
+//	                           virtual time)
 //	GET  /stats                aggregate + per-function metrics
 //	GET  /metrics              Prometheus text-format metrics
 //	GET  /timeseries           flight-recorder series (?format=csv for CSV)
@@ -77,6 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
@@ -424,6 +428,18 @@ func (s *server) deployFunction(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]string{"deployed": req.Name})
 }
 
+// maxInvokeCount bounds the invocations one POST /invoke batch schedules.
+const maxInvokeCount = 10000
+
+// batchFits reports whether count arrivals spacingMS apart from now end
+// within time.Duration. The batch spans count spacings — the recorder
+// samples up to one spacing past the last arrival — and the check itself
+// cannot overflow: count >= 1 and spacingMS >= 0.
+func batchFits(now time.Duration, count, spacingMS int) bool {
+	room := (math.MaxInt64 - int64(now)) / int64(time.Millisecond) / int64(count)
+	return int64(spacingMS) <= room
+}
+
 func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Function  string `json:"function"`
@@ -442,10 +458,19 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 	if req.Count <= 0 {
 		req.Count = 1
 	}
+	if req.Count > maxInvokeCount {
+		httpError(w, http.StatusBadRequest, "bad count=%d (want at most %d)", req.Count, maxInvokeCount)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.deployed[req.Function] {
 		httpError(w, http.StatusNotFound, "function %q not deployed", req.Function)
+		return
+	}
+	if !batchFits(s.now, req.Count, req.SpacingMS) {
+		httpError(w, http.StatusBadRequest, "bad spacing_ms=%d: %d arrivals from %v pass the largest virtual time",
+			req.SpacingMS, req.Count, s.now)
 		return
 	}
 	before := s.platform.Metrics().Fn(req.Function).E2E.N()
@@ -781,10 +806,6 @@ func (s *server) armChaos(w http.ResponseWriter, r *http.Request) {
 		}
 	case req.Scenario != nil:
 		sc = *req.Scenario
-		if err := sc.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "bad scenario: %v", err)
-			return
-		}
 	}
 	if sc.Empty() {
 		httpError(w, http.StatusBadRequest, "empty fault scenario")
@@ -794,13 +815,17 @@ func (s *server) armChaos(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = s.seed
 	}
+	inj, err := trenv.NewFaultInjector(s.platform.Engine(), seed, sc)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad scenario: %v", err)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.chaos != nil {
 		httpError(w, http.StatusConflict, "a fault schedule is already armed")
 		return
 	}
-	inj := trenv.NewFaultInjector(s.platform.Engine(), seed, sc)
 	inj.SetTracer(s.tracer)
 	s.platform.AttachChaos(inj)
 	inj.RegisterMetrics(s.registry, s.labels)

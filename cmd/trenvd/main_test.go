@@ -159,6 +159,40 @@ func TestBadJSONRejected(t *testing.T) {
 	}
 }
 
+// TestInvokeRejectsOverflowingSpacing: a batch whose arrivals would pass
+// the largest virtual time is refused whole, so it leaves nothing queued
+// for the next batch to complete.
+func TestInvokeRejectsOverflowingSpacing(t *testing.T) {
+	ts := testServer(t)
+	postJSON(t, ts.URL+"/functions", map[string]string{"name": "JS"})
+	resp, out := postJSON(t, ts.URL+"/invoke", map[string]any{"function": "JS", "count": 3, "spacing_ms": 5000000000000})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing spacing status = %d (%v), want 400", resp.StatusCode, out)
+	}
+	resp, out = postJSON(t, ts.URL+"/invoke", map[string]any{"function": "JS", "count": 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next batch status = %d (%v)", resp.StatusCode, out)
+	}
+	if out["completed"].(float64) != 1 {
+		t.Fatalf("next batch completed = %v, want 1", out["completed"])
+	}
+}
+
+// TestInvokeRejectsOversizedCount: a batch above maxInvokeCount gets a 400
+// before anything is scheduled.
+func TestInvokeRejectsOversizedCount(t *testing.T) {
+	ts := testServer(t)
+	postJSON(t, ts.URL+"/functions", map[string]string{"name": "JS"})
+	resp, out := postJSON(t, ts.URL+"/invoke", map[string]any{"function": "JS", "count": maxInvokeCount + 1})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("count %d status = %d (%v), want 400", maxInvokeCount+1, resp.StatusCode, out)
+	}
+	resp, out = postJSON(t, ts.URL+"/invoke", map[string]any{"function": "JS", "count": 1})
+	if resp.StatusCode != http.StatusOK || out["completed"].(float64) != 1 {
+		t.Fatalf("next batch status = %d, completed = %v; want 200 and 1", resp.StatusCode, out["completed"])
+	}
+}
+
 // TestInvokeRejectsNegativeSpacing: a batch whose spacing would reach
 // back before the virtual clock is refused whole, so it leaves nothing
 // queued for the next batch to complete.

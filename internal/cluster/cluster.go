@@ -26,7 +26,7 @@ type Cluster struct {
 	cxl   *mem.Pool
 	store *snapshot.Store
 	nodes []*faas.Platform
-	down  map[int]bool
+	down  []bool // by node index
 
 	// Per-node circuit breakers over pool-fetch failure rate: pick
 	// routes around open breakers the way it routes around dead nodes.
@@ -48,13 +48,23 @@ type Cluster struct {
 	seed     int64
 }
 
-// New builds a cluster of n nodes. Each node gets cfg's policy and
-// sizing; the CXL pool, block store, and template registry are shared.
-// Only TrEnv-CXL makes sense rack-wide (the point of the experiment);
-// other policies are rejected.
+// maxNodes caps a rack so that one word holds any set of its nodes
+// (nodeSet).
+const maxNodes = 64
+
+// nodeSet is a set of node indices within one rack.
+type nodeSet uint64
+
+func (s nodeSet) has(i int) bool     { return s&(1<<i) != 0 }
+func (s nodeSet) with(i int) nodeSet { return s | 1<<i }
+
+// New builds a cluster of n nodes, at most 64. Each node gets cfg's
+// policy and sizing; the CXL pool, block store, and template registry
+// are shared. Only TrEnv-CXL makes sense rack-wide (the point of the
+// experiment); other policies are rejected.
 func New(n int, cfg faas.Config) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
+	if n <= 0 || n > maxNodes {
+		return nil, fmt.Errorf("cluster: need 1 to %d nodes, got %d", maxNodes, n)
 	}
 	if cfg.Policy != faas.PolicyTrEnvCXL {
 		return nil, fmt.Errorf("cluster: rack sharing requires trenv-cxl, got %q", cfg.Policy)
@@ -72,7 +82,7 @@ func New(n int, cfg faas.Config) (*Cluster, error) {
 	// compute node — remote-fetch spans report it as their home.
 	cxl.SetHome("mem0")
 	store := snapshot.NewStore(mem.NewBlockStore(cxl), mmtemplate.NewRegistry())
-	c := &Cluster{eng: eng, cxl: cxl, store: store, down: make(map[int]bool), seed: cfg.Seed}
+	c := &Cluster{eng: eng, cxl: cxl, store: store, down: make([]bool, n), seed: cfg.Seed}
 	for i := 0; i < n; i++ {
 		nodeCfg := cfg
 		nodeCfg.Engine = eng
@@ -259,56 +269,46 @@ func (c *Cluster) AliveNodes() []*faas.Platform {
 	return out
 }
 
-// healthyNodes returns the alive nodes whose breakers admit traffic.
-// When every alive node's breaker is open there is nowhere better to
-// send work, so health filtering degrades to plain aliveness —
-// availability beats breaker hygiene.
-func (c *Cluster) healthyNodes() []*faas.Platform {
-	var out []*faas.Platform
+// pick returns the index of the node to run fn on: prefer a healthy node
+// holding a warm instance, else the least-loaded healthy node. Crashed
+// nodes and open-breaker nodes are skipped.
+func (c *Cluster) pick(fn string) int { return c.pickExcluding(fn, 0) }
+
+// pickExcluding is pick with the nodes the current hedge race already
+// tried removed from candidacy; -1 when no candidate remains (the hedger
+// degrades to unhedged dispatch then). The candidates are the alive
+// nodes whose breakers admit traffic; when every alive node's breaker is
+// open there is nowhere better to send work, so they are all the alive
+// nodes — availability beats breaker hygiene. One walk in index order
+// takes the first warm candidate, else the least-loaded one with ties
+// to the lowest index, so placement is a pure function of cluster state.
+func (c *Cluster) pickExcluding(fn string, exclude nodeSet) int {
+	warm, least, load := -1, -1, 0
+	healthySeen := false
 	for i, node := range c.nodes {
-		if !c.down[i] && c.breakers[i].Allow() {
-			out = append(out, node)
+		if c.down[i] {
+			continue
 		}
-	}
-	if len(out) == 0 {
-		return c.AliveNodes()
-	}
-	return out
-}
-
-// pick returns the node to run fn on: prefer a healthy node holding a
-// warm instance, else the least-loaded healthy node. Crashed nodes and
-// open-breaker nodes are skipped.
-func (c *Cluster) pick(fn string) *faas.Platform { return c.pickExcluding(fn, nil) }
-
-// pickExcluding is pick with nodes the current hedge race already tried
-// removed from candidacy; nil when no candidate remains (the hedger
-// degrades to unhedged dispatch then). Both the warm scan and the
-// least-loaded scan walk the node slice in index order and ties on
-// equal load break toward the lowest index — placement is a pure
-// function of cluster state, never of map iteration order.
-func (c *Cluster) pickExcluding(fn string, exclude map[string]bool) *faas.Platform {
-	var cand []*faas.Platform
-	for _, node := range c.healthyNodes() {
-		if exclude == nil || !exclude[node.NodeName()] {
-			cand = append(cand, node)
+		healthy := c.breakers[i].Allow()
+		if healthy && !healthySeen {
+			// The open-breaker nodes before the first healthy one were
+			// candidates only while no node admitted traffic.
+			healthySeen = true
+			warm, least = -1, -1
 		}
-	}
-	if len(cand) == 0 {
-		return nil
-	}
-	for _, node := range cand {
+		if warm >= 0 || exclude.has(i) || (healthySeen && !healthy) {
+			continue
+		}
 		if node.HasWarm(fn) {
-			return node
+			warm = i
+		} else if a := node.Active(); least < 0 || a < load {
+			least, load = i, a
 		}
 	}
-	best := cand[0]
-	for _, node := range cand[1:] {
-		if node.Active() < best.Active() {
-			best = node
-		}
+	if warm >= 0 {
+		return warm
 	}
-	return best
+	return least
 }
 
 // Invoke schedules one invocation at virtual time at, placing it when the
@@ -355,11 +355,14 @@ func (c *Cluster) active() int {
 	return n
 }
 
-// RunTrace dispatches a trace across the rack and runs to completion.
+// RunTrace feeds tr's invocations to the rack's engine, one queued
+// arrival at a time (sim.Engine.AtEach), dispatches each when it
+// arrives, and runs to completion. The order of events is the one Invoke
+// calls in trace order would give, and tr need not be sorted.
 func (c *Cluster) RunTrace(tr workload.Trace) {
-	for _, inv := range tr {
-		c.Invoke(inv.At, inv.Function)
-	}
+	c.eng.AtEach("dispatch", len(tr),
+		func(i int) time.Duration { return tr[i].At },
+		func(p *sim.Proc, i int) { c.hedge.dispatch(p, tr[i].Function, "rack") })
 	if c.recorder != nil {
 		if c.alerts != nil {
 			c.alerts.Observe(c.recorder)

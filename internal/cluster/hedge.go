@@ -223,7 +223,7 @@ type hedgeGroup struct {
 	winnerID   string
 	winnerNode string
 	tokens     []*faas.CancelToken
-	nodesTried map[string]bool
+	nodesTried nodeSet
 }
 
 func (g *hedgeGroup) active() int { return g.attempts - g.terminals }
@@ -280,7 +280,7 @@ func (h *hedger) wedged() int64 {
 // arming the policy's extra attempts around it.
 func (h *hedger) dispatch(p *sim.Proc, fn, dispatcher string) {
 	h.dispatched.Inc()
-	g := &hedgeGroup{fn: fn, start: p.Now(), nodesTried: make(map[string]bool)}
+	g := &hedgeGroup{fn: fn, start: p.Now()}
 	switch h.policy.Mode {
 	case HedgeClone:
 		h.dispatchClones(p, g, dispatcher)
@@ -292,18 +292,18 @@ func (h *hedger) dispatch(p *sim.Proc, fn, dispatcher string) {
 	}
 }
 
-// runOn launches one attempt on node inside p, blocking until the
-// attempt reaches a terminal outcome. An attempt born after its race
+// runOn launches one attempt on node index i inside p, blocking until
+// the attempt reaches a terminal outcome. An attempt born after its race
 // settled starts pre-cancelled and aborts at its first checkpoint.
-func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, node *faas.Platform, dispatcher string) {
+func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, i int, dispatcher string) {
 	tok := faas.NewCancelToken(g)
 	if g.settled {
 		tok.Cancel("hedge-lost", g.winnerID)
 	}
 	g.tokens = append(g.tokens, tok)
 	g.attempts++
-	g.nodesTried[node.NodeName()] = true
-	node.InvokeAttempt(p, g.fn, dispatcher, tok)
+	g.nodesTried = g.nodesTried.with(i)
+	h.c.nodes[i].InvokeAttempt(p, g.fn, dispatcher, tok)
 }
 
 // armHedge schedules the delayed clone: if the primary is still in
@@ -320,7 +320,7 @@ func (h *hedger) armHedge(g *hedgeGroup) {
 				return
 			}
 			node := h.c.pickExcluding(g.fn, g.nodesTried)
-			if node == nil {
+			if node < 0 {
 				// No healthy distinct target: degrade to unhedged.
 				h.hedgeSkips.Inc()
 				return
@@ -341,19 +341,18 @@ func (h *hedger) dispatchClones(p *sim.Proc, g *hedgeGroup, dispatcher string) {
 		want = 2
 	}
 	primary := h.c.pick(g.fn)
-	reserved := map[string]bool{primary.NodeName(): true}
-	var extras []*faas.Platform
+	reserved := nodeSet(0).with(primary)
+	var extras []int
 	for len(extras) < want-1 {
 		node := h.c.pickExcluding(g.fn, reserved)
-		if node == nil {
+		if node < 0 {
 			h.hedgeSkips.Inc()
 			break
 		}
-		reserved[node.NodeName()] = true
+		reserved = reserved.with(node)
 		extras = append(extras, node)
 	}
 	for _, node := range extras {
-		node := node
 		g.hedges++
 		h.hedged.Inc()
 		h.c.eng.Go("clone/"+g.fn, func(p2 *sim.Proc) { h.runOn(p2, g, node, "clone") })
@@ -480,7 +479,7 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 	if g == nil {
 		// A crash from a directly-invoked (token-less) attempt: adopt it
 		// into a fresh group so the budget binds from here on.
-		g = &hedgeGroup{fn: fn, start: h.c.eng.Now(), nodesTried: make(map[string]bool)}
+		g = &hedgeGroup{fn: fn, start: h.c.eng.Now()}
 	}
 	if g.redisp >= h.maxRedispatch {
 		h.exhausted.Inc()

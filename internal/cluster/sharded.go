@@ -161,18 +161,6 @@ func (f *ShardedFleet) Register(prof workload.FunctionProfile) error {
 // Home returns the rack a function's dispatch is homed on.
 func (f *ShardedFleet) Home(fn string) int { return f.homes[fn] }
 
-// Invoke schedules one invocation at virtual time at on the function's
-// home rack; placement (and a possible spill) is decided when the time
-// arrives, on that rack's shard.
-func (f *ShardedFleet) Invoke(at time.Duration, fn string) {
-	home, ok := f.homes[fn]
-	if !ok {
-		panic(fmt.Sprintf("cluster: invoke of unregistered function %q", fn))
-	}
-	eng := f.group.Shard(home)
-	eng.At(at, "dispatch/"+fn, func(p *sim.Proc) { f.dispatchOn(home, p, fn) })
-}
-
 // dispatchOn places fn on rack ri, or spills it. The decision reads only
 // rack ri's state: if any healthy node holds a warm instance or an idle
 // core, dispatch locally; otherwise forward to the next rack in ri's
@@ -194,15 +182,26 @@ func (f *ShardedFleet) dispatchOn(ri int, p *sim.Proc, fn string) {
 }
 
 // rackHasRoom reports whether the rack can take fn without queueing
-// behind saturated cores: a warm instance or an idle core on any
-// healthy node.
+// behind saturated cores: a warm instance or an idle core on any node
+// pick would consider (the healthy nodes, or every alive node when no
+// breaker admits traffic), found in one walk like pick's.
 func (f *ShardedFleet) rackHasRoom(rack *Cluster, fn string) bool {
-	for _, node := range rack.healthyNodes() {
-		if node.HasWarm(fn) || node.Active() < node.Cores() {
-			return true
+	room, healthySeen := false, false
+	for i, node := range rack.nodes {
+		if rack.down[i] {
+			continue
 		}
+		healthy := rack.breakers[i].Allow()
+		if healthy && !healthySeen {
+			healthySeen = true
+			room = false
+		}
+		if room || (healthySeen && !healthy) {
+			continue
+		}
+		room = node.HasWarm(fn) || node.Active() < node.Cores()
 	}
-	return false
+	return room
 }
 
 // nextSpillTarget rotates rack ri's private round-robin cursor over the
@@ -217,14 +216,28 @@ func (f *ShardedFleet) nextSpillTarget(ri int) int {
 	return (ri + f.spillRR[ri]) % n
 }
 
-// RunTrace dispatches a trace across the fleet and advances every rack
-// in synchronization windows to completion. Unlike Cluster, the sharded
-// fleet has no recorder pump: sampling one registry across
-// concurrently-advancing shards would need a global clock inside
+// RunTrace splits tr by home rack, in trace order, and feeds each
+// rack's share to its shard one queued arrival at a time
+// (sim.Engine.AtEach); placement, and a possible spill, is decided when
+// an arrival comes due, on its home rack's shard. Then it advances every
+// rack in synchronization windows to completion. It panics on a function
+// that was never registered, before it schedules anything. Unlike
+// Cluster, the sharded fleet has no recorder pump: sampling one registry
+// across concurrently-advancing shards would need a global clock inside
 // windows. Gather metrics after the run instead.
 func (f *ShardedFleet) RunTrace(tr workload.Trace) {
+	shares := make([]workload.Trace, len(f.racks))
 	for _, inv := range tr {
-		f.Invoke(inv.At, inv.Function)
+		home, ok := f.homes[inv.Function]
+		if !ok {
+			panic(fmt.Sprintf("cluster: invoke of unregistered function %q", inv.Function))
+		}
+		shares[home] = append(shares[home], inv)
+	}
+	for ri, share := range shares {
+		f.group.Shard(ri).AtEach("dispatch", len(share),
+			func(i int) time.Duration { return share[i].At },
+			func(p *sim.Proc, i int) { f.dispatchOn(ri, p, share[i].Function) })
 	}
 	f.group.Run()
 }

@@ -1055,12 +1055,15 @@ func (pl *Platform) Invoke(at time.Duration, function string) {
 	pl.eng.At(at, "invoke/"+function, func(p *sim.Proc) { pl.invoke(p, function, "", nil) })
 }
 
-// RunTrace schedules every invocation in tr and runs the simulation to
-// completion (including keep-alive expiries after the last invocation).
+// RunTrace feeds tr's invocations to the engine, one queued arrival at a
+// time (sim.Engine.AtEach), and runs the simulation to completion
+// (including keep-alive expiries after the last invocation). The order
+// of events is the one Invoke calls in trace order would give, and tr
+// need not be sorted.
 func (pl *Platform) RunTrace(tr workload.Trace) {
-	for _, inv := range tr {
-		pl.Invoke(inv.At, inv.Function)
-	}
+	pl.eng.AtEach("invoke", len(tr),
+		func(i int) time.Duration { return tr[i].At },
+		func(p *sim.Proc, i int) { pl.invoke(p, tr[i].Function, "", nil) })
 	if pl.recorder != nil {
 		if pl.alerts != nil {
 			pl.alerts.Observe(pl.recorder)

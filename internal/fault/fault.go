@@ -200,16 +200,17 @@ func (inj *Injector) Arm() {
 	}
 	inj.armed = true
 	if inj.tracer != nil {
-		for pool, ws := range inj.outages {
-			for _, w := range ws {
+		// Pools in name order, so every run records the spans alike.
+		for _, pool := range sortedPools(inj.outages) {
+			for _, w := range inj.outages[pool] {
 				sp := obs.NewSpan("fault/"+w.kind, w.from, w.to)
 				sp.SetAttr("pool", pool)
 				sp.AssignIDs(w.trace)
 				inj.tracer.Record(sp)
 			}
 		}
-		for pool, ds := range inj.degrades {
-			for _, d := range ds {
+		for _, pool := range sortedPools(inj.degrades) {
+			for _, d := range inj.degrades[pool] {
 				sp := obs.NewSpan("fault/pool-degrade", d.from, d.to)
 				sp.SetAttr("pool", pool)
 				sp.SetAttr("factor", strconv.FormatFloat(d.factor, 'g', -1, 64))
@@ -217,8 +218,8 @@ func (inj *Injector) Arm() {
 				inj.tracer.Record(sp)
 			}
 		}
-		for pool, fs := range inj.flaky {
-			for _, f := range fs {
+		for _, pool := range sortedPools(inj.flaky) {
+			for _, f := range inj.flaky[pool] {
 				sp := obs.NewSpan("fault/flaky-fetch", f.from, f.to)
 				sp.SetAttr("pool", pool)
 				sp.SetAttr("prob", strconv.FormatFloat(f.prob, 'g', -1, 64))
@@ -247,6 +248,16 @@ func (inj *Injector) Arm() {
 			}
 		})
 	}
+}
+
+// sortedPools returns m's pool names in order.
+func sortedPools[W any](m map[string]W) []string {
+	pools := make([]string, 0, len(m))
+	for pool := range m {
+		pools = append(pools, pool)
+	}
+	sort.Strings(pools)
+	return pools
 }
 
 // Armed reports whether Arm has run.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -260,6 +261,35 @@ func TestLinkFlapCompilesToWindows(t *testing.T) {
 	for at, want := range cases {
 		if got := downAt(at); got != want {
 			t.Errorf("PoolDown at %v = %v, want %v", at, got, want)
+		}
+	}
+}
+
+// TestArmRecordsPoolSpansInNameOrder: a scenario with faults of each kind
+// on two pools records its fault spans in the same order on every Arm,
+// pools in name order within each kind.
+func TestArmRecordsPoolSpansInNameOrder(t *testing.T) {
+	sc, err := ParseSpec("outage:rdma:30s-40s,outage:cxl:10s-20s,degrade:rdma:2x:5s-50s,degrade:cxl:3x:5s-50s," +
+		"flaky:rdma:0.1:5s-50s,flaky:cxl:0.2:5s-50s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"fault/pool-outage cxl", "fault/pool-outage rdma",
+		"fault/pool-degrade cxl", "fault/pool-degrade rdma",
+		"fault/flaky-fetch cxl", "fault/flaky-fetch rdma",
+	}
+	for run := 0; run < 20; run++ {
+		inj := NewInjector(sim.NewEngine(1), 1, sc)
+		tr := obs.NewTracer(16)
+		inj.SetTracer(tr)
+		inj.Arm()
+		var got []string
+		for _, sp := range tr.Spans() {
+			got = append(got, sp.Name+" "+sp.Attr("pool"))
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("arm %d recorded %q, want %q", run, got, want)
 		}
 	}
 }

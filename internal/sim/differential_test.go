@@ -12,6 +12,8 @@ import (
 // same log: every step of every process as (virtual time, proc id, step),
 // what it drew, the order in which Shutdown unwinds parked processes,
 // Events and Pending after each run-control step, and the next rng draw.
+// Processes start through At, Go and AtEach, whose reference is the same
+// arrivals scheduled by At calls in index order.
 // The same program then runs on a two-shard ShardGroup, which must log
 // identically at one and two workers.
 func FuzzEngineDifferential(f *testing.F) {
@@ -60,6 +62,7 @@ type diffEngine[P diffProc] interface {
 	Rand() *rand.Rand
 	Go(name string, fn func(P)) P
 	At(t time.Duration, name string, fn func(P)) P
+	AtEach(name string, n int, at func(i int) time.Duration, body func(p P, i int))
 	After(d time.Duration, fn func())
 	Resume(p P)
 	Shutdown()
@@ -163,6 +166,21 @@ func (d *diffRun[P]) spawn(delay time.Duration, pc int) {
 	d.eng.At(d.eng.Now()+delay, "diff", body)
 }
 
+// spawnBatch starts up to n processes through one AtEach call, at now
+// plus delays read from the code at pc, so a batch's times may fall, tie
+// or rise. Process i's script begins at offset script+7*i.
+func (d *diffRun[P]) spawnBatch(n, pc, script int) {
+	n = min(n, diffMaxProcs-d.spawned)
+	if n <= 0 {
+		return
+	}
+	d.spawned += n
+	now := d.eng.Now()
+	d.eng.AtEach("diff", n,
+		func(i int) time.Duration { return now + time.Duration(d.at(pc+i)%8)*time.Millisecond },
+		func(p P, i int) { d.body(p, script+7*i) })
+}
+
 func (d *diffRun[P]) body(p P, pc int) {
 	id := d.pr.id(p)
 	var held [2]int
@@ -201,7 +219,11 @@ func (d *diffRun[P]) body(p P, pc int) {
 				}
 			}
 		case 10:
-			d.spawn(time.Duration(a%3)*time.Millisecond, pc+a)
+			if a%2 == 0 {
+				d.spawn(time.Duration(a%3)*time.Millisecond, pc+a)
+			} else {
+				d.spawnBatch(1+a%4, pc, pc+a)
+			}
 		case 11, 12:
 			d.eng.After(time.Duration(a%4)*time.Millisecond, func() { d.callback(a) })
 		case 13:
@@ -244,13 +266,10 @@ func (d *diffRun[P]) callback(a int) {
 	}
 }
 
-// start spawns the program's first processes: 2-6 of them, from the
-// first bytes of the code.
+// start spawns the program's first processes, 2-6 of them, through one
+// AtEach call with times read from the first bytes of the code.
 func (d *diffRun[P]) start() {
-	n := 2 + d.at(0)%5
-	for i := 0; i < n; i++ {
-		d.spawn(time.Duration(d.at(1+i)%8)*time.Millisecond, 5+7*i)
-	}
+	d.spawnBatch(2+d.at(0)%5, 1, 5)
 }
 
 func (d *diffRun[P]) snapshot(step string) {

@@ -6,15 +6,19 @@
 // goroutine that the engine binds at the process's first resume and takes
 // back when the body returns, so the goroutines alive track in-flight
 // processes rather than scheduled arrivals, and each keeps the stack earlier
-// bodies grew. The engine also provides counted resources (CPU cores) and
-// the statistics types (histograms, time-weighted gauges) used to report
-// latency distributions and memory curves.
+// bodies grew. A trace's arrivals enter through one feed (AtEach) that
+// keeps a single arrival queued at a time, so the event heap holds the
+// in-flight processes rather than the whole trace. The engine also
+// provides counted resources (CPU cores) and the statistics types
+// (histograms, time-weighted gauges) used to report latency distributions
+// and memory curves.
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -27,18 +31,19 @@ type stopPanic struct{}
 // It is not safe for concurrent use: events and processes run one at a
 // time, interleaved only at explicit yield points (Sleep, Park, Acquire).
 type Engine struct {
-	now      time.Duration
-	seq      uint64
-	queue    eventHeap
-	rng      *rand.Rand
-	busy     []*runner // runners bound to a started, unfinished process
-	idle     []*runner // runners waiting for their next process, reused last-in first-out
-	running  bool
-	stopped  bool
-	procSeq  int
-	EventCap int64 // optional safety valve; 0 means unlimited
-	events   int64
-	free     []*event // recycled event structs for the hot push/pop path
+	now        time.Duration
+	seq        uint64
+	queue      []*event // binary min-heap on (at, seq)
+	rng        *rand.Rand
+	busy       []*runner // runners bound to a started, unfinished process
+	idle       []*runner // runners waiting for their next process, reused last-in first-out
+	running    bool
+	stopped    bool
+	procSeq    int
+	unreleased int   // arrivals of every feed not yet queued
+	EventCap   int64 // optional safety valve; 0 means unlimited
+	events     int64
+	free       []*event // recycled event structs for the hot push/pop path
 }
 
 type event struct {
@@ -48,35 +53,67 @@ type event struct {
 	fn   func() // ...or run this callback
 }
 
-type eventHeap []*event
+// before orders events by virtual time, then by scheduling sequence.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || (ev.at == o.at && ev.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-func (h eventHeap) peek() *event { return h[0] }
+// push gives ev the next sequence number and queues it.
 func (e *Engine) push(ev *event) {
 	if e.stopped {
 		return // a shut-down engine accepts no new events
 	}
 	e.seq++
 	ev.seq = e.seq
-	heap.Push(&e.queue, ev)
+	e.enqueue(ev)
 }
-func (e *Engine) pop() *event { return heap.Pop(&e.queue).(*event) }
+
+// enqueue sifts ev, whose sequence number is set, up from the heap's end.
+func (e *Engine) enqueue(ev *event) {
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
+}
+
+// pop removes the earliest event, sifting the heap's last event down
+// from the root into the hole.
+func (e *Engine) pop() *event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
+}
 
 // newEvent takes an event struct off the engine's freelist (or allocates
 // one) so the steady-state schedule loop runs allocation-free. Events are
@@ -119,6 +156,7 @@ type Proc struct {
 	name string
 	id   int
 	fn   func(p *Proc) // body; nil once a runner has started it
+	feed *feed         // the feed that released it, until a runner starts it; nil for At's processes
 	r    *runner       // bound runner while the body is started and unfinished
 	done bool
 }
@@ -152,6 +190,76 @@ func (e *Engine) At(t time.Duration, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// feed releases the arrivals of one AtEach call into the queue one at a
+// time, in (time, index) order.
+type feed struct {
+	name  string
+	n     int
+	at    func(i int) time.Duration
+	body  func(p *Proc, i int)
+	seq0  uint64 // sequence number of arrival 0; arrival i has seq0+i
+	pid0  int    // proc id of arrival 0; arrival i has pid0+i
+	order []int  // arrival indices in release order; nil when at never decreases
+	next  int    // release position of the next arrival to queue
+}
+
+// AtEach schedules n processes exactly as n calls At(at(i), name, ...) in
+// index order would, but keeps only one of them queued at a time. Arrival
+// i runs body(p, i) at virtual time at(i) with the sequence number and
+// proc id the i-th At call would have taken, so it runs in the same
+// (time, sequence) order among all other events. The next arrival is
+// queued when the previous one first resumes, and Pending counts the
+// ones not yet queued. The times may come in any order; equal times run
+// in index order. at must return the same time for i on every call, and
+// every time must be at or after Now: otherwise AtEach panics with At's
+// message before it schedules anything.
+func (e *Engine) AtEach(name string, n int, at func(i int) time.Duration, body func(p *Proc, i int)) {
+	sorted := true
+	for i, prev := 0, e.now; i < n; i++ {
+		t := at(i)
+		if t < e.now {
+			panic(fmt.Sprintf("sim: At(%v) is before now (%v)", t, e.now))
+		}
+		sorted = sorted && t >= prev
+		prev = t
+	}
+	if n <= 0 {
+		return
+	}
+	f := &feed{name: name, n: n, at: at, body: body, pid0: e.procSeq + 1}
+	e.procSeq += n
+	if e.stopped {
+		return // a shut-down engine accepts no feed
+	}
+	f.seq0 = e.seq + 1
+	e.seq += uint64(n)
+	if !sorted {
+		f.order = make([]int, n)
+		for i := range f.order {
+			f.order[i] = i
+		}
+		slices.SortStableFunc(f.order, func(a, b int) int { return cmp.Compare(at(a), at(b)) })
+	}
+	e.unreleased += n
+	e.release(f)
+}
+
+// release queues f's next arrival, building its Proc.
+func (e *Engine) release(f *feed) {
+	if f.next == f.n || e.stopped {
+		return
+	}
+	i := f.next
+	if f.order != nil {
+		i = f.order[i]
+	}
+	f.next++
+	e.unreleased--
+	ev := e.newEvent(f.at(i), &Proc{eng: e, name: f.name, id: f.pid0 + i, feed: f}, nil)
+	ev.seq = f.seq0 + uint64(i)
+	e.enqueue(ev)
+}
+
 // After schedules fn to run as a bare callback (not a process) after d.
 func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
@@ -165,6 +273,9 @@ func (e *Engine) After(d time.Duration, fn func()) {
 func (e *Engine) resume(p *Proc) {
 	r := p.r
 	if r == nil {
+		if p.feed != nil {
+			e.release(p.feed) // the feed's next arrival waits in the queue from now on
+		}
 		r = e.bind(p)
 	}
 	r.resume()
@@ -220,9 +331,13 @@ func (r *runner) exec() (reuse bool) {
 		e.unbind(r, reuse)
 		r.yield <- struct{}{}
 	}()
-	fn := p.fn
-	p.fn = nil
-	fn(p)
+	fn, f := p.fn, p.feed
+	p.fn, p.feed = nil, nil
+	if f != nil {
+		f.body(p, p.id-f.pid0)
+	} else {
+		fn(p)
+	}
 	returned = true
 	return
 }
@@ -335,7 +450,7 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 	defer func() { e.running = false }()
 	for len(e.queue) > 0 && !e.stopped {
 		if deadline >= 0 {
-			at := e.queue.peek().at
+			at := e.queue[0].at
 			if at > deadline || (exclusive && at == deadline) {
 				break
 			}
@@ -367,8 +482,8 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 }
 
 // Shutdown unwinds every parked process in proc-id order, drops all
-// pending events and stops the engine's runners. After Shutdown the engine
-// must not be reused.
+// pending events and unreleased feed arrivals, and stops the engine's
+// runners. After Shutdown the engine must not be reused.
 //
 // Shutdown may also be called from inside a running process or callback:
 // in that case it marks the engine stopped and drops the queue
@@ -380,6 +495,7 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	e.queue = nil
+	e.unreleased = 0
 	if e.running {
 		return // run loop performs the unwind after the active proc yields
 	}
@@ -402,8 +518,9 @@ func (e *Engine) unwind() {
 	e.stopIdle()
 }
 
-// Pending reports the number of queued events (for tests).
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of queued events, counting every feed
+// arrival not yet queued as one (for tests).
+func (e *Engine) Pending() int { return len(e.queue) + e.unreleased }
 
 // Events returns how many events the engine has executed so far. The
 // counter is an int64 end-to-end (it lives on the hot loop as one integer
@@ -420,5 +537,5 @@ func (e *Engine) nextEventAt() (time.Duration, bool) {
 	if len(e.queue) == 0 {
 		return 0, false
 	}
-	return e.queue.peek().at, true
+	return e.queue[0].at, true
 }

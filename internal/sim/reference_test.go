@@ -119,6 +119,19 @@ func (e *refEngine) At(t time.Duration, name string, fn func(p *refProc)) *refPr
 	return p
 }
 
+// AtEach is the reference arrival feed: n At calls in index order, after
+// the same check of every time.
+func (e *refEngine) AtEach(name string, n int, at func(i int) time.Duration, body func(p *refProc, i int)) {
+	for i := 0; i < n; i++ {
+		if t := at(i); t < e.now {
+			panic(fmt.Sprintf("sim: At(%v) is before now (%v)", t, e.now))
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.At(at(i), name, func(p *refProc) { body(p, i) })
+	}
+}
+
 func (e *refEngine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")

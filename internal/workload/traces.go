@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -36,8 +37,10 @@ func (t Trace) CountByFunction() map[string]int {
 	return m
 }
 
+// sortByTime orders t by arrival time; invocations at the same instant
+// keep their generation order.
 func (t Trace) sortByTime() {
-	sort.SliceStable(t, func(i, j int) bool { return t[i].At < t[j].At })
+	slices.SortStableFunc(t, func(a, b Invocation) int { return cmp.Compare(a.At, b.At) })
 }
 
 // W1Config shapes the bursty workload: bursts arrive with gaps longer

@@ -3,6 +3,8 @@ package workload
 import (
 	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -325,5 +327,27 @@ func TestTraceAccessors(t *testing.T) {
 	}
 	if tr.CountByFunction()["a"] != 2 {
 		t.Fatal("counts")
+	}
+}
+
+// TestSortByTimeIsStable: sortByTime orders a trace with many equal
+// instants exactly as a stable sort.SliceStable does, so invocations at
+// the same instant keep their generation order.
+func TestSortByTimeIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fns := []string{"JS", "DH", "PR", "IR", "CH"}
+	tr := make(Trace, 5000)
+	for i := range tr {
+		tr[i] = Invocation{At: time.Duration(rng.Intn(40)) * time.Second, Function: fns[i%len(fns)] + strconv.Itoa(i)}
+	}
+	want := append(Trace(nil), tr...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+	tr.sortByTime()
+	if !reflect.DeepEqual(tr, want) {
+		for i := range tr {
+			if tr[i] != want[i] {
+				t.Fatalf("position %d holds %v, want %v", i, tr[i], want[i])
+			}
+		}
 	}
 }

@@ -142,7 +142,8 @@ func NewAgentPlatform(cfg AgentConfig) (*AgentPlatform, error) {
 // Cluster is a rack of container nodes sharing one CXL pool.
 type Cluster = cluster.Cluster
 
-// NewCluster builds an n-node rack; cfg must use TrEnvCXL.
+// NewCluster builds an n-node rack of at most 64 nodes; cfg must use
+// TrEnvCXL.
 func NewCluster(n int, cfg ContainerConfig) (*Cluster, error) {
 	return cluster.New(n, cfg)
 }
@@ -484,8 +485,13 @@ type ChaosStatus = fault.Status
 
 // NewFaultInjector compiles sc against eng's virtual clock with its own
 // seeded rng (probabilistic faults never perturb the engine's stream).
-func NewFaultInjector(eng *Engine, seed int64, sc FaultScenario) *FaultInjector {
-	return fault.NewInjector(eng, seed, sc)
+// It returns sc.Validate's error for a scenario that breaks a chaos-spec
+// rule, such as an empty outage window.
+func NewFaultInjector(eng *Engine, seed int64, sc FaultScenario) (*FaultInjector, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	return fault.NewInjector(eng, seed, sc), nil
 }
 
 // ParseChaosSpec parses a compact comma-separated chaos spec, e.g.

@@ -140,3 +140,32 @@ func TestPublicAPIAzureCSV(t *testing.T) {
 		t.Fatalf("csv parse: %d, %v", tr.Len(), err)
 	}
 }
+
+// TestPublicAPIFaultInjectorRejectsInvalidScenario: a scenario that
+// breaks a chaos-spec rule comes back as an error, not as a panic once a
+// tracer is attached and the schedule armed.
+func TestPublicAPIFaultInjectorRejectsInvalidScenario(t *testing.T) {
+	eng := trenv.NewEngine(1)
+	bad, err := trenv.ParseChaosSpec("outage:cxl:1s-2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.PoolOutages[0].From = 3 * time.Second // the window ends before it starts
+	if inj, err := trenv.NewFaultInjector(eng, 1, bad); err == nil || inj != nil {
+		t.Fatalf("empty outage window: injector %v, error %v; want nil and an error", inj, err)
+	}
+	good, err := trenv.ParseChaosSpec("outage:cxl:1s-2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := trenv.NewFaultInjector(eng, 1, good)
+	if err != nil {
+		t.Fatalf("valid scenario: %v", err)
+	}
+	tr := trenv.NewTracer(8)
+	inj.SetTracer(tr)
+	inj.Arm()
+	if n := len(tr.Spans()); n != 1 {
+		t.Fatalf("armed outage recorded %d spans, want 1", n)
+	}
+}
