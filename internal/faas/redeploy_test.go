@@ -67,3 +67,43 @@ func TestRedeployValidation(t *testing.T) {
 		t.Fatal("redeploy on a non-template policy accepted")
 	}
 }
+
+// TestRedeployStartsPromotionAfresh runs DH five rounds with promotion
+// after two replays, redeploys it and invokes it twice more. The new
+// version's first invocation records its own working set and its second
+// is its first replay, which must promote nothing: the retired version's
+// replay counts and promoted runs belong to that version alone.
+func TestRedeployStartsPromotionAfresh(t *testing.T) {
+	pl := prefetchPlatform(t, true, 2)
+	invokeRounds(pl, "DH", 5)
+	cache := pl.PromotionCache()
+	hits, promoted := cache.Hits(), pl.Metrics().PromotedPages.Value()
+	batches := pl.Metrics().PrefetchBatches.Value()
+	if promoted == 0 {
+		t.Fatal("first version promoted nothing; the test needs promoted runs to leak")
+	}
+	if err := pl.Redeploy(mustProfile(t, "DH")); err != nil {
+		t.Fatal(err)
+	}
+	now := pl.Engine().Now()
+	pl.Invoke(now+30*time.Second, "DH")
+	pl.Invoke(now+60*time.Second, "DH")
+	pl.Engine().Run()
+	if pl.Metrics().Errors.Value() != 0 {
+		t.Fatalf("errors = %d", pl.Metrics().Errors.Value())
+	}
+	img := pl.Store().Image("DH")
+	if !img.WSLog.Sealed() || img.Templates[0].Attaches() != 2 {
+		t.Fatalf("new version: log sealed %v, %d attaches; want a sealed log and 2 attaches",
+			img.WSLog.Sealed(), img.Templates[0].Attaches())
+	}
+	if got := cache.Hits(); got != hits {
+		t.Fatalf("cache hits %d -> %d across the new version's first replay, want no hit", hits, got)
+	}
+	if got := pl.Metrics().PromotedPages.Value(); got != promoted {
+		t.Fatalf("promoted pages %d -> %d across the new version's first replay, want none", promoted, got)
+	}
+	if pl.Metrics().PrefetchBatches.Value() == batches {
+		t.Fatal("the new version's first replay fetched no batch")
+	}
+}

@@ -157,7 +157,18 @@ type Template struct {
 
 	mu       sync.Mutex
 	maps     []*tmap
+	image    *image       // maps compiled for Attach; nil until the first attach after a change
 	attaches atomic.Int64 // written under reg.mu; atomic so readers take no lock
+}
+
+// image is a template compiled for attach, as mmt_setup_pt builds PTEs
+// once for every later mmt_attach: the maps and setups replayed into a
+// frozen address space, and what an attach is priced by. It never
+// changes; a change to the template drops it instead.
+type image struct {
+	space    *pagetable.Frozen
+	metadata int64 // metadataBytes at compile time
+	maps     int
 }
 
 type tmap struct {
@@ -205,6 +216,7 @@ func (t *Template) AddMap(name string, start uint64, length int64, prot pagetabl
 		}
 	}
 	t.maps = append(t.maps, &tmap{name: name, start: start, pages: pages, prot: prot, kind: kind})
+	t.image = nil
 	return nil
 }
 
@@ -234,6 +246,7 @@ func (t *Template) SetupPT(start uint64, length int64, poolOffset uint64, pool *
 		}
 	}
 	m.setups = append(m.setups, setup{firstPage: first, pages: pages, pool: pool, base: poolOffset})
+	t.image = nil
 	return nil
 }
 
@@ -253,6 +266,11 @@ func (t *Template) findMap(start, length uint64) *tmap {
 func (t *Template) MetadataBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.metadataBytes()
+}
+
+// metadataBytes is MetadataBytes for callers already holding t.mu.
+func (t *Template) metadataBytes() int64 {
 	var n int64
 	for _, m := range t.maps {
 		n += bytesPerMap
@@ -293,14 +311,39 @@ func (t *Template) RemoteBytes() int64 {
 // and the attach latency: a fixed syscall cost plus the metadata copy.
 // No memory contents move and no local pages are allocated — pages stay
 // remote until written (CoW) or, for lazy pools, first touched.
+//
+// The first attach after a change compiles the template (see compile);
+// every attach then copies the compiled image, in the same few
+// allocations however many maps the template has.
 func (t *Template) Attach(tracker *mem.Tracker, lat mem.LatencyModel, cost CostModel) (*pagetable.AddressSpace, time.Duration, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	as := pagetable.NewAddressSpace(tracker, lat)
+	img, err := t.compile()
+	t.mu.Unlock()
+	if err != nil {
+		return nil, 0, err
+	}
+	as := img.space.Copy(tracker, lat)
+	t.reg.noteAttach(t)
+	d := cost.AttachSyscall +
+		time.Duration(float64(img.metadata)/cost.MetadataBandwidth*float64(time.Second)) +
+		time.Duration(img.maps)*cost.PerMapOverhead
+	return as, d, nil
+}
+
+// compile returns t's image, building it when a change dropped it: the
+// maps and setups are replayed through AddVMA and SetBacking into a
+// scratch address space, whose checks reject a bad template with the
+// same errors on every attach, and the result is frozen. t.mu must be
+// held.
+func (t *Template) compile() (*image, error) {
+	if t.image != nil {
+		return t.image, nil
+	}
+	as := pagetable.NewAddressSpace(nil, mem.LatencyModel{})
 	for _, m := range t.maps {
 		v, err := as.AddVMA(m.name, m.start, m.pages, m.prot, m.kind, nil, 0, pagetable.Unmapped)
 		if err != nil {
-			return nil, 0, fmt.Errorf("mmtemplate: attach %q: %w", t.name, err)
+			return nil, fmt.Errorf("mmtemplate: attach %q: %w", t.name, err)
 		}
 		for _, s := range m.setups {
 			state := pagetable.RemoteLazy
@@ -308,27 +351,12 @@ func (t *Template) Attach(tracker *mem.Tracker, lat mem.LatencyModel, cost CostM
 				state = pagetable.RemoteDirect
 			}
 			if err := as.SetBacking(v, s.firstPage, s.pages, s.pool, s.base, state); err != nil {
-				return nil, 0, fmt.Errorf("mmtemplate: attach %q: %w", t.name, err)
+				return nil, fmt.Errorf("mmtemplate: attach %q: %w", t.name, err)
 			}
 		}
 	}
-	t.reg.noteAttach(t)
-	d := cost.AttachSyscall +
-		time.Duration(float64(t.MetadataBytesLocked())/cost.MetadataBandwidth*float64(time.Second)) +
-		time.Duration(len(t.maps))*cost.PerMapOverhead
-	return as, d, nil
-}
-
-// MetadataBytesLocked is MetadataBytes for callers already holding t.mu.
-func (t *Template) MetadataBytesLocked() int64 {
-	var n int64
-	for _, m := range t.maps {
-		n += bytesPerMap
-		for _, s := range m.setups {
-			n += int64(s.pages) * bytesPerPTE
-		}
-	}
-	return n
+	t.image = &image{space: pagetable.Freeze(as), metadata: t.metadataBytes(), maps: len(t.maps)}
+	return t.image, nil
 }
 
 // Maps returns the number of VMAs in the template.

@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/mem"
@@ -559,51 +560,72 @@ func addResults(a, b AccessResult) AccessResult {
 	return a
 }
 
-// poolTally accumulates per-pool page counts without heap allocation:
-// a VMA's pages rarely span more than a few pools, so the common case
-// fits the inline array and lives on accessVMA's stack. Pools are kept
-// in first-seen (page-order) position; overflow beyond the inline
-// capacity spills to a map, drained via the same deterministic sort the
-// fetch path applies before any rng draw.
+// poolPages is one pool's page count in a poolTally.
+type poolPages struct {
+	pool *mem.Pool
+	n    int
+}
+
+// poolTally accumulates per-pool page counts in first-seen (page-order)
+// position without heap allocation in the common case: a VMA's pages
+// rarely span more than a few pools, so they fit the inline array and
+// live on accessVMA's stack. Pools beyond the inline capacity go to a
+// slice, still in first-seen order, so every walk of the tally visits
+// the pools in the same order on every run.
 type poolTally struct {
-	pools    [4]*mem.Pool
-	counts   [4]int
+	inline   [4]poolPages
 	len      int
-	overflow map[*mem.Pool]int
+	overflow []poolPages
 }
 
 func (t *poolTally) add(p *mem.Pool, n int) {
 	for i := 0; i < t.len; i++ {
-		if t.pools[i] == p {
-			t.counts[i] += n
+		if t.inline[i].pool == p {
+			t.inline[i].n += n
 			return
 		}
 	}
-	if t.len < len(t.pools) {
-		t.pools[t.len] = p
-		t.counts[t.len] = n
+	for i := range t.overflow {
+		if t.overflow[i].pool == p {
+			t.overflow[i].n += n
+			return
+		}
+	}
+	if t.len < len(t.inline) {
+		t.inline[t.len] = poolPages{p, n}
 		t.len++
 		return
 	}
-	if t.overflow == nil {
-		t.overflow = make(map[*mem.Pool]int)
-	}
-	t.overflow[p] += n
+	t.overflow = append(t.overflow, poolPages{p, n})
 }
 
-// each visits every (pool, count) pair in inline-then-overflow order.
-// Callers that draw randomness per pool must sort first (see pairs).
+// each visits every (pool, count) pair in first-seen order.
 func (t *poolTally) each(fn func(p *mem.Pool, n int)) {
 	for i := 0; i < t.len; i++ {
-		fn(t.pools[i], t.counts[i])
+		fn(t.inline[i].pool, t.inline[i].n)
 	}
-	for p, n := range t.overflow {
-		fn(p, n)
+	for _, pp := range t.overflow {
+		fn(pp.pool, pp.n)
 	}
+}
+
+// byKind returns the tallied pools stably sorted by kind name: first-seen
+// order among pools of one kind. The tally's inline array backs the
+// result when nothing overflowed; a full inline array has no spare
+// capacity, so appending the overflow copies it.
+func (t *poolTally) byKind() []poolPages {
+	pools := t.inline[:t.len]
+	if len(t.overflow) > 0 {
+		pools = append(pools, t.overflow...)
+	}
+	slices.SortStableFunc(pools, func(a, b poolPages) int {
+		return strings.Compare(a.pool.Kind().String(), b.pool.Kind().String())
+	})
+	return pools
 }
 
 // empty reports whether nothing was tallied.
-func (t *poolTally) empty() bool { return t.len == 0 && len(t.overflow) == 0 }
+func (t *poolTally) empty() bool { return t.len == 0 }
 
 // accessTally is what one access's walk over its pages collects before
 // any cost is charged: the pages each fault class moves, per pool, and
@@ -725,17 +747,8 @@ func (as *AddressSpace) charge(rng *rand.Rand, region string, t *accessTally) (A
 		// Iterate fetch pools in a fixed order: fault verdicts and retry
 		// backoff draw from rng per pool, so accumulation order must not
 		// leak into the simulation's random stream.
-		type poolPages struct {
-			pool *mem.Pool
-			n    int
-		}
-		fetchPools := make([]poolPages, 0, t.fetch.len+len(t.fetch.overflow))
-		t.fetch.each(func(p *mem.Pool, n int) { fetchPools = append(fetchPools, poolPages{p, n}) })
-		sort.Slice(fetchPools, func(i, j int) bool {
-			return fetchPools[i].pool.Kind().String() < fetchPools[j].pool.Kind().String()
-		})
 		maxFetch := 0
-		for _, fp := range fetchPools {
+		for _, fp := range t.fetch.byKind() {
 			pool, n := fp.pool, fp.n
 			flat := time.Duration(n) * as.lat.FaultOverhead
 			// Contention is sampled from the pool's current outstanding load;

@@ -73,31 +73,107 @@ type Summary struct {
 // promotion cache and per-run replay counts. It is engine-deterministic
 // and must only be used from simulated processes.
 type Prefetcher struct {
-	cfg    Config
-	cache  *mem.PromotionCache
-	counts map[string]int // replays per promotion-run key
+	cfg   Config
+	cache *mem.PromotionCache
+	// plans holds each sealed log this node has replayed, compiled once.
+	// Each image version has a log of its own, so a redeployed function
+	// starts from fresh replay counts and promotion keys (versions counts
+	// the logs compiled per function).
+	plans    map[*pagetable.WorkingSetLog]*plan
+	versions map[string]int
+	// eng, now and ends are bound once and reused by every restore: the
+	// engine clock handed to restored spaces, and one EndFetch per pool
+	// for batch completions.
+	eng  *sim.Engine
+	now  func() time.Duration
+	ends []poolEnd
+}
+
+// plan is a sealed working-set log compiled for replay on one node: the
+// log's runs with their promotion keys, and one replay count per key.
+type plan struct {
+	runs   []planRun
+	counts []int // replays per promotion key; runs that share a key share a count
+}
+
+// planRun is one recorded run of a plan.
+type planRun struct {
+	pagetable.WSFetch
+	key   string // promotion-cache key
+	count int    // index into plan.counts
+}
+
+// poolEnd is a pool's EndFetch, bound once.
+type poolEnd struct {
+	pool *mem.Pool
+	end  func()
 }
 
 // New creates a prefetcher; cache may be nil to disable promotion even
 // when Config.PromoteAfter is set.
 func New(cache *mem.PromotionCache, cfg Config) *Prefetcher {
-	return &Prefetcher{cfg: cfg, cache: cache, counts: make(map[string]int)}
+	return &Prefetcher{cfg: cfg, cache: cache,
+		plans: make(map[*pagetable.WorkingSetLog]*plan), versions: make(map[string]int)}
 }
 
 // Cache returns the node's promotion cache (nil when promotion is off).
 func (pf *Prefetcher) Cache() *mem.PromotionCache { return pf.cache }
 
-// runKey names a recorded run for promotion accounting: the template's
-// working set is rack-stable, so function/region/first identifies the
-// same pages across restores.
-func runKey(fn string, e pagetable.WSFetch) string {
-	return fn + "/" + e.Region + "#" + strconv.Itoa(e.First)
+// planFor returns log's plan, compiling it on the log's first replay on
+// this node. A run's promotion key is function/region#first: the
+// template's working set is rack-stable, so the key names the same pages
+// across restores. The function's second and later logs (redeployed
+// versions) key as function@vN, so they never reuse a retired version's
+// counts or promoted runs.
+func (pf *Prefetcher) planFor(log *pagetable.WorkingSetLog, fn string) *plan {
+	if pl, ok := pf.plans[log]; ok {
+		return pl
+	}
+	pf.versions[fn]++
+	if v := pf.versions[fn]; v > 1 {
+		fn += "@v" + strconv.Itoa(v)
+	}
+	entries := log.Entries()
+	pl := &plan{runs: make([]planRun, len(entries))}
+	index := make(map[string]int, len(entries))
+	for i, e := range entries {
+		key := fn + "/" + e.Region + "#" + strconv.Itoa(e.First)
+		k, ok := index[key]
+		if !ok {
+			k = len(pl.counts)
+			index[key] = k
+			pl.counts = append(pl.counts, 0)
+		}
+		pl.runs[i] = planRun{WSFetch: e, key: key, count: k}
+	}
+	pf.plans[log] = pl
+	return pl
+}
+
+// clock returns eng's clock, bound once per engine.
+func (pf *Prefetcher) clock(eng *sim.Engine) func() time.Duration {
+	if pf.eng != eng {
+		pf.eng, pf.now = eng, eng.Now
+	}
+	return pf.now
+}
+
+// endFetch returns pool.EndFetch, bound once per pool.
+func (pf *Prefetcher) endFetch(pool *mem.Pool) func() {
+	for _, e := range pf.ends {
+		if e.pool == pool {
+			return e.end
+		}
+	}
+	end := pool.EndFetch
+	pf.ends = append(pf.ends, poolEnd{pool, end})
+	return end
 }
 
 // OnRestore runs the prefetch pass for one freshly restored instance.
 // With an unsealed log it claims recording for the first run (attaching
 // the recorder to the restored spaces); with a sealed log it replays
-// the recorded runs as batched fetches racing the invocation, and
+// the log's compiled plan as batched fetches racing the invocation, and
 // promotes runs that crossed the promotion threshold. Returns nil when
 // there is nothing to do (no log, or another instance is recording).
 //
@@ -108,7 +184,8 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 	}
 	// In-flight waits are charged against virtual time on every space
 	// the prefetcher may touch, recording or replaying.
-	res.SetClock(p.Engine().Now)
+	eng := p.Engine()
+	res.SetClock(pf.clock(eng))
 	if !log.Sealed() {
 		if !log.StartRecording() {
 			return nil // another first run is recording; run unassisted
@@ -116,33 +193,34 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 		res.SetWorkingSetLog(log)
 		return &Summary{Recording: true}
 	}
+	pl := pf.planFor(log, res.Snapshot.Function)
+	promote := pf.cache != nil && pf.cfg.PromoteAfter > 0
 	sum := &Summary{}
-	fn := res.Snapshot.Function
 	now := p.Now()
-	var cum time.Duration // batches pipeline on one queue pair
-	poolPages := map[string]int{}
-	for _, e := range log.Entries() {
-		as, v := res.Region(e.Region)
+	var cum time.Duration            // batches pipeline on one queue pair
+	var kindPages [mem.Tmpfs + 1]int // replayed pages per pool kind; Tmpfs is the last kind
+	for i := range pl.runs {
+		r := &pl.runs[i]
+		as, v := res.Region(r.Region)
 		if as == nil {
 			continue
 		}
 		// Promotion first: a hot-enough run moves to the direct-access
 		// cache and needs no batch at all.
-		if pf.cache != nil && pf.cfg.PromoteAfter > 0 {
-			key := runKey(fn, e)
-			pf.counts[key]++
-			hot := pf.cache.Lookup(key) // touches LRU, counts the hit
-			if !hot && pf.counts[key] >= pf.cfg.PromoteAfter {
-				hot = pf.cache.Promote(key, e.Pages)
+		if promote {
+			pl.counts[r.count]++
+			hot := pf.cache.Lookup(r.key) // touches LRU, counts the hit
+			if !hot && pl.counts[r.count] >= pf.cfg.PromoteAfter {
+				hot = pf.cache.Promote(r.key, r.Pages)
 			}
 			if hot {
-				if n, err := as.PromoteRange(v, e.First, e.Pages, pf.cache.Pool()); err == nil {
+				if n, err := as.PromoteRange(v, r.First, r.Pages, pf.cache.Pool()); err == nil {
 					sum.PromotedPages += n
 				}
 				continue // promoted runs never batch-fetch
 			}
 		}
-		pool := v.PoolAt(e.First)
+		pool := v.PoolAt(r.First)
 		if pool == nil {
 			continue
 		}
@@ -150,12 +228,9 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 		// round trip plus streaming, retrying as a unit under the
 		// pool's fault policy; a failed batch aborts the replay and
 		// leaves the rest to demand faults.
-		for off := 0; off < e.Pages; off += DefaultBatchPages {
-			n := DefaultBatchPages
-			if off+n > e.Pages {
-				n = e.Pages - off
-			}
-			lazy := v.CountRange(e.First+off, n, pagetable.RemoteLazy)
+		for off := 0; off < r.Pages; off += DefaultBatchPages {
+			n := min(DefaultBatchPages, r.Pages-off)
+			lazy := v.CountRange(r.First+off, n, pagetable.RemoteLazy)
 			if lazy == 0 {
 				continue // already resident (or promoted); nothing to move
 			}
@@ -165,7 +240,7 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 				break
 			}
 			cum += d
-			marked, merr := as.MarkInFlight(v, e.First+off, n, now+cum)
+			marked, merr := as.MarkInFlight(v, r.First+off, n, now+cum)
 			if merr != nil {
 				sum.Err = merr
 				break
@@ -173,12 +248,12 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 			if marked > 0 {
 				sum.Batches++
 				sum.Pages += marked
-				poolPages[pool.Kind().String()] += marked
+				kindPages[pool.Kind()] += marked
 				// The batch occupies the pool's queue until it lands,
 				// so concurrent demand fetches (and later batches of
 				// this replay) see its contention.
 				pool.BeginFetch()
-				p.Engine().After(cum, pool.EndFetch)
+				eng.After(cum, pf.endFetch(pool))
 			}
 		}
 		if sum.Err != nil {
@@ -187,10 +262,11 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 	}
 	sum.Latency = cum
 	best := 0
-	for kind, n := range poolPages {
-		if n > best || (n == best && kind < sum.Pool) {
+	for kind, n := range kindPages {
+		name := mem.PoolKind(kind).String()
+		if n > best || (n == best && n > 0 && name < sum.Pool) {
 			best = n
-			sum.Pool = kind
+			sum.Pool = name
 		}
 	}
 	return sum

@@ -16,10 +16,16 @@ const heapPages = 200
 // restored builds one restored instance: a "heap" region whose pages all
 // sit behind invalid PTEs on pool, as a TrEnv-RDMA template attach
 // leaves them.
-func restored(t *testing.T, pool *mem.Pool) *snapshot.Restored {
+func restored(t testing.TB, pool *mem.Pool) *snapshot.Restored {
+	t.Helper()
+	return restoredPages(t, pool, heapPages)
+}
+
+// restoredPages is restored with a heap of the given size.
+func restoredPages(t testing.TB, pool *mem.Pool, pages int) *snapshot.Restored {
 	t.Helper()
 	as := pagetable.NewAddressSpace(mem.NewTracker("node", 0), mem.DefaultLatencyModel())
-	if _, err := as.AddVMA("heap", 0, heapPages, pagetable.Read|pagetable.Write, pagetable.Anon, pool, 0, pagetable.RemoteLazy); err != nil {
+	if _, err := as.AddVMA("heap", 0, pages, pagetable.Read|pagetable.Write, pagetable.Anon, pool, 0, pagetable.RemoteLazy); err != nil {
 		t.Fatal(err)
 	}
 	return &snapshot.Restored{Snapshot: &snapshot.Snapshot{Function: "fn"}, Spaces: []*pagetable.AddressSpace{as}}
@@ -188,4 +194,76 @@ func TestBatchFailureStopsReplay(t *testing.T) {
 			t.Fatalf("failed replay marked pages: %d lazy of %d", v.CountIn(pagetable.RemoteLazy), heapPages)
 		}
 	})
+}
+
+// TestNewLogStartsPromotionAfresh replays two sealed logs of the same
+// function, as a redeploy leaves them: the second version's runs must
+// not inherit the first's replay counts or promoted cache entries.
+func TestNewLogStartsPromotionAfresh(t *testing.T) {
+	pool := mem.NewPool(mem.RDMA, 0, mem.DefaultLatencyModel())
+	cache := mem.NewPromotionCache(0, mem.DefaultLatencyModel())
+	pf := New(cache, Config{PromoteAfter: 2})
+	v1, v2 := &pagetable.WorkingSetLog{}, &pagetable.WorkingSetLog{}
+	inProc(func(p *sim.Proc) {
+		record(t, p, pf, v1, pool, 100)
+		for replay := 1; replay <= 3; replay++ {
+			pf.OnRestore(p, v1, restored(t, pool))
+		}
+		if cache.Runs() != 1 {
+			t.Fatalf("version 1 promoted %d runs, want 1", cache.Runs())
+		}
+		record(t, p, pf, v2, pool, 100)
+		hits := cache.Hits()
+		sum := pf.OnRestore(p, v2, restored(t, pool))
+		if sum.PromotedPages != 0 || sum.Batches != 2 || cache.Hits() != hits {
+			t.Fatalf("version 2's first replay: %+v, %d cache hits; want 2 batches, nothing promoted, no hit", sum, cache.Hits()-hits)
+		}
+		if sum := pf.OnRestore(p, v2, restored(t, pool)); sum.PromotedPages != 100 || cache.Runs() != 2 {
+			t.Fatalf("version 2's second replay: %+v with %d cached runs, want 100 promoted pages in a run of its own", sum, cache.Runs())
+		}
+	})
+}
+
+// BenchmarkReplay restores a fresh instance outside the timer and
+// replays a sealed 16-run working set into it: as doorbell batches
+// (batches), or as hits on runs already in the promotion cache
+// (promoted). One op is one OnRestore.
+func BenchmarkReplay(b *testing.B) {
+	const runs, runPages = 16, 96
+	for _, bc := range []struct {
+		name  string
+		cache *mem.PromotionCache
+	}{
+		{"batches", nil},
+		{"promoted", mem.NewPromotionCache(0, mem.DefaultLatencyModel())},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool := mem.NewPool(mem.RDMA, 0, mem.DefaultLatencyModel())
+			pf := New(bc.cache, Config{PromoteAfter: 1})
+			log := &pagetable.WorkingSetLog{}
+			pages := 2 * runs * runPages
+			inProc(func(p *sim.Proc) {
+				res := restoredPages(b, pool, pages)
+				pf.OnRestore(p, log, res)
+				as, v := res.Region("heap")
+				for r := 0; r < runs; r++ { // every other stretch, so runs do not merge
+					if _, err := as.Prefetch(p.Rand(), v, 2*r*runPages, runPages); err != nil {
+						b.Fatal(err)
+					}
+				}
+				log.Seal()
+				pf.OnRestore(p, log, restoredPages(b, pool, pages)) // compiles the plan
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					res := restoredPages(b, pool, pages)
+					b.StartTimer()
+					if sum := pf.OnRestore(p, log, res); sum == nil || sum.Err != nil {
+						b.Fatalf("replay: %+v", sum)
+					}
+				}
+			})
+		})
+	}
 }

@@ -284,7 +284,7 @@ func RestoreTemplate(img *Image, tracker *mem.Tracker, lat mem.LatencyModel, att
 			return nil, fmt.Errorf("snapshot: template restore of %q: %w", snap.Function, err)
 		}
 	}
-	res := &Restored{Snapshot: snap}
+	res := &Restored{Snapshot: snap, Spaces: make([]*pagetable.AddressSpace, 0, len(img.Templates))}
 	bd := Breakdown{Orchestration: costs.RepurposeOrchestration, Procs: procRestoreCost(snap, costs)}
 	for _, tpl := range img.Templates {
 		as, d, err := tpl.Attach(tracker, lat, attach)
