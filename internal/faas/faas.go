@@ -176,6 +176,7 @@ type Function struct {
 	Snap    *snapshot.Snapshot
 	Img     *snapshot.Image // TrEnv policies
 	WS      map[string]int  // recorded working set (lazy policies)
+	expire  string          // "expire/" + name: its expiry process and span name
 }
 
 // Platform is one simulated node running one policy.
@@ -432,7 +433,7 @@ func (pl *Platform) Register(prof workload.FunctionProfile) error {
 	if _, ok := pl.fns[prof.Name]; ok {
 		return fmt.Errorf("faas: function %q already registered", prof.Name)
 	}
-	fn := &Function{Profile: prof, Snap: prof.Snapshot()}
+	fn := &Function{Profile: prof, Snap: prof.Snapshot(), expire: "expire/" + prof.Name}
 	switch pl.cfg.Policy {
 	case PolicyTrEnvCXL:
 		// Another node on the same pool may have preprocessed already:
@@ -485,7 +486,7 @@ func (pl *Platform) RegisterWithImage(prof workload.FunctionProfile, img *snapsh
 	if _, ok := pl.fns[prof.Name]; ok {
 		return fmt.Errorf("faas: function %q already registered", prof.Name)
 	}
-	pl.fns[prof.Name] = &Function{Profile: prof, Snap: img.Snapshot, Img: img}
+	pl.fns[prof.Name] = &Function{Profile: prof, Snap: img.Snapshot, Img: img, expire: "expire/" + prof.Name}
 	return nil
 }
 
@@ -552,10 +553,10 @@ func (pl *Platform) parkWarm(in *core.Instance) {
 		if in.IdleSince != idleMark || !pl.removeWarm(in) {
 			return
 		}
-		pl.eng.Go("expire/"+in.Function, func(p *sim.Proc) {
+		pl.eng.Go(pl.fns[in.Function].expire, func(p *sim.Proc) {
 			t0 := p.Now()
 			pl.release(p, in)
-			pl.recordLifecycle("expire/"+in.Function, in.Function, t0, p.Now(),
+			pl.recordLifecycle(p.Name(), in.Function, t0, p.Now(),
 				in.LastTraceID, "after")
 		})
 	})

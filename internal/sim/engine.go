@@ -43,7 +43,9 @@ type Engine struct {
 	unreleased int   // arrivals of every feed not yet queued
 	EventCap   int64 // optional safety valve; 0 means unlimited
 	events     int64
-	free       []*event // recycled event structs for the hot push/pop path
+	free       []*event      // recycled event structs for the hot push/pop path
+	deadline   time.Duration // the running loop's bound; < 0 means none
+	exclusive  bool          // the running loop leaves events at exactly deadline queued
 }
 
 type event struct {
@@ -384,18 +386,44 @@ func (e *Engine) stopIdle() {
 	e.idle = e.idle[:0]
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time. When its wake-up
+// would be the running loop's next event, the process carries on in
+// place instead of parking: the wake-up takes the sequence number a
+// queued one would have, advances Now and counts as an event, so the
+// schedule is the same either way. That holds when the engine is not
+// stopped, now+d is inside the loop's bound, EventCap allows one more
+// event and nothing is queued at or before now+d (a queued event at the
+// same instant has a smaller sequence number and runs first).
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
 	e := p.eng
-	e.push(e.newEvent(e.now+d, p, nil))
+	at := e.now + d
+	if e.wakesNext(at) {
+		e.seq++
+		e.now = at
+		e.events++
+		return
+	}
+	e.push(e.newEvent(at, p, nil))
 	p.Park()
 }
 
+// wakesNext reports whether an event pushed now at t would be the next
+// one the running loop pops and runs. A process body runs only inside
+// run, or in Shutdown's unwind, where the engine is stopped; so while it
+// is not stopped, deadline and exclusive are the running loop's. t is
+// before now only when now+d overflowed: queued, it trips the loop's
+// time-went-backwards panic.
+func (e *Engine) wakesNext(t time.Duration) bool {
+	return t >= e.now && e.runsAt(t) &&
+		(len(e.queue) == 0 || t < e.queue[0].at) &&
+		(e.EventCap <= 0 || e.events < e.EventCap)
+}
+
 // Yield reschedules the process at the current time, letting same-time
-// events run first.
+// events run first. With none queued, it returns at once.
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Park suspends the process indefinitely; some other component must
@@ -447,14 +475,9 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
+	e.deadline, e.exclusive = deadline, exclusive
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped {
-		if deadline >= 0 {
-			at := e.queue[0].at
-			if at > deadline || (exclusive && at == deadline) {
-				break
-			}
-		}
+	for len(e.queue) > 0 && e.runsAt(e.queue[0].at) {
 		ev := e.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -479,6 +502,13 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 	} else if len(e.queue) == 0 {
 		e.stopIdle() // drained: nothing is left to start a process
 	}
+}
+
+// runsAt reports whether the running loop would run an event at t now:
+// the engine is not stopped and t is inside the loop's bound. The loop's
+// head check and Sleep's in-place wake-up share it, so the two agree.
+func (e *Engine) runsAt(t time.Duration) bool {
+	return !e.stopped && (e.deadline < 0 || t < e.deadline || (t == e.deadline && !e.exclusive))
 }
 
 // Shutdown unwinds every parked process in proc-id order, drops all

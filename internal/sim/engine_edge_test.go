@@ -58,25 +58,28 @@ func TestShutdownFromInsideRunningProc(t *testing.T) {
 	}
 }
 
-// A proc that calls Shutdown and then parks again must itself be unwound.
+// A proc that calls Shutdown and then sleeps or yields must itself be
+// unwound: a stopped engine wakes nothing, in place or queued.
 func TestShutdownFromInsideProcThenPark(t *testing.T) {
-	e := NewEngine(1)
-	var unwound bool
-	e.Go("self-stopper", func(p *Proc) {
-		defer func() { unwound = true }()
-		p.Engine().Shutdown()
-		p.Sleep(time.Second) // must unwind via stopPanic, not run
-		t.Error("proc ran past park after shutting the engine down")
-	})
-	done := make(chan struct{})
-	go func() { e.Run(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after self-shutdown (deadlock)")
-	}
-	if !unwound {
-		t.Fatal("self-stopping proc was not unwound")
+	for _, d := range []time.Duration{time.Second, 0} {
+		e := NewEngine(1)
+		var unwound bool
+		e.Go("self-stopper", func(p *Proc) {
+			defer func() { unwound = true }()
+			p.Engine().Shutdown()
+			p.Sleep(d) // must unwind via stopPanic, not run
+			t.Errorf("Sleep(%v): proc ran past park after shutting the engine down", d)
+		})
+		done := make(chan struct{})
+		go func() { e.Run(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Sleep(%v): Run did not return after self-shutdown (deadlock)", d)
+		}
+		if !unwound || e.Now() != 0 || e.Events() != 1 {
+			t.Fatalf("Sleep(%v): unwound %v, Now %v, Events %d; want true, 0, 1", d, unwound, e.Now(), e.Events())
+		}
 	}
 }
 
@@ -118,25 +121,32 @@ func TestEventCapInt64(t *testing.T) {
 	}
 }
 
-// The freelist keeps the steady-state schedule loop allocation-free: a
-// self-rescheduling proc must stay under a small allocs-per-event
-// ceiling once warmed up.
+// The freelist keeps the steady-state schedule loop allocation-free:
+// self-rescheduling procs must stay under a small allocs-per-event
+// ceiling once warmed up. Two tickers interleave, so each wake-up ties
+// or follows the other's queued one and goes through the heap, the
+// runner handoff and the freelist rather than carrying on in place.
 func TestAllocsPerEventCeiling(t *testing.T) {
 	e := NewEngine(1)
-	const events = 10000
+	const events = 30000
 	var left = events
-	e.Go("ticker", func(p *Proc) {
-		for left > 0 {
-			left--
-			p.Sleep(time.Microsecond)
-		}
-	})
+	for i := 0; i < 2; i++ {
+		e.Go("ticker", func(p *Proc) {
+			for left > 0 {
+				left--
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
 	e.RunUntil(time.Millisecond) // warm the freelist and the heap slice
-	start := e.Events()
+	// ran counts the measured run's events, not those of AllocsPerRun's
+	// warm-up run.
+	var ran int64
 	allocs := testing.AllocsPerRun(1, func() {
+		start := e.Events()
 		e.RunUntil(e.Now() + 5*time.Millisecond)
+		ran = e.Events() - start
 	})
-	ran := e.Events() - start
 	if ran < 1000 {
 		t.Fatalf("measured window ran only %d events", ran)
 	}
