@@ -167,11 +167,10 @@ const defaultWorst = 3
 // Engines are not safe for concurrent use; callers serialize Eval and
 // the exports the same way they serialize the recorder.
 type Engine struct {
-	states   []*ruleState
-	rec      *obs.Recorder
-	slos     []*obs.SLOTracker
-	tracer   *obs.Tracer
-	lookback time.Duration
+	states []*ruleState
+	rec    *obs.Recorder
+	slos   []*obs.SLOTracker
+	tracer *obs.Tracer
 
 	// resolved is the recorder series count the rules' matches were
 	// resolved at (-1: never); sloFns[i] is slos[i]'s tracked functions
@@ -193,7 +192,7 @@ type Engine struct {
 // ParseSpec rejects them first, so a panic here means a literal rule
 // slice was built wrong.
 func New(rules []Rule) *Engine {
-	e := &Engine{lookback: DefaultLookback, resolved: -1}
+	e := &Engine{resolved: -1}
 	seen := make(map[string]bool, len(rules))
 	for _, r := range rules {
 		if r.Name == "" {
@@ -232,14 +231,6 @@ func (e *Engine) AddSLO(t *obs.SLOTracker) {
 	if t != nil {
 		e.slos = append(e.slos, t)
 		e.sloFns = append(e.sloFns, nil)
-	}
-}
-
-// SetLookback overrides the incident capture-window padding
-// (DefaultLookback when never called; d <= 0 keeps the default).
-func (e *Engine) SetLookback(d time.Duration) {
-	if d > 0 {
-		e.lookback = d
 	}
 }
 

@@ -20,7 +20,8 @@ type SeriesPoint struct {
 }
 
 // SeriesWindow is the offending series' samples inside the incident
-// window (pending start minus lookback, through the firing instant).
+// window (pending start minus DefaultLookback, through the firing
+// instant).
 type SeriesWindow struct {
 	Key    string        `json:"key"`
 	Points []SeriesPoint `json:"points"`
@@ -64,7 +65,7 @@ func (e *Engine) captureIncident(st *ruleState, now time.Duration) *Incident {
 		PendingMS: durMS(st.pendAt),
 		FiringMS:  durMS(now),
 	}
-	from := st.pendAt - e.lookback
+	from := st.pendAt - DefaultLookback
 	if from < 0 {
 		from = 0
 	}

@@ -39,7 +39,7 @@ type Cluster struct {
 
 	// resultHook, when non-nil, observes every node's terminal outcomes
 	// (experiments use it for availability bucketing). See
-	// hedger.onResult for the delivery contract under hedging.
+	// hedger.settle for the delivery contract under hedging.
 	resultHook func(node int, r faas.InvocationResult)
 
 	recorder *obs.Recorder
@@ -90,25 +90,12 @@ func New(n int, cfg faas.Config) (*Cluster, error) {
 		// cfg.Node acts as a rack prefix ("" keeps the classic n0..nN
 		// names; the sharded fleet passes "r2" to get "r2n0"...).
 		nodeCfg.Node = fmt.Sprintf("%sn%d", cfg.Node, i)
-		idx := i
-		userHook := cfg.OnResult
-		nodeCfg.OnResult = func(r faas.InvocationResult) {
-			c.onResult(idx, r)
-			if userHook != nil {
-				userHook(r)
-			}
-		}
 		c.nodes = append(c.nodes, faas.New(nodeCfg))
 		c.breakers = append(c.breakers, fault.NewBreaker(fault.DefaultBreakerConfig(), eng.Now))
 	}
 	c.hedge = newHedger(c)
 	return c, nil
 }
-
-// onResult funnels every node's terminal outcomes through the hedger:
-// breaker feeding, hedge-race settlement, and crash re-dispatch — never
-// silently completed, never lost.
-func (c *Cluster) onResult(node int, r faas.InvocationResult) { c.hedge.onResult(node, r) }
 
 // SetHedgePolicy arms request hedging/cloning for every invocation
 // dispatched after the call; the policy's deadline (when set) pushes
@@ -120,15 +107,6 @@ func (c *Cluster) SetHedgePolicy(hp HedgePolicy) {
 
 // HedgePolicy returns the armed policy (zero value = off).
 func (c *Cluster) HedgePolicy() HedgePolicy { return c.hedge.policy }
-
-// SetMaxRedispatch overrides the per-invocation crash re-dispatch
-// budget (default DefaultMaxRedispatch; < 0 is clamped to 0).
-func (c *Cluster) SetMaxRedispatch(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.hedge.maxRedispatch = n
-}
 
 // SetSettleHook observes each invocation's settling outcome with its
 // logical end-to-end latency (dispatch → first real terminal, hedge
@@ -253,7 +231,8 @@ func (c *Cluster) KillNode(i int) error {
 	c.down[i] = true
 	// Crash the platform so the dead node's warm instances release their
 	// local-memory accounting and in-flight invocations abort (and are
-	// re-dispatched via onResult) instead of completing normally.
+	// re-dispatched when their attempts settle) instead of completing
+	// normally.
 	c.nodes[i].Crash()
 	return nil
 }
@@ -315,7 +294,7 @@ func (c *Cluster) pickExcluding(fn string, exclude nodeSet) int {
 // time arrives (so warm state is inspected at dispatch, not at submit).
 func (c *Cluster) Invoke(at time.Duration, fn string) {
 	c.eng.At(at, "dispatch/"+fn, func(p *sim.Proc) {
-		c.hedge.dispatch(p, fn, "rack")
+		c.hedge.dispatch(p, fn, "rack", c.pick(fn))
 	})
 }
 
@@ -362,7 +341,10 @@ func (c *Cluster) active() int {
 func (c *Cluster) RunTrace(tr workload.Trace) {
 	c.eng.AtEach("dispatch", len(tr),
 		func(i int) time.Duration { return tr[i].At },
-		func(p *sim.Proc, i int) { c.hedge.dispatch(p, tr[i].Function, "rack") })
+		func(p *sim.Proc, i int) {
+			fn := tr[i].Function
+			c.hedge.dispatch(p, fn, "rack", c.pick(fn))
+		})
 	if c.recorder != nil {
 		if c.alerts != nil {
 			c.alerts.Observe(c.recorder)

@@ -276,34 +276,36 @@ func (h *hedger) wedged() int64 {
 		h.results.Value() - h.cancelled.Value()
 }
 
-// dispatch launches the primary attempt of one invocation inside p,
-// arming the policy's extra attempts around it.
-func (h *hedger) dispatch(p *sim.Proc, fn, dispatcher string) {
+// dispatch launches the primary attempt of one invocation inside p on
+// node, the caller's pick, arming the policy's extra attempts around it.
+func (h *hedger) dispatch(p *sim.Proc, fn, dispatcher string, node int) {
 	h.dispatched.Inc()
 	g := &hedgeGroup{fn: fn, start: p.Now()}
 	switch h.policy.Mode {
 	case HedgeClone:
-		h.dispatchClones(p, g, dispatcher)
+		h.dispatchClones(p, g, dispatcher, node)
 	case HedgeDelay, HedgePercentile:
 		h.armHedge(g)
 		fallthrough
 	default:
-		h.runOn(p, g, h.c.pick(fn), dispatcher)
+		h.runOn(p, g, node, dispatcher)
 	}
 }
 
-// runOn launches one attempt on node index i inside p, blocking until
-// the attempt reaches a terminal outcome. An attempt born after its race
-// settled starts pre-cancelled and aborts at its first checkpoint.
+// runOn launches one attempt on node index i inside p, blocks until the
+// attempt reaches a terminal outcome, and settles that result. An
+// attempt born after its race settled starts pre-cancelled and aborts
+// at its first checkpoint. An attempt unwound by Engine.Shutdown never
+// returns, so it is never settled and stays counted as wedged.
 func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, i int, dispatcher string) {
-	tok := faas.NewCancelToken(g)
+	tok := faas.NewCancelToken()
 	if g.settled {
 		tok.Cancel("hedge-lost", g.winnerID)
 	}
 	g.tokens = append(g.tokens, tok)
 	g.attempts++
 	g.nodesTried = g.nodesTried.with(i)
-	h.c.nodes[i].InvokeAttempt(p, g.fn, dispatcher, tok)
+	h.settle(i, g, tok, h.c.nodes[i].InvokeAttempt(p, g.fn, dispatcher, tok))
 }
 
 // armHedge schedules the delayed clone: if the primary is still in
@@ -333,14 +335,13 @@ func (h *hedger) armHedge(g *hedgeGroup) {
 }
 
 // dispatchClones eagerly races the policy's clone factor across
-// distinct nodes; when the fleet has fewer healthy nodes than clones,
-// the surplus is skipped, not queued.
-func (h *hedger) dispatchClones(p *sim.Proc, g *hedgeGroup, dispatcher string) {
+// distinct nodes, the primary on the caller's pick; when the fleet has
+// fewer healthy nodes than clones, the surplus is skipped, not queued.
+func (h *hedger) dispatchClones(p *sim.Proc, g *hedgeGroup, dispatcher string, primary int) {
 	want := h.policy.Clones
 	if want < 2 {
 		want = 2
 	}
-	primary := h.c.pick(g.fn)
 	reserved := nodeSet(0).with(primary)
 	var extras []int
 	for len(extras) < want-1 {
@@ -405,46 +406,39 @@ func (h *hedger) estimate(fn string) (time.Duration, bool) {
 	return time.Duration(sim.Percentile(h.policy.Percentile, h.e2e...) * float64(time.Millisecond)), true
 }
 
-// onResult is the single funnel every node's terminal outcomes flow
-// through. Delivery contract: the rack's result hook sees every
-// terminal outcome — the settling result, cancelled losers, crash
-// aborts, synthetic redispatch-exhausted records (node index -1) —
-// except late losers that completed after their race had already
-// settled (counted in the invariant, suppressed from the hook so one
-// invocation never reports two winners).
-func (h *hedger) onResult(node int, r faas.InvocationResult) {
-	g, _ := r.Token.Meta().(*hedgeGroup)
-	if g != nil {
-		g.terminals++
-	}
+// settle takes the terminal result r of g's attempt on node, launched
+// with tok, once that attempt returns: breaker feeding, race
+// settlement, and crash re-dispatch — never silently completed, never
+// lost. Delivery contract: the rack's result hook sees every terminal
+// outcome — the settling result, cancelled losers, crash aborts,
+// synthetic redispatch-exhausted records (node index -1) — except late
+// losers that completed after their race had already settled (counted
+// in the invariant, suppressed from the hook so one invocation never
+// reports two winners).
+func (h *hedger) settle(node int, g *hedgeGroup, tok *faas.CancelToken, r faas.InvocationResult) {
+	g.terminals++
 	if r.Outcome == faas.OutcomeCancelled {
 		h.cancelled.Inc()
 		h.deliver(node, r)
 		h.finish(g)
 		return
 	}
-	wasSettled := g != nil && g.settled
+	wasSettled := g.settled
 	h.results.Inc()
 	if r.Outcome == faas.OutcomeCrashed {
 		h.deliver(node, r)
-		if g != nil && (wasSettled || g.active() > 0) {
+		if wasSettled || g.active() > 0 {
 			// A sibling already won, or is still racing: the crash
 			// consumed this attempt and costs nothing further.
 			h.finish(g)
 			return
 		}
-		h.redispatch(g, r.Function)
+		h.redispatch(g)
 		return
 	}
 	// A fault-tainted outcome (error, fallback, or success-after-retry)
 	// counts against the node's pool-fetch health.
-	if node >= 0 {
-		h.c.breakers[node].Record(r.FaultTrace == "" && r.Outcome != faas.OutcomeError)
-	}
-	if g == nil {
-		h.deliver(node, r)
-		return
-	}
+	h.c.breakers[node].Record(r.FaultTrace == "" && r.Outcome != faas.OutcomeError)
 	// A deadline-exceeded attempt with a live sibling doesn't settle
 	// the race — the sibling's own deadline runs from its later start.
 	settles := !wasSettled && (r.Outcome != faas.OutcomeDeadline || g.active() == 0)
@@ -452,12 +446,12 @@ func (h *hedger) onResult(node int, r faas.InvocationResult) {
 		g.settled = true
 		g.winnerID = r.TraceID
 		g.winnerNode = r.Node
-		if r.Token != g.tokens[0] {
+		if tok != g.tokens[0] {
 			h.hedgeWins.Inc()
 		}
-		for _, tok := range g.tokens {
-			if tok != r.Token {
-				tok.Cancel("hedge-lost", r.TraceID)
+		for _, t := range g.tokens {
+			if t != tok {
+				t.Cancel("hedge-lost", r.TraceID)
 			}
 		}
 	}
@@ -470,29 +464,24 @@ func (h *hedger) onResult(node int, r faas.InvocationResult) {
 	h.finish(g)
 }
 
-// redispatch re-enqueues a crash-aborted invocation on a survivor,
+// redispatch re-enqueues g's crash-aborted invocation on a survivor,
 // bounded by the per-invocation budget. Exhaustion synthesizes an
 // OutcomeRedispatchExhausted record (node -1) delivered to the result
 // hook AND settled through the settle hook, so the loss is a visible
 // terminal outcome on both channels, not a silently vanished invocation.
-func (h *hedger) redispatch(g *hedgeGroup, fn string) {
-	if g == nil {
-		// A crash from a directly-invoked (token-less) attempt: adopt it
-		// into a fresh group so the budget binds from here on.
-		g = &hedgeGroup{fn: fn, start: h.c.eng.Now()}
-	}
+func (h *hedger) redispatch(g *hedgeGroup) {
 	if g.redisp >= h.maxRedispatch {
 		h.exhausted.Inc()
 		r := faas.InvocationResult{
-			Function: fn,
+			Function: g.fn,
 			Outcome:  faas.OutcomeRedispatchExhausted,
-			Err:      fmt.Errorf("cluster: %s: gave up after %d crash re-dispatches", fn, g.redisp),
+			Err:      fmt.Errorf("cluster: %s: gave up after %d crash re-dispatches", g.fn, g.redisp),
 		}
 		h.deliver(-1, r)
 		if !g.settled {
 			g.settled = true
 			if h.onSettle != nil {
-				h.onSettle(fn, h.c.eng.Now()-g.start, r)
+				h.onSettle(g.fn, h.c.eng.Now()-g.start, r)
 			}
 		}
 		h.finish(g)
@@ -500,8 +489,8 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 	}
 	g.redisp++
 	h.redispatched.Inc()
-	h.c.eng.Go("redispatch/"+fn, func(p *sim.Proc) {
-		h.runOn(p, g, h.c.pick(fn), "redispatch")
+	h.c.eng.Go("redispatch/"+g.fn, func(p *sim.Proc) {
+		h.runOn(p, g, h.c.pick(g.fn), "redispatch")
 	})
 }
 
@@ -510,7 +499,7 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 // the winner's trace and hedge-lost to each loser's, so the whole race
 // is walkable from either side. Unhedged groups emit nothing.
 func (h *hedger) finish(g *hedgeGroup) {
-	if g == nil || g.done || g.active() > 0 {
+	if g.done || g.active() > 0 {
 		return
 	}
 	g.done = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -339,7 +340,7 @@ func TestRedispatchBudgetExhausted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.SetMaxRedispatch(0)
+	c.hedge.maxRedispatch = 0
 	var exhausted []faas.InvocationResult
 	var exhaustedNode = 99
 	c.SetResultHook(func(node int, r faas.InvocationResult) {
@@ -390,6 +391,71 @@ func TestRedispatchWithinBudgetRecovers(t *testing.T) {
 	}
 	if c.Wedged() != 0 {
 		t.Fatalf("wedged = %d", c.Wedged())
+	}
+}
+
+// TestHedgeShutdownLeavesAttemptUnsettled: an attempt that Shutdown
+// unwinds never returns to its hedger, so no hook sees a result for it
+// and it stays counted as wedged rather than settling with an empty
+// outcome.
+func TestHedgeShutdownLeavesAttemptUnsettled(t *testing.T) {
+	c, terminal, _ := hedgeCluster(t, 2)
+	var settled []string
+	c.SetSettleHook(func(fn string, _ time.Duration, r faas.InvocationResult) {
+		settled = append(settled, fn+":"+string(r.Outcome))
+	})
+	c.Invoke(0, "JS")
+	c.Engine().RunUntil(50 * time.Millisecond) // JS is still starting
+	c.Engine().Shutdown()
+
+	if len(settled) != 0 || len(*terminal) != 0 {
+		t.Fatalf("settled %q, result hook saw %d results; want none for an unwound attempt", settled, len(*terminal))
+	}
+	if c.Results() != 0 || c.Wedged() != 1 {
+		t.Fatalf("results=%d wedged=%d, want 0/1", c.Results(), c.Wedged())
+	}
+}
+
+// TestHedgeNodeOnResultRunsBeforeSettle: on a rack node, Config.OnResult
+// sees each attempt's result before the hedger settles it, and the
+// hedger settles exactly that result.
+func TestHedgeNodeOnResultRunsBeforeSettle(t *testing.T) {
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	var order []string
+	var seen []faas.InvocationResult
+	cfg.OnResult = func(r faas.InvocationResult) {
+		order = append(order, "node:"+string(r.Outcome))
+		seen = append(seen, r)
+	}
+	c, err := New(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := workload.ProfileByName("JS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(js); err != nil {
+		t.Fatal(err)
+	}
+	c.SetHedgePolicy(HedgePolicy{Mode: HedgeClone, Clones: 2})
+	var hooked []faas.InvocationResult
+	c.SetResultHook(func(node int, r faas.InvocationResult) {
+		order = append(order, "result:"+string(r.Outcome))
+		hooked = append(hooked, r)
+	})
+	c.SetSettleHook(func(fn string, _ time.Duration, r faas.InvocationResult) {
+		order = append(order, "settle:"+string(r.Outcome))
+	})
+	c.Invoke(0, "JS")
+	c.Engine().Run()
+
+	want := "node:success result:success settle:success node:cancelled result:cancelled"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("hook order %q, want %q", got, want)
+	}
+	if len(seen) != 2 || len(hooked) != 2 || seen[0] != hooked[0] || seen[1] != hooked[1] {
+		t.Fatalf("the hedger handled %+v, the nodes reported %+v", hooked, seen)
 	}
 }
 

@@ -162,46 +162,28 @@ func (f *ShardedFleet) Register(prof workload.FunctionProfile) error {
 func (f *ShardedFleet) Home(fn string) int { return f.homes[fn] }
 
 // dispatchOn places fn on rack ri, or spills it. The decision reads only
-// rack ri's state: if any healthy node holds a warm instance or an idle
-// core, dispatch locally; otherwise forward to the next rack in ri's
-// round-robin rotation after the fabric delay. Spilled arrivals always
-// dispatch locally at the target — one hop, no ping-pong.
+// rack ri's state: if the node pick chooses holds a warm instance or an
+// idle core, dispatch there; otherwise forward to the next rack in ri's
+// round-robin rotation after the fabric delay. pick takes a warm
+// candidate first and otherwise the least-loaded one, and every node of
+// a rack has the same cores, so its one choice has room whenever any
+// candidate has. Spilled arrivals always dispatch locally at the target
+// — one hop, no ping-pong.
 func (f *ShardedFleet) dispatchOn(ri int, p *sim.Proc, fn string) {
 	rack := f.racks[ri]
-	if len(f.racks) == 1 || f.rackHasRoom(rack, fn) {
-		rack.hedge.dispatch(p, fn, "rack")
+	node := rack.pick(fn)
+	if n := rack.nodes[node]; len(f.racks) == 1 || n.HasWarm(fn) || n.Active() < n.Cores() {
+		rack.hedge.dispatch(p, fn, "rack", node)
 		return
 	}
 	f.spillsFrom[ri]++
 	target := f.nextSpillTarget(ri)
 	f.group.Send(ri, target, SpillDelay, func() {
 		f.group.Shard(target).Go("spill/"+fn, func(p2 *sim.Proc) {
-			f.racks[target].hedge.dispatch(p2, fn, "fleet-spill")
+			to := f.racks[target]
+			to.hedge.dispatch(p2, fn, "fleet-spill", to.pick(fn))
 		})
 	})
-}
-
-// rackHasRoom reports whether the rack can take fn without queueing
-// behind saturated cores: a warm instance or an idle core on any node
-// pick would consider (the healthy nodes, or every alive node when no
-// breaker admits traffic), found in one walk like pick's.
-func (f *ShardedFleet) rackHasRoom(rack *Cluster, fn string) bool {
-	room, healthySeen := false, false
-	for i, node := range rack.nodes {
-		if rack.down[i] {
-			continue
-		}
-		healthy := rack.breakers[i].Allow()
-		if healthy && !healthySeen {
-			healthySeen = true
-			room = false
-		}
-		if room || (healthySeen && !healthy) {
-			continue
-		}
-		room = node.HasWarm(fn) || node.Active() < node.Cores()
-	}
-	return room
 }
 
 // nextSpillTarget rotates rack ri's private round-robin cursor over the

@@ -352,6 +352,69 @@ func TestHomeRackPreferredNoSpillWhenIdle(t *testing.T) {
 	}
 }
 
+// TestShardedFleetSpillRule: the home rack keeps an arrival exactly when
+// the node pick chooses holds a warm instance or a free core. On
+// one-core nodes, n0 runs JS from 0; at 5ms each row changes the rest
+// of the rack, then an arrival comes due.
+func TestShardedFleetSpillRule(t *testing.T) {
+	trip := func(c *Cluster, i int) {
+		for c.breakers[i].Allow() {
+			c.breakers[i].Record(false)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, c *Cluster)
+		spill bool
+		node  int // the home node that serves the arrival when it stays
+	}{
+		{"free node up stays home", func(*testing.T, *Cluster) {}, false, 1},
+		{"only free node killed spills", func(t *testing.T, c *Cluster) {
+			if err := c.KillNode(1); err != nil {
+				t.Error(err)
+			}
+		}, true, 0},
+		{"only free node behind open breaker spills", func(_ *testing.T, c *Cluster) { trip(c, 1) }, true, 0},
+		{"every breaker open with a free node stays home", func(_ *testing.T, c *Cluster) {
+			trip(c, 0)
+			trip(c, 1)
+		}, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+			cfg.Cores = 1
+			f := newFleetWith(t, ShardedConfig{Racks: 2, NodesPerRack: 2}, cfg, "JS")
+			home := f.Home("JS")
+			rack := f.Racks()[home]
+			rack.Invoke(0, "JS") // n0 by the tie-break; runs past 100ms
+			f.Group().Shard(home).At(5*time.Millisecond, "probe", func(p *sim.Proc) {
+				if rack.nodes[0].Active() != 1 || rack.nodes[0].HasWarm("JS") {
+					t.Errorf("n0 active=%d warm=%v, want one cold attempt in flight", rack.nodes[0].Active(), rack.nodes[0].HasWarm("JS"))
+				}
+				tc.setup(t, rack)
+				f.dispatchOn(home, p, "JS")
+			})
+			f.Group().Run()
+			if got := f.spillsFrom[home] == 1; got != tc.spill || f.Spillovers() > 1 {
+				t.Fatalf("spills from home = %d, want spill=%v", f.spillsFrom[home], tc.spill)
+			}
+			away := f.Racks()[1-home].Invocations()
+			if tc.spill && away != 1 {
+				t.Fatalf("spill rack served %d invocations, want 1", away)
+			}
+			if !tc.spill {
+				if away != 0 || rack.nodes[tc.node].Metrics().Invocations() != 1 {
+					t.Fatalf("spill rack served %d, home n%d served %d; want 0 and 1",
+						away, tc.node, rack.nodes[tc.node].Metrics().Invocations())
+				}
+			}
+			if f.Invocations() != 2 || f.Wedged() != 0 {
+				t.Fatalf("invocations=%d wedged=%d, want 2/0", f.Invocations(), f.Wedged())
+			}
+		})
+	}
+}
+
 // Spilled instances fault their pages in over the fabric window, so they
 // run slower than the home rack's direct CXL reads.
 func TestSaturatedHomeRackSpillsOverRDMA(t *testing.T) {

@@ -148,8 +148,8 @@ type Config struct {
 	// pools by AttachFaults (nil = mem.DefaultRetryPolicy).
 	Retry *mem.RetryPolicy
 	// OnResult, when non-nil, observes every invocation's terminal
-	// outcome. Clusters use it to feed per-node circuit breakers and
-	// to re-dispatch work aborted by a node crash.
+	// outcome. An attempt launched by InvokeAttempt returns the same
+	// result to its dispatcher afterwards.
 	OnResult func(InvocationResult)
 }
 
@@ -748,8 +748,10 @@ func (pl *Platform) emitPoolFetch(target *obs.Span, fn, kind, site string, seq i
 
 // invoke is the full lifecycle of one invocation attempt. dispatcher
 // names the cluster policy that placed it ("" when none did) and tok
-// lets that dispatcher cancel it (nil = not cancellable).
-func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToken) {
+// lets that dispatcher cancel it (nil = not cancellable). It returns the
+// terminal result after OnResult has seen it; an attempt unwound by
+// Engine.Shutdown never returns.
+func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToken) (res InvocationResult) {
 	tArrive := p.Now()
 	seq := pl.invSeq
 	pl.invSeq++
@@ -763,8 +765,9 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 		deadline = tArrive + pl.cfg.Deadline
 	}
 	// Every invocation terminates in exactly one outcome, delivered to
-	// OnResult on every exit path — nothing is silently lost.
-	res := InvocationResult{Function: name, Node: pl.nodeName, TraceID: traceID, Token: tok}
+	// OnResult on every exit path and then returned — nothing is
+	// silently lost.
+	res = InvocationResult{Function: name, Node: pl.nodeName, TraceID: traceID}
 	defer func() {
 		if pl.cfg.OnResult != nil {
 			pl.cfg.OnResult(res)
@@ -1049,6 +1052,7 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 		pl.metrics.CleanRestores.Inc()
 	}
 	pl.parkWarm(in)
+	return
 }
 
 // Invoke schedules one invocation at virtual time at.

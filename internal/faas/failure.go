@@ -29,8 +29,9 @@ const (
 )
 
 // InvocationResult is the terminal record of one invocation, delivered
-// to Config.OnResult. FaultTrace names the injected fault the invocation
-// collided with ("" = clean), even when it still succeeded after retries.
+// to Config.OnResult and then returned by InvokeAttempt. FaultTrace names
+// the injected fault the invocation collided with ("" = clean), even
+// when it still succeeded after retries.
 type InvocationResult struct {
 	Function   string
 	Node       string
@@ -48,10 +49,6 @@ type InvocationResult struct {
 	Startup      time.Duration
 	FetchLat     time.Duration
 	PrefetchWait time.Duration
-	// Token is the dispatcher's cancellation token when the invocation
-	// was launched via InvokeAttempt (nil otherwise). The cluster
-	// hedger uses it to map a terminal result back to its race.
-	Token *CancelToken
 }
 
 // ErrNodeDown reports an invocation aborted by its node crashing.

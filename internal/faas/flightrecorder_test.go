@@ -47,6 +47,26 @@ func TestPlatformRecorderSamplesRun(t *testing.T) {
 	}
 }
 
+// TestRecorderPumpCoversUnsortedTrace: RunTrace accepts an unsorted
+// trace, so the recorder pump, which also drives alert evaluation, runs
+// until the latest arrival has been served, not until the last
+// element's arrival.
+func TestRecorderPumpCoversUnsortedTrace(t *testing.T) {
+	pl := newPlatform(t, PolicyTrEnvCXL)
+	reg := obs.NewRegistry()
+	pl.RegisterMetrics(reg)
+	rec := obs.NewRecorder(reg, 0)
+	pl.AttachRecorder(rec, 0)
+	pl.RunTrace(workload.Trace{{At: 10 * time.Second, Function: "JS"}, {At: 0, Function: "JS"}})
+	if n := pl.Metrics().Invocations(); n != 2 {
+		t.Fatalf("invocations = %d, want 2", n)
+	}
+	last := rec.Lookup("trenv_invocations_total", nil).Last()
+	if last.T < 10*time.Second || last.Value != 2 {
+		t.Fatalf("last invocations sample %v at %v, want 2 at or after the 10s arrival", last.Value, last.T)
+	}
+}
+
 // TestMemoryGaugeSampled: node DRAM usage over virtual time is the
 // flight recorder's trenv_node_mem_used_bytes series.
 func TestMemoryGaugeSampled(t *testing.T) {

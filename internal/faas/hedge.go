@@ -63,13 +63,10 @@ type CancelToken struct {
 	reason    string
 	winner    string
 	traceID   string
-	meta      any
 }
 
-// NewCancelToken returns an armed token. meta rides along for the
-// dispatcher's own bookkeeping (the cluster hedger stores its race
-// group there) and comes back via Meta on the attempt's result.
-func NewCancelToken(meta any) *CancelToken { return &CancelToken{meta: meta} }
+// NewCancelToken returns an armed token.
+func NewCancelToken() *CancelToken { return &CancelToken{} }
 
 // Cancel latches the token. reason explains why; winner is the trace ID
 // of the attempt that made this one redundant ("" when none).
@@ -95,15 +92,6 @@ func (t *CancelToken) TraceID() string {
 	return t.traceID
 }
 
-// Meta returns the dispatcher bookkeeping value passed to
-// NewCancelToken (nil for a nil token).
-func (t *CancelToken) Meta() any {
-	if t == nil {
-		return nil
-	}
-	return t.meta
-}
-
 func (t *CancelToken) setTrace(id string) {
 	if t != nil {
 		t.traceID = id
@@ -121,8 +109,10 @@ func (pl *Platform) SetDeadline(d time.Duration) { pl.cfg.Deadline = d }
 // attempt's root span (a zero-width "pick" step plus a dispatcher=
 // attribute), so a cluster trace shows where placement happened before
 // the node-local phases. tok lets the dispatcher cancel the attempt
-// cooperatively, and the terminal InvocationResult carries the token so
-// the dispatcher can map results back to their race.
-func (pl *Platform) InvokeAttempt(p *sim.Proc, function, dispatcher string, tok *CancelToken) {
-	pl.invoke(p, function, dispatcher, tok)
+// cooperatively. It returns the attempt's terminal InvocationResult
+// after Config.OnResult has seen it, so the dispatcher settles the race
+// it launched the attempt for; an attempt unwound by Engine.Shutdown
+// never returns.
+func (pl *Platform) InvokeAttempt(p *sim.Proc, function, dispatcher string, tok *CancelToken) InvocationResult {
+	return pl.invoke(p, function, dispatcher, tok)
 }

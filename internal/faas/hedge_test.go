@@ -36,9 +36,10 @@ func hedgePlatform(t *testing.T, tweak func(*Config)) (*Platform, *[]InvocationR
 func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 	pl, results := hedgePlatform(t, nil)
 	before := pl.UsedMemory()
-	tok := NewCancelToken("race")
+	tok := NewCancelToken()
+	var returned InvocationResult
 	pl.Engine().At(0, "dispatch/JS", func(p *sim.Proc) {
-		pl.InvokeAttempt(p, "JS", "test", tok)
+		returned = pl.InvokeAttempt(p, "JS", "test", tok)
 	})
 	// JS executes for ~100ms; 10ms lands mid-exec, after the instance
 	// was admitted and started.
@@ -58,8 +59,8 @@ func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 	if !errors.As(r.Err, &ec) || ec.Reason != "hedge-lost" || ec.Winner != "winner-trace" {
 		t.Fatalf("error %v (%T), want *ErrCancelled{hedge-lost, winner-trace}", r.Err, r.Err)
 	}
-	if r.Token != tok {
-		t.Fatal("result does not carry the attempt's cancel token")
+	if returned != r {
+		t.Fatalf("InvokeAttempt returned %+v, OnResult saw %+v", returned, r)
 	}
 	if pl.Metrics().Cancelled.Value() != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", pl.Metrics().Cancelled.Value())
@@ -77,7 +78,7 @@ func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 // before any instance exists — still delivering a terminal outcome.
 func TestPreCancelledAttemptAbortsAtAdmission(t *testing.T) {
 	pl, results := hedgePlatform(t, nil)
-	tok := NewCancelToken(nil)
+	tok := NewCancelToken()
 	tok.Cancel("hedge-lost", "")
 	pl.Engine().At(0, "dispatch/JS", func(p *sim.Proc) {
 		pl.InvokeAttempt(p, "JS", "test", tok)
@@ -143,17 +144,17 @@ func TestDeadlineMet(t *testing.T) {
 func TestCancelTokenNilSafety(t *testing.T) {
 	var tok *CancelToken
 	tok.Cancel("x", "y")
-	if tok.Cancelled() || tok.TraceID() != "" || tok.Meta() != nil {
+	if tok.Cancelled() || tok.TraceID() != "" {
 		t.Fatal("nil token must read as never-cancelled and empty")
 	}
-	tok = NewCancelToken(42)
+	tok = NewCancelToken()
 	if tok.Cancelled() {
 		t.Fatal("fresh token reads cancelled")
 	}
 	tok.Cancel("first", "w1")
 	tok.Cancel("second", "w2") // one-way latch: the first cancel sticks
-	if !tok.Cancelled() || tok.Meta() != 42 {
-		t.Fatal("token lost its latch or meta")
+	if !tok.Cancelled() {
+		t.Fatal("token lost its latch")
 	}
 	if tok.reason != "first" || tok.winner != "w1" {
 		t.Fatalf("latch overwritten: reason=%q winner=%q", tok.reason, tok.winner)

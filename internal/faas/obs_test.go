@@ -104,7 +104,9 @@ func TestStartupSpansSumToReportedStartupTotals(t *testing.T) {
 // it (faults, interrupts), dispatches one attempt of fn at virtual time
 // at, and runs to completion. It returns the platform, the attempt's
 // result, the virtual time the result was delivered, and the attempt's
-// invoke/<fn> root span.
+// invoke/<fn> root span. An attempt dispatched through InvokeAttempt
+// must return exactly the result OnResult saw, with its token stamped
+// with the result's trace ID.
 func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Platform, *CancelToken),
 	fn string, at time.Duration, attempt bool) (*Platform, InvocationResult, time.Duration, *obs.Span) {
 	t.Helper()
@@ -129,19 +131,30 @@ func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Pla
 	}
 	var tok *CancelToken
 	if attempt {
-		tok = NewCancelToken(nil)
+		tok = NewCancelToken()
 	}
 	if arm != nil {
 		arm(pl, tok)
 	}
+	var returned []InvocationResult
 	if attempt {
-		pl.Engine().At(at, "dispatch/"+fn, func(p *sim.Proc) { pl.InvokeAttempt(p, fn, "test", tok) })
+		pl.Engine().At(at, "dispatch/"+fn, func(p *sim.Proc) {
+			returned = append(returned, pl.InvokeAttempt(p, fn, "test", tok))
+		})
 	} else {
 		pl.Invoke(at, fn)
 	}
 	pl.Engine().Run()
 	if len(results) != 1 {
 		t.Fatalf("results = %d, want 1", len(results))
+	}
+	if attempt {
+		if len(returned) != 1 || returned[0] != results[0] {
+			t.Fatalf("InvokeAttempt returned %+v, OnResult saw %+v", returned, results[0])
+		}
+		if tok.TraceID() != results[0].TraceID {
+			t.Fatalf("token trace %q, want %q", tok.TraceID(), results[0].TraceID)
+		}
 	}
 	var root *obs.Span
 	for _, sp := range cfg.Tracer.Spans() {
@@ -256,9 +269,6 @@ func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
 			}
 			if r.TraceID == "" || sp.TraceID != r.TraceID {
 				t.Fatalf("span trace %q, result trace %q: want equal and non-empty", sp.TraceID, r.TraceID)
-			}
-			if tc.attempt && r.Token.TraceID() != r.TraceID {
-				t.Fatalf("token trace %q, want %q", r.Token.TraceID(), r.TraceID)
 			}
 			m := pl.Metrics()
 			counters := map[string]int64{

@@ -15,7 +15,8 @@ import (
 // Processes start through At, Go and AtEach, whose reference is the same
 // arrivals scheduled by At calls in index order.
 // The same program then runs on a two-shard ShardGroup, which must log
-// identically at one and two workers.
+// identically at one and two workers and as the same two shards of the
+// reference engine run through refShardGroup's windows.
 func FuzzEngineDifferential(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -29,6 +30,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 		compareLogs(t, "runner engine vs reference", diffOnEngine(seed, code), diffOnReference(seed, code))
 		one, two := diffOnShards(seed, code, 1), diffOnShards(seed, code, 2)
+		compareLogs(t, "2-shard group at 1 worker vs reference", one, diffOnReferenceShards(seed, code))
 		compareLogs(t, "2-shard group at 1 vs 2 workers", one, two)
 	})
 }
@@ -333,16 +335,39 @@ func diffOnReference(seed int64, code []byte) []string {
 	return d.log
 }
 
-// diffOnShards runs the program on both shards of a two-shard group; op
-// 15 sends a callback to the peer shard. The shards' logs are kept apart
-// (each is appended only by code on its own shard) and joined at the end.
+// diffGroup is what a program needs of a shard group; *ShardGroup and
+// *refShardGroup have it.
+type diffGroup[P diffProc, E diffEngine[P]] interface {
+	Shard(i int) E
+	Send(from, to int, delay time.Duration, fn func())
+	Lookahead() time.Duration
+	RunUntil(deadline time.Duration)
+	Run()
+	Shutdown()
+	Now() time.Duration
+	Windows() int64
+	Messages() int64
+	Events() int64
+}
+
 func diffOnShards(seed int64, code []byte, workers int) []string {
 	g := NewShardGroup(seed, 2, time.Millisecond)
 	g.SetWorkers(workers)
-	runs := make([]*diffRun[*Proc], 2)
+	return diffOnGroup[*Proc](g, enginePrims, code)
+}
+
+func diffOnReferenceShards(seed int64, code []byte) []string {
+	return diffOnGroup[*refProc](newRefShardGroup(seed, 2, time.Millisecond), referencePrims, code)
+}
+
+// diffOnGroup runs the program on both shards of a two-shard group; op
+// 15 sends a callback to the peer shard. The shards' logs are kept apart
+// (each is appended only by code on its own shard) and joined at the end.
+func diffOnGroup[P diffProc, E diffEngine[P]](g diffGroup[P, E], prims func(E) diffPrims[P], code []byte) []string {
+	runs := make([]*diffRun[P], 2)
 	for i := range runs {
 		e := g.Shard(i)
-		runs[i] = &diffRun[*Proc]{eng: e, pr: enginePrims(e), code: code}
+		runs[i] = &diffRun[P]{eng: e, pr: prims(e), code: code}
 	}
 	for i, d := range runs {
 		from, to := i, 1-i

@@ -12,9 +12,10 @@ import (
 // of the engine: every process is a fresh goroutine started by At, and the
 // engine hands control to it over a per-process wake channel and one
 // engine-wide parked channel. FuzzEngineDifferential drives it next to
-// the runner engine. It differs from the goroutine-per-process engine it
-// replaced in one place: Shutdown unwinds in proc-id order, not map order,
-// so that the unwind order can be compared at all.
+// the runner engine, and refShardGroup next to ShardGroup. It differs
+// from the goroutine-per-process engine it replaced in one place:
+// Shutdown unwinds in proc-id order, not map order, so that the unwind
+// order can be compared at all.
 type refEngine struct {
 	now     time.Duration
 	seq     uint64
@@ -174,13 +175,26 @@ func (e *refEngine) Resume(p *refProc) {
 func (e *refEngine) Run() { e.RunUntil(-1) }
 
 func (e *refEngine) RunUntil(deadline time.Duration) {
+	e.run(deadline, false)
+	if deadline >= 0 && deadline > e.now {
+		e.now = deadline
+	}
+}
+
+// runWindow runs the events strictly before horizon and leaves Now at
+// the last one, as a shard window does.
+func (e *refEngine) runWindow(horizon time.Duration) { e.run(horizon, true) }
+
+// run executes events up to deadline (< 0: no bound); with exclusive
+// set, an event at exactly the deadline stays queued.
+func (e *refEngine) run(deadline time.Duration, exclusive bool) {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.queue) > 0 && !e.stopped {
-		if deadline >= 0 && e.queue[0].at > deadline {
+		if at := e.queue[0].at; deadline >= 0 && (at > deadline || exclusive && at == deadline) {
 			break
 		}
 		ev := heap.Pop(&e.queue).(*refEvent)
@@ -199,9 +213,6 @@ func (e *refEngine) RunUntil(deadline time.Duration) {
 	}
 	if e.stopped {
 		e.unwind()
-	}
-	if deadline >= 0 && deadline > e.now {
-		e.now = deadline
 	}
 }
 
@@ -226,6 +237,133 @@ func (e *refEngine) unwind() {
 		if !p.done {
 			e.resume(p)
 		}
+	}
+}
+
+// refShardGroup is the reference for ShardGroup: refEngines run one
+// after another through the same exclusive-horizon windows, and the
+// messages sent during a window are delivered after it in (arrival time,
+// sending shard, emission index) order.
+type refShardGroup struct {
+	lookahead time.Duration
+	shards    []*refEngine
+	outbox    []refShardMsg
+	emitted   []int
+	windows   int64
+	messages  int64
+}
+
+type refShardMsg struct {
+	at       time.Duration
+	from, to int
+	idx      int
+	fn       func()
+}
+
+// newRefShardGroup seeds shard i as NewShardGroup does.
+func newRefShardGroup(seed int64, n int, lookahead time.Duration) *refShardGroup {
+	g := &refShardGroup{lookahead: lookahead, emitted: make([]int, n)}
+	for i := 0; i < n; i++ {
+		g.shards = append(g.shards, newRefEngine(seed+int64(i)*1000003))
+	}
+	return g
+}
+
+func (g *refShardGroup) Shard(i int) *refEngine   { return g.shards[i] }
+func (g *refShardGroup) Lookahead() time.Duration { return g.lookahead }
+func (g *refShardGroup) Windows() int64           { return g.windows }
+func (g *refShardGroup) Messages() int64          { return g.messages }
+
+func (g *refShardGroup) Events() int64 {
+	var n int64
+	for _, e := range g.shards {
+		n += e.events
+	}
+	return n
+}
+
+func (g *refShardGroup) Now() time.Duration {
+	var t time.Duration
+	for _, e := range g.shards {
+		t = max(t, e.now)
+	}
+	return t
+}
+
+func (g *refShardGroup) Send(from, to int, delay time.Duration, fn func()) {
+	if delay < g.lookahead {
+		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v", delay, g.lookahead))
+	}
+	g.outbox = append(g.outbox, refShardMsg{at: g.shards[from].now + delay, from: from, to: to, idx: g.emitted[from], fn: fn})
+	g.emitted[from]++
+}
+
+func (g *refShardGroup) deliver() {
+	sort.Slice(g.outbox, func(a, b int) bool {
+		x, y := g.outbox[a], g.outbox[b]
+		if x.at != y.at {
+			return x.at < y.at
+		}
+		if x.from != y.from {
+			return x.from < y.from
+		}
+		return x.idx < y.idx
+	})
+	for _, m := range g.outbox {
+		g.shards[m.to].push(&refEvent{at: m.at, fn: m.fn})
+		g.messages++
+	}
+	g.outbox = g.outbox[:0]
+}
+
+// next returns the earliest queued event time across the shards.
+func (g *refShardGroup) next() (time.Duration, bool) {
+	var t time.Duration
+	found := false
+	for _, e := range g.shards {
+		if len(e.queue) > 0 && (!found || e.queue[0].at < t) {
+			t, found = e.queue[0].at, true
+		}
+	}
+	return t, found
+}
+
+func (g *refShardGroup) window(horizon time.Duration) {
+	g.windows++
+	for _, e := range g.shards {
+		e.runWindow(horizon)
+	}
+}
+
+func (g *refShardGroup) Run() {
+	for {
+		g.deliver()
+		t, ok := g.next()
+		if !ok {
+			return
+		}
+		g.window(t + g.lookahead)
+	}
+}
+
+func (g *refShardGroup) RunUntil(deadline time.Duration) {
+	for {
+		g.deliver()
+		t, ok := g.next()
+		if !ok || t > deadline {
+			break
+		}
+		g.window(min(t+g.lookahead, deadline+1))
+	}
+	g.deliver()
+	for _, e := range g.shards {
+		e.RunUntil(deadline)
+	}
+}
+
+func (g *refShardGroup) Shutdown() {
+	for _, e := range g.shards {
+		e.Shutdown()
 	}
 }
 

@@ -20,12 +20,14 @@ type Trace []Invocation
 // Len returns the invocation count.
 func (t Trace) Len() int { return len(t) }
 
-// Duration returns the time of the last invocation (0 for empty traces).
+// Duration returns the latest arrival time (0 for empty traces). A
+// trace need not be sorted, so that is not always the last element's.
 func (t Trace) Duration() time.Duration {
-	if len(t) == 0 {
-		return 0
+	var end time.Duration
+	for _, inv := range t {
+		end = max(end, inv.At)
 	}
-	return t[len(t)-1].At
+	return end
 }
 
 // CountByFunction tallies invocations per function.

@@ -325,6 +325,9 @@ func TestTraceAccessors(t *testing.T) {
 	if (Trace{}).Duration() != 0 {
 		t.Fatal("empty duration")
 	}
+	if d := (Trace{{At: 10 * time.Second, Function: "a"}, {At: 0, Function: "a"}}).Duration(); d != 10*time.Second {
+		t.Fatalf("unsorted trace duration = %v, want its latest arrival 10s", d)
+	}
 	if tr.CountByFunction()["a"] != 2 {
 		t.Fatal("counts")
 	}

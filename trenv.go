@@ -522,7 +522,9 @@ type RetryPolicy = mem.RetryPolicy
 func DefaultRetryPolicy() RetryPolicy { return mem.DefaultRetryPolicy() }
 
 // InvocationResult is one invocation's terminal outcome (see
-// ContainerConfig.OnResult and Cluster.SetResultHook).
+// ContainerConfig.OnResult and Cluster.SetResultHook). On a rack node,
+// the node's OnResult sees it first; the attempt then returns it to the
+// cluster's hedger, which settles it and hands it to the result hook.
 type InvocationResult = faas.InvocationResult
 
 // Invocation outcomes.
