@@ -8,7 +8,7 @@
 //	            [-analyze report.json] [-flame out.folded]
 //	            [-report bundle.json] [-report-lean]
 //	            [-chaos spec] [-prefetch] [-alerts out.json] [-rules spec]
-//	            [-shards N]
+//	            [-hedge spec] [-shards N]
 //	trenv-bench -version
 //
 // -json prints the results as a JSON array instead of paper-style text;
@@ -38,6 +38,11 @@
 // or @file (grammar in internal/alert). Alerts also embed in -report
 // bundles, where cmd/trenv-diff compares them against a baseline.
 // Same-seed runs write byte-identical alert JSON.
+//
+// -hedge arms a request-hedging policy on the availability
+// experiment's rack, the only experiment that reads it; the "hedging"
+// experiment races its own fixed policies. Every bundle still records
+// the flag as part of the run's identity.
 //
 // -shards sets the worker parallelism for sharded-fleet experiment
 // runs (the "sharding" experiment executes its reference run at that
@@ -77,7 +82,7 @@ func main() {
 	alertsPath := flag.String("alerts", "", "attach the alert engine to every run and write per-run alert states, incidents, and timelines as JSON to this file")
 	rulesSpec := flag.String("rules", "", "with -alerts or -report: alerting rules as a compact spec or @file (empty = built-in default set)")
 	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching on every TrEnv platform the experiments build")
-	hedgeSpec := flag.String("hedge", "", "request-hedging policy armed on every cluster the experiments build, e.g. 'delay:50ms', 'p95', 'clone:2' (see README for the grammar)")
+	hedgeSpec := flag.String("hedge", "", "request-hedging policy armed on the availability experiment's rack, e.g. 'delay:50ms', 'p95', 'clone:2' (see README for the grammar)")
 	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet experiment runs (0 = sequential; all outputs are invariant of it)")
 	reportPath := flag.String("report", "", "write the schema-stable trenv-report/v1 run bundle (figures, metrics, series, spans, analysis) to this file")
 	reportLean := flag.Bool("report-lean", false, "with -report: omit spans and sampled series, producing a committed-baseline-sized bundle")
@@ -179,98 +184,35 @@ func main() {
 		}
 	}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteChromeTrace(f, o.Tracer.Spans()); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trenv-bench: write trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: close trace: %v\n", err)
-			os.Exit(1)
-		}
+		writeOut(*tracePath, "trace", func(w io.Writer) error { return obs.WriteChromeTrace(w, o.Tracer.Spans()) })
 		fmt.Fprintf(os.Stderr, "trenv-bench: wrote %d spans (%d dropped) to %s\n",
 			o.Tracer.Len(), o.Tracer.Dropped(), *tracePath)
 	}
 	if *analyzePath != "" {
-		f, err := os.Create(*analyzePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: %v\n", err)
-			os.Exit(1)
-		}
 		rep := obs.Analyze(o.Tracer.Spans(), 0)
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trenv-bench: write analysis: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: close analysis: %v\n", err)
-			os.Exit(1)
-		}
+		writeOut(*analyzePath, "analysis", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		})
 		fmt.Fprintf(os.Stderr, "trenv-bench: wrote analysis of %d invocations to %s\n",
 			rep.Invocations, *analyzePath)
 	}
 	if *flamePath != "" {
-		f, err := os.Create(*flamePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteFolded(f, o.Tracer.Spans()); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trenv-bench: write flame: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: close flame: %v\n", err)
-			os.Exit(1)
-		}
+		writeOut(*flamePath, "flame", func(w io.Writer) error { return obs.WriteFolded(w, o.Tracer.Spans()) })
 		fmt.Fprintf(os.Stderr, "trenv-bench: wrote folded stacks to %s\n", *flamePath)
 	}
 	if *tsPath != "" {
-		f, err := os.Create(*tsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: %v\n", err)
-			os.Exit(1)
-		}
 		write := o.Recorders.WriteJSON
 		if strings.HasSuffix(*tsPath, ".csv") {
 			write = o.Recorders.WriteCSV
 		}
-		if err := write(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trenv-bench: write timeseries: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: close timeseries: %v\n", err)
-			os.Exit(1)
-		}
+		writeOut(*tsPath, "timeseries", write)
 		fmt.Fprintf(os.Stderr, "trenv-bench: wrote time series for %d runs to %s\n",
 			o.Recorders.Runs(), *tsPath)
 	}
 	if *alertsPath != "" {
-		f, err := os.Create(*alertsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := o.Alerts.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trenv-bench: write alerts: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: close alerts: %v\n", err)
-			os.Exit(1)
-		}
+		writeOut(*alertsPath, "alerts", o.Alerts.WriteJSON)
 		fmt.Fprintf(os.Stderr, "trenv-bench: wrote alert states for %d runs to %s\n",
 			o.Alerts.Runs(), *alertsPath)
 	}
@@ -282,5 +224,24 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trenv-bench: wrote run bundle (%d figures, %d metrics, %d series, %d spans) to %s\n",
 			len(rep.Figures), len(rep.Metrics), len(rep.Series), len(rep.Spans), *reportPath)
+	}
+}
+
+// writeOut creates path and fills it with write, exiting 1 with a
+// message naming what if creating, writing or closing the file fails.
+func writeOut(path, what string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trenv-bench: %v\n", err)
+		os.Exit(1)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		fmt.Fprintf(os.Stderr, "trenv-bench: write %s: %v\n", what, err)
+		os.Exit(1)
+	}
+	if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "trenv-bench: close %s: %v\n", what, err)
+		os.Exit(1)
 	}
 }

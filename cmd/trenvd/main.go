@@ -26,11 +26,11 @@
 // the built-in set) evaluated on every flight-recorder sample and
 // served on /alerts; -hedge-policy arms a request-hedging policy
 // ("delay:<dur>", "p<pct>", "clone:<n>" — README has the grammar; e.g.
-// -hedge-policy delay:50ms) on every cluster POST /experiments/run
-// builds; -shards sets the worker parallelism for sharded-fleet runs
-// under POST /experiments/run — physical parallelism only, so every
-// byte the daemon serves (including /report bundles) is invariant of
-// it; -version prints the build and exits.
+// -hedge-policy delay:50ms) on the availability experiment's rack when
+// POST /experiments/run runs it; -shards sets the worker parallelism
+// for sharded-fleet runs under POST /experiments/run — physical
+// parallelism only, so every byte the daemon serves (including /report
+// bundles) is invariant of it; -version prints the build and exits.
 //
 // Endpoints:
 //
@@ -111,7 +111,7 @@ type server struct {
 	labels   map[string]string     // node label applied to registered metrics
 	started  time.Time             // wall-clock start, denominator for /selfstats rates
 	pprof    bool                  // serve /debug/pprof/ when set
-	hedge    *trenv.HedgePolicy    // armed on every cluster POST /experiments/run builds
+	hedge    *trenv.HedgePolicy    // armed on the availability rack POST /experiments/run builds
 	shards   int                   // worker parallelism for sharded-fleet experiment runs
 }
 
@@ -127,7 +127,7 @@ type serverOptions struct {
 	promoteAfter int           // replay count that promotes a run (0 = never)
 	pprof        bool          // serve net/http/pprof under /debug/pprof/
 	rules        []trenv.AlertRule
-	hedge        *trenv.HedgePolicy // hedge policy for POST /experiments/run clusters
+	hedge        *trenv.HedgePolicy // hedge policy for the availability rack of POST /experiments/run
 	shards       int                // worker parallelism for sharded-fleet experiment runs
 }
 
@@ -150,11 +150,7 @@ func newServerWith(o serverOptions) *server {
 	eng := trenv.NewEngine(o.seed)
 	cfg.Engine = eng
 	breaker := trenv.NewCircuitBreaker(trenv.DefaultCircuitBreakerConfig(), eng.Now)
-	cfg.OnResult = func(r trenv.InvocationResult) {
-		// A fault-tainted outcome (typed error or retried/fallback-served
-		// invocation) counts against the node's pool-fetch health.
-		breaker.Record(r.FaultTrace == "" && r.Outcome != trenv.OutcomeError)
-	}
+	cfg.OnResult = func(r trenv.InvocationResult) { breaker.Record(r.Healthy()) }
 	pl := trenv.NewContainerPlatform(cfg)
 	var labels map[string]string
 	if o.node != "" {
@@ -276,7 +272,7 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching (TrEnv policies only)")
 	promoteAfter := flag.Int("promote-threshold", 0, "replay count that promotes a working set into the direct-access cache (0 = never; needs -prefetch)")
 	rulesSpec := flag.String("rules", "default", "alerting rules: a spec string, @file, \"default\" for the built-in set, or \"none\"")
-	hedgePolicy := flag.String("hedge-policy", "", "request-hedging policy for POST /experiments/run clusters, e.g. 'delay:50ms', 'p95', 'clone:2'")
+	hedgePolicy := flag.String("hedge-policy", "", "request-hedging policy for the availability experiment's rack under POST /experiments/run, e.g. 'delay:50ms', 'p95', 'clone:2'")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "bounded drain window for graceful shutdown on SIGINT/SIGTERM")
 	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet runs under POST /experiments/run (0 = sequential; every served byte is invariant of it)")
 	pprofOn := flag.Bool("pprof", false, "serve Go net/http/pprof profiles under /debug/pprof/")

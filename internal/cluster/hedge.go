@@ -6,12 +6,12 @@ package cluster
 // consolidated images and templates through the pooled memory, *any*
 // node can serve *any* function at warm-ish cost. That makes the
 // classic tail-killing move cheap: race a second attempt of a slow
-// invocation on another node, keep whichever finishes first, cancel the
-// loser. The hedger below is that dispatch state machine. Each rack's
-// Cluster owns one, so hedges race only within a rack (a ShardedFleet
-// hedges inside each rack, never across shards), and it is driven
-// purely by virtual time so same-seed runs stay byte-identical with
-// hedging on.
+// invocation on another node, keep whichever finishes first, and let
+// the loser stop at its next checkpoint. The hedger below is that
+// dispatch state machine. Each rack's Cluster owns one, so hedges race
+// only within a rack (a ShardedFleet hedges inside each rack, never
+// across shards), and it is driven purely by virtual time so same-seed
+// runs stay byte-identical with hedging on.
 
 import (
 	"fmt"
@@ -209,24 +209,22 @@ func ParseHedgePolicy(spec string) (HedgePolicy, error) {
 // hedgeGroup tracks one logical invocation across every attempt the
 // fleet launches for it: the primary dispatch, delayed hedges or eager
 // clones, and crash re-dispatches. The first attempt to reach a real
-// terminal outcome settles the race; every sibling's token is cancelled
-// at that instant.
+// terminal outcome settles the race; every other attempt sees that at
+// its next checkpoint.
 type hedgeGroup struct {
+	faas.Race
 	fn         string
 	start      time.Duration
-	attempts   int // launched
-	terminals  int // terminal outcomes observed
-	hedges     int // hedge/clone attempts among attempts
-	redisp     int // crash re-dispatches consumed
-	settled    bool
+	traces     []string // each launched attempt's trace ID, in launch order ("" until it returns)
+	terminals  int      // terminal outcomes observed
+	hedges     int      // hedge/clone attempts among the launched
+	redisp     int      // crash re-dispatches consumed
 	done       bool
-	winnerID   string
 	winnerNode string
-	tokens     []*faas.CancelToken
 	nodesTried nodeSet
 }
 
-func (g *hedgeGroup) active() int { return g.attempts - g.terminals }
+func (g *hedgeGroup) active() int { return len(g.traces) - g.terminals }
 
 // hedger is a rack's dispatch state machine: it owns the no-loss
 // accounting (the extended zero-wedged invariant), the hedge policy, and
@@ -294,18 +292,14 @@ func (h *hedger) dispatch(p *sim.Proc, fn, dispatcher string, node int) {
 
 // runOn launches one attempt on node index i inside p, blocks until the
 // attempt reaches a terminal outcome, and settles that result. An
-// attempt born after its race settled starts pre-cancelled and aborts
-// at its first checkpoint. An attempt unwound by Engine.Shutdown never
-// returns, so it is never settled and stays counted as wedged.
+// attempt launched after its race settled aborts at its first
+// checkpoint. An attempt unwound by Engine.Shutdown never returns, so
+// it is never settled and stays counted as wedged.
 func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, i int, dispatcher string) {
-	tok := faas.NewCancelToken()
-	if g.settled {
-		tok.Cancel("hedge-lost", g.winnerID)
-	}
-	g.tokens = append(g.tokens, tok)
-	g.attempts++
+	idx := len(g.traces)
+	g.traces = append(g.traces, "")
 	g.nodesTried = g.nodesTried.with(i)
-	h.settle(i, g, tok, h.c.nodes[i].InvokeAttempt(p, g.fn, dispatcher, tok))
+	h.settle(i, g, idx, h.c.nodes[i].InvokeAttempt(p, g.fn, dispatcher, &g.Race))
 }
 
 // armHedge schedules the delayed clone: if the primary is still in
@@ -314,11 +308,11 @@ func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, i int, dispatcher string) {
 // same-seed runs hedge at identical instants.
 func (h *hedger) armHedge(g *hedgeGroup) {
 	h.c.eng.After(h.hedgeDelay(g.fn), func() {
-		if g.settled || g.hedges > 0 || g.active() == 0 {
+		if g.Settled || g.hedges > 0 || g.active() == 0 {
 			return
 		}
 		h.c.eng.Go("hedge/"+g.fn, func(p *sim.Proc) {
-			if g.settled || g.active() == 0 {
+			if g.Settled || g.active() == 0 {
 				return
 			}
 			node := h.c.pickExcluding(g.fn, g.nodesTried)
@@ -406,16 +400,17 @@ func (h *hedger) estimate(fn string) (time.Duration, bool) {
 	return time.Duration(sim.Percentile(h.policy.Percentile, h.e2e...) * float64(time.Millisecond)), true
 }
 
-// settle takes the terminal result r of g's attempt on node, launched
-// with tok, once that attempt returns: breaker feeding, race
-// settlement, and crash re-dispatch — never silently completed, never
-// lost. Delivery contract: the rack's result hook sees every terminal
-// outcome — the settling result, cancelled losers, crash aborts,
-// synthetic redispatch-exhausted records (node index -1) — except late
-// losers that completed after their race had already settled (counted
-// in the invariant, suppressed from the hook so one invocation never
-// reports two winners).
-func (h *hedger) settle(node int, g *hedgeGroup, tok *faas.CancelToken, r faas.InvocationResult) {
+// settle takes the terminal result r of g's attempt on node, the idx-th
+// it launched, once that attempt returns: it fills the attempt's trace
+// slot, feeds the node's breaker, settles the race and re-dispatches a
+// crash — never silently completed, never lost. Delivery contract: the
+// rack's result hook sees every terminal outcome — the settling result,
+// cancelled losers, crash aborts, synthetic redispatch-exhausted records
+// (node index -1) — except late losers that completed after their race
+// had already settled (counted in the invariant, suppressed from the
+// hook so one invocation never reports two winners).
+func (h *hedger) settle(node int, g *hedgeGroup, idx int, r faas.InvocationResult) {
+	g.traces[idx] = r.TraceID
 	g.terminals++
 	if r.Outcome == faas.OutcomeCancelled {
 		h.cancelled.Inc()
@@ -423,7 +418,7 @@ func (h *hedger) settle(node int, g *hedgeGroup, tok *faas.CancelToken, r faas.I
 		h.finish(g)
 		return
 	}
-	wasSettled := g.settled
+	wasSettled := g.Settled
 	h.results.Inc()
 	if r.Outcome == faas.OutcomeCrashed {
 		h.deliver(node, r)
@@ -436,23 +431,14 @@ func (h *hedger) settle(node int, g *hedgeGroup, tok *faas.CancelToken, r faas.I
 		h.redispatch(g)
 		return
 	}
-	// A fault-tainted outcome (error, fallback, or success-after-retry)
-	// counts against the node's pool-fetch health.
-	h.c.breakers[node].Record(r.FaultTrace == "" && r.Outcome != faas.OutcomeError)
+	h.c.breakers[node].Record(r.Healthy())
 	// A deadline-exceeded attempt with a live sibling doesn't settle
 	// the race — the sibling's own deadline runs from its later start.
 	settles := !wasSettled && (r.Outcome != faas.OutcomeDeadline || g.active() == 0)
 	if settles {
-		g.settled = true
-		g.winnerID = r.TraceID
-		g.winnerNode = r.Node
-		if tok != g.tokens[0] {
+		g.Settled, g.Winner, g.winnerNode = true, r.TraceID, r.Node
+		if idx != 0 {
 			h.hedgeWins.Inc()
-		}
-		for _, t := range g.tokens {
-			if t != tok {
-				t.Cancel("hedge-lost", r.TraceID)
-			}
 		}
 	}
 	if !wasSettled {
@@ -478,8 +464,8 @@ func (h *hedger) redispatch(g *hedgeGroup) {
 			Err:      fmt.Errorf("cluster: %s: gave up after %d crash re-dispatches", g.fn, g.redisp),
 		}
 		h.deliver(-1, r)
-		if !g.settled {
-			g.settled = true
+		if !g.Settled {
+			g.Settled = true
 			if h.onSettle != nil {
 				h.onSettle(g.fn, h.c.eng.Now()-g.start, r)
 			}
@@ -503,7 +489,7 @@ func (h *hedger) finish(g *hedgeGroup) {
 		return
 	}
 	g.done = true
-	if g.attempts < 2 {
+	if len(g.traces) < 2 {
 		return
 	}
 	// Nodes share one tracer when Config.Tracer was set; the first
@@ -515,18 +501,14 @@ func (h *hedger) finish(g *hedgeGroup) {
 	h.spans++
 	sp := obs.NewSpan("hedge/"+g.fn, g.start, h.c.eng.Now())
 	sp.SetAttr("function", g.fn).SetAttr("policy", string(h.policy.Mode)).
-		SetAttr("attempts", strconv.Itoa(g.attempts)).
+		SetAttr("attempts", strconv.Itoa(len(g.traces))).
 		SetAttr("hedges", strconv.Itoa(g.hedges))
 	if g.winnerNode != "" {
 		sp.SetAttr("winner_node", g.winnerNode)
 	}
-	for _, tok := range g.tokens {
-		tid := tok.TraceID()
-		if tid == "" {
-			continue
-		}
+	for _, tid := range g.traces {
 		typ := "hedge-lost"
-		if tid == g.winnerID {
+		if tid == g.Winner {
 			typ = "hedge-won"
 		}
 		sp.AddLink(obs.Link{TraceID: tid, Type: typ})

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faas"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -268,6 +270,93 @@ func TestHedgeWinsAfterPrimaryCrash(t *testing.T) {
 	}
 	if len(*settled) != 1 || (*settled)[0].Outcome != faas.OutcomeSuccess {
 		t.Fatalf("settled = %+v, want one success from the hedge", *settled)
+	}
+}
+
+// TestHedgeSpanLinks pins the hedge/JS span a traced race records: its
+// attempts, hedges and winner_node attributes, and one link per attempt
+// in launch order, the primary first, of which exactly one is hedge-won
+// and names the settled result's trace.
+func TestHedgeSpanLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		nodes     int
+		policy    HedgePolicy
+		killAt    time.Duration // kill n0, the primary's node (0 = never)
+		launched  []string      // each attempt's node, in launch order
+		hedges    string
+		winnerIdx int // launch index of the winning attempt
+	}{
+		{"clone:3 primary wins", 3, HedgePolicy{Mode: HedgeClone, Clones: 3}, 0, []string{"n0", "n1", "n2"}, "2", 0},
+		{"delay hedge wins after primary crash", 2, HedgePolicy{Mode: HedgeDelay, Delay: time.Millisecond},
+			5 * time.Millisecond, []string{"n0", "n1"}, "1", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+			cfg.Tracer = obs.NewTracer(0)
+			c, err := New(tc.nodes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := workload.ProfileByName("JS")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Register(js); err != nil {
+				t.Fatal(err)
+			}
+			c.SetHedgePolicy(tc.policy)
+			nodeOf := map[string]string{} // attempt trace ID -> node
+			c.SetResultHook(func(_ int, r faas.InvocationResult) { nodeOf[r.TraceID] = r.Node })
+			var settled []faas.InvocationResult
+			c.SetSettleHook(func(_ string, _ time.Duration, r faas.InvocationResult) { settled = append(settled, r) })
+			c.Invoke(0, "JS")
+			if tc.killAt > 0 {
+				c.Engine().At(tc.killAt, "kill/n0", func(*sim.Proc) {
+					if err := c.KillNode(0); err != nil {
+						t.Errorf("mid-run kill: %v", err)
+					}
+				})
+			}
+			c.Engine().Run()
+
+			if len(settled) != 1 || settled[0].Outcome != faas.OutcomeSuccess {
+				t.Fatalf("settled = %+v, want one success", settled)
+			}
+			var sp *obs.Span
+			for _, s := range cfg.Tracer.Spans() {
+				if s.Name == "hedge/JS" {
+					if sp != nil {
+						t.Fatal("two hedge/JS spans recorded")
+					}
+					sp = s
+				}
+			}
+			if sp == nil {
+				t.Fatal("no hedge/JS span recorded")
+			}
+			attempts := strconv.Itoa(len(tc.launched))
+			if sp.Attr("attempts") != attempts || sp.Attr("hedges") != tc.hedges || sp.Attr("winner_node") != settled[0].Node {
+				t.Fatalf("attempts=%q hedges=%q winner_node=%q, want %s/%s/%s",
+					sp.Attr("attempts"), sp.Attr("hedges"), sp.Attr("winner_node"), attempts, tc.hedges, settled[0].Node)
+			}
+			if len(sp.Links) != len(tc.launched) {
+				t.Fatalf("%d links, want one per attempt (%d)", len(sp.Links), len(tc.launched))
+			}
+			for i, l := range sp.Links {
+				typ := "hedge-lost"
+				if i == tc.winnerIdx {
+					typ = "hedge-won"
+					if l.TraceID != settled[0].TraceID {
+						t.Fatalf("hedge-won link names %q, the settled result is %q", l.TraceID, settled[0].TraceID)
+					}
+				}
+				if l.Type != typ || nodeOf[l.TraceID] != tc.launched[i] {
+					t.Fatalf("link %d = %s to an attempt on %q, want %s to the attempt on %s",
+						i, l.Type, nodeOf[l.TraceID], typ, tc.launched[i])
+				}
+			}
+		})
 	}
 }
 

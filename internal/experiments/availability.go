@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/mem"
@@ -45,34 +44,16 @@ type availRun struct {
 // so the run shows what the failure window costs without the PR's
 // recovery machinery.
 func runAvailability(o Options, tr workload.Trace, recovery bool) availRun {
-	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
-	cfg.Seed = o.Seed
-	cfg.KeepAlive = o.dur(10 * time.Minute)
-	cfg.Warmup = o.dur(5 * time.Minute)
-	cfg.SoftMemCap = 64 << 30
-	// Keep a cold tail in the RDMA pool so fetches (and thus faults)
-	// stay on the critical path: accesses read a prefix of each region
-	// (ReadFrac up to ~0.62), so a 0.4 hot fraction forces every warm
-	// invocation through lazy rdma fetches for the spilled pages.
-	cfg.HotFraction = 0.4
-	cfg.Tracer = o.Tracer
-	if !recovery {
-		cfg.DisableFallback = true
-		rp := mem.DefaultRetryPolicy()
-		rp.MaxAttempts = 1
-		cfg.Retry = &rp
-	}
-	c, err := cluster.New(3, cfg)
-	if err != nil {
-		panic("experiments: availability cluster: " + err.Error())
-	}
+	c := o.rack(workload.Table4(), func(cfg *faas.Config) {
+		if !recovery {
+			cfg.DisableFallback = true
+			rp := mem.DefaultRetryPolicy()
+			rp.MaxAttempts = 1
+			cfg.Retry = &rp
+		}
+	})
 	if o.Hedge != nil {
 		c.SetHedgePolicy(*o.Hedge)
-	}
-	for _, p := range workload.Table4() {
-		if err := c.Register(p); err != nil {
-			panic("experiments: availability register: " + err.Error())
-		}
 	}
 
 	// Per-virtual-second availability: a second with terminal outcomes

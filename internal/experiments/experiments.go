@@ -15,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Options control experiment scale.
@@ -49,10 +50,10 @@ type Options struct {
 	// dedicated "incidents" experiment creates its own engine when this
 	// is nil.
 	Alerts *alert.Set
-	// Hedge, when non-nil, arms the request-hedging policy on every
-	// cluster an experiment builds (cmd/trenv-bench -hedge); single-node
-	// experiments ignore it. The dedicated "hedging" experiment compares
-	// policies explicitly and is unaffected by this knob.
+	// Hedge, when non-nil, arms the request-hedging policy on the
+	// availability experiment's rack (cmd/trenv-bench -hedge); every
+	// other experiment ignores it. The dedicated "hedging" experiment
+	// compares policies explicitly and is unaffected by this knob.
 	Hedge *cluster.HedgePolicy
 	// Shards sets the worker parallelism for sharded-fleet runs
 	// (cmd/trenv-bench -shards, trenvd -shards). It is physical
@@ -99,6 +100,34 @@ func (o Options) observe(run string, pl *faas.Platform) {
 		ae.RegisterMetrics(reg, nil)
 		pl.AttachAlerts(ae)
 	}
+}
+
+// rack builds the 3-node TrEnv-CXL rack the rack experiments share, with
+// profiles registered: keep-alive 10 min and warm-up 5 min (both
+// scaled), a 64 GiB soft cap and o.Tracer. Its 0.4 hot fraction keeps a
+// cold tail in the RDMA pool so fetches stay on the critical path:
+// accesses read a prefix of each region (ReadFrac up to ~0.62), so every
+// warm invocation lazily fetches the spilled pages over rdma. tweak
+// adjusts the config before the rack is built.
+func (o Options) rack(profiles []workload.FunctionProfile, tweak func(*faas.Config)) *cluster.Cluster {
+	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
+	cfg.Seed = o.Seed
+	cfg.KeepAlive = o.dur(10 * time.Minute)
+	cfg.Warmup = o.dur(5 * time.Minute)
+	cfg.SoftMemCap = 64 << 30
+	cfg.HotFraction = 0.4
+	cfg.Tracer = o.Tracer
+	tweak(&cfg)
+	c, err := cluster.New(3, cfg)
+	if err != nil {
+		panic("experiments: rack: " + err.Error())
+	}
+	for _, p := range profiles {
+		if err := c.Register(p); err != nil {
+			panic("experiments: rack register: " + err.Error())
+		}
+	}
+	return c
 }
 
 // DefaultOptions returns paper-scale options.

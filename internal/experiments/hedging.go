@@ -74,29 +74,16 @@ func (h *hedgeRun) p99MS() float64  { return h.settle.Percentile(99) }
 // through a fresh remote restore; retry overrides the fetch retry
 // policy; chaos toggles the flaky-RDMA schedule.
 func runHedged(o Options, tr workload.Trace, profiles []workload.FunctionProfile, cores int, hotFraction float64, keepAlive time.Duration, retry *mem.RetryPolicy, chaos bool, hp *cluster.HedgePolicy) hedgeRun {
-	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
-	cfg.Seed = o.Seed
-	cfg.Cores = cores
-	cfg.KeepAlive = o.dur(10 * time.Minute)
-	if keepAlive > 0 {
-		cfg.KeepAlive = keepAlive
-	}
-	cfg.Warmup = o.dur(5 * time.Minute)
-	cfg.SoftMemCap = 64 << 30
-	cfg.HotFraction = hotFraction
-	cfg.Retry = retry
-	cfg.Tracer = o.Tracer
-	c, err := cluster.New(3, cfg)
-	if err != nil {
-		panic("experiments: hedging cluster: " + err.Error())
-	}
+	c := o.rack(profiles, func(cfg *faas.Config) {
+		cfg.Cores = cores
+		if keepAlive > 0 {
+			cfg.KeepAlive = keepAlive
+		}
+		cfg.HotFraction = hotFraction
+		cfg.Retry = retry
+	})
 	if hp != nil {
 		c.SetHedgePolicy(*hp)
-	}
-	for _, p := range profiles {
-		if err := c.Register(p); err != nil {
-			panic("experiments: hedging register: " + err.Error())
-		}
 	}
 	var out hedgeRun
 	c.SetSettleHook(func(fn string, latency time.Duration, r faas.InvocationResult) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/alert"
-	"repro/internal/cluster"
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -38,23 +37,10 @@ func Incidents(o Options) *Result {
 		tracer = obs.NewTracer(0)
 	}
 
-	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
-	cfg.Seed = o.Seed
-	cfg.KeepAlive = o.dur(10 * time.Minute)
-	cfg.Warmup = o.dur(5 * time.Minute)
-	cfg.SoftMemCap = 64 << 30
-	cfg.HotFraction = 0.4 // keep lazy rdma fetches on the critical path (see availability.go)
-	cfg.Tracer = tracer
-	cfg.SLOTarget = incidentsSLOTarget
-	c, err := cluster.New(3, cfg)
-	if err != nil {
-		panic("experiments: incidents cluster: " + err.Error())
-	}
-	for _, p := range workload.Table4() {
-		if err := c.Register(p); err != nil {
-			panic("experiments: incidents register: " + err.Error())
-		}
-	}
+	c := o.rack(workload.Table4(), func(cfg *faas.Config) {
+		cfg.Tracer = tracer
+		cfg.SLOTarget = incidentsSLOTarget
+	})
 
 	inj := fault.NewInjector(c.Engine(), o.Seed, availabilityScenario(tr.Duration()))
 	inj.SetTracer(tracer)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/faas"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -30,30 +29,13 @@ type prefetchRun struct {
 // paper-scale) so the trace keeps forcing template restores — the path
 // prefetching attacks.
 func runPrefetch(o Options, tr workload.Trace, on bool) prefetchRun {
-	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
-	cfg.Seed = o.Seed
-	cfg.KeepAlive = o.dur(2 * time.Minute)
-	cfg.Warmup = o.dur(5 * time.Minute)
-	cfg.SoftMemCap = 64 << 30
-	// Same placement rationale as the availability experiment: a 0.4 hot
-	// fraction spills each image's tail to the RDMA pool, keeping lazy
-	// fetches on the critical path for every restore — the traffic the
-	// prefetcher exists to batch.
-	cfg.HotFraction = 0.4
-	cfg.Tracer = o.Tracer
-	if on {
-		cfg.Prefetch = true
-		cfg.PromoteThreshold = 2
-	}
-	c, err := cluster.New(3, cfg)
-	if err != nil {
-		panic("experiments: prefetch cluster: " + err.Error())
-	}
-	for _, p := range workload.Table4() {
-		if err := c.Register(p); err != nil {
-			panic("experiments: prefetch register: " + err.Error())
+	c := o.rack(workload.Table4(), func(cfg *faas.Config) {
+		cfg.KeepAlive = o.dur(2 * time.Minute)
+		if on {
+			cfg.Prefetch = true
+			cfg.PromoteThreshold = 2
 		}
-	}
+	})
 
 	// Per-invocation restore cost: the start path plus the demand-fault
 	// train execution pays against remote memory (and, with prefetch on,

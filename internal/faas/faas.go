@@ -747,18 +747,17 @@ func (pl *Platform) emitPoolFetch(target *obs.Span, fn, kind, site string, seq i
 }
 
 // invoke is the full lifecycle of one invocation attempt. dispatcher
-// names the cluster policy that placed it ("" when none did) and tok
-// lets that dispatcher cancel it (nil = not cancellable). It returns the
-// terminal result after OnResult has seen it; an attempt unwound by
-// Engine.Shutdown never returns.
-func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToken) (res InvocationResult) {
+// names the cluster policy that placed it ("" when none did) and race is
+// the invocation's race, which cancels it once settled (nil = not
+// raced). It returns the terminal result after OnResult has seen it; an
+// attempt unwound by Engine.Shutdown never returns.
+func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, race *Race) (res InvocationResult) {
 	tArrive := p.Now()
 	seq := pl.invSeq
 	pl.invSeq++
 	// Trace identity is a hash of (node, function, sequence): no
 	// randomness, no wall clock, so same-seed runs reproduce it.
 	traceID := obs.TraceIDFor(pl.nodeName, name, strconv.FormatInt(seq, 10))
-	tok.setTrace(traceID)
 	// An attempt's absolute deadline, or 0 when unbounded.
 	var deadline time.Duration
 	if pl.cfg.Deadline > 0 {
@@ -778,7 +777,7 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 		pl.terminate(&res, tArrive, nil, fmt.Errorf("function %q not registered", name))
 		return
 	}
-	if err := pl.checkpoint(name, tok, deadline); err != nil {
+	if err := pl.checkpoint(name, race, deadline); err != nil {
 		pl.terminate(&res, tArrive, nil, err)
 		return
 	}
@@ -786,7 +785,7 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 	defer func() { pl.active-- }()
 	pl.admit(p, name)
 	defer pl.leave(name)
-	if err := pl.checkpoint(name, tok, deadline); err != nil {
+	if err := pl.checkpoint(name, race, deadline); err != nil {
 		pl.terminate(&res, tArrive, nil, err)
 		return
 	}
@@ -845,7 +844,7 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 			fn.Img.WSLog.AbortRecording()
 		}
 	}
-	if err := pl.checkpoint(name, tok, deadline); err != nil {
+	if err := pl.checkpoint(name, race, deadline); err != nil {
 		finishRecording(false)
 		pl.terminate(&res, tArrive, in, err)
 		return
@@ -882,7 +881,7 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, tok *CancelToke
 		pl.release(p, in)
 		return
 	}
-	if err := pl.checkpoint(name, tok, deadline); err != nil {
+	if err := pl.checkpoint(name, race, deadline); err != nil {
 		finishRecording(false)
 		pl.terminate(&res, tArrive, in, err)
 		return

@@ -51,6 +51,12 @@ type InvocationResult struct {
 	PrefetchWait time.Duration
 }
 
+// Healthy reports what a circuit breaker records for r against its
+// node's pool-fetch health: a fault-tainted outcome (a typed error, or
+// an invocation served after a retry or by the fallback) counts
+// against it.
+func (r InvocationResult) Healthy() bool { return r.FaultTrace == "" && r.Outcome != OutcomeError }
+
 // ErrNodeDown reports an invocation aborted by its node crashing.
 type ErrNodeDown struct{ Node string }
 
@@ -117,17 +123,17 @@ func (pl *Platform) AttachChaos(inj *fault.Injector) {
 
 // checkpoint reports why an in-flight attempt must stop now, or nil to
 // carry on. invoke asks at four checkpoints: before admission, after
-// admission, after start and after exec. A node crash (*ErrNodeDown), a
-// dispatcher's cancellation (*ErrCancelled) and an overrun deadline
+// admission, after start and after exec. A node crash (*ErrNodeDown),
+// a settled race (*ErrCancelled) and an overrun deadline
 // (*ErrDeadlineExceeded) are cooperative, never preemptive: each takes
 // effect at the next checkpoint the attempt reaches. deadline is the
 // attempt's absolute deadline (0 = unbounded).
-func (pl *Platform) checkpoint(name string, tok *CancelToken, deadline time.Duration) error {
+func (pl *Platform) checkpoint(name string, race *Race, deadline time.Duration) error {
 	switch {
 	case pl.crashed:
 		return &ErrNodeDown{Node: pl.nodeName}
-	case tok.Cancelled():
-		return &ErrCancelled{Reason: tok.reason, Winner: tok.winner}
+	case race != nil && race.Settled:
+		return &ErrCancelled{Winner: race.Winner}
 	case deadline > 0 && pl.eng.Now() > deadline:
 		return &ErrDeadlineExceeded{Function: name, Deadline: pl.cfg.Deadline}
 	}
@@ -180,8 +186,8 @@ func (pl *Platform) terminate(res *InvocationResult, t0 time.Duration, in *core.
 	if kind != "" {
 		sp.SetAttr("error_type", kind)
 	}
-	if e, ok := err.(*ErrCancelled); ok {
-		sp.SetAttr("cancel_reason", e.Reason)
+	if res.Outcome == OutcomeCancelled {
+		sp.SetAttr("cancel_reason", "hedge-lost")
 	}
 	if link.TraceID != "" {
 		sp.AddLink(link)

@@ -1,8 +1,8 @@
 package faas
 
 // Cooperative cancellation and per-invocation deadlines. The hedging
-// layer in internal/cluster races clone attempts of one invocation
-// across nodes and cancels the losers; the platform aborts a cancelled
+// layer in internal/cluster races attempts of one invocation across
+// nodes and settles one Race for it; the platform aborts every losing
 // attempt at the same checkpoints a node crash uses (see
 // Platform.checkpoint), unwinding its instance and page accounting with
 // no simulated cost — nothing useful runs on a loser once the race has
@@ -29,18 +29,17 @@ const (
 	OutcomeRedispatchExhausted Outcome = "redispatch-exhausted"
 )
 
-// ErrCancelled reports an attempt cancelled by its dispatcher after a
-// sibling attempt won the hedge race.
+// ErrCancelled reports an attempt that lost its race: a sibling attempt
+// of the same invocation won the hedge ("hedge-lost").
 type ErrCancelled struct {
-	Reason string // why the dispatcher cancelled ("hedge-lost")
 	Winner string // trace ID of the attempt that won ("" when none)
 }
 
 func (e *ErrCancelled) Error() string {
 	if e.Winner == "" {
-		return fmt.Sprintf("faas: attempt cancelled (%s)", e.Reason)
+		return "faas: attempt cancelled (hedge-lost)"
 	}
-	return fmt.Sprintf("faas: attempt cancelled (%s, winner %s)", e.Reason, e.Winner)
+	return "faas: attempt cancelled (hedge-lost, winner " + e.Winner + ")"
 }
 
 // ErrDeadlineExceeded reports an invocation that blew through its
@@ -54,48 +53,13 @@ func (e *ErrDeadlineExceeded) Error() string {
 	return fmt.Sprintf("faas: %s exceeded its %s deadline", e.Function, e.Deadline)
 }
 
-// CancelToken lets a dispatcher cancel one in-flight attempt
-// cooperatively: the attempt observes the token at its next checkpoint
-// and terminates with OutcomeCancelled. Cancellation is a one-way
-// latch — cancelling an already-terminal attempt is harmless.
-type CancelToken struct {
-	cancelled bool
-	reason    string
-	winner    string
-	traceID   string
-}
-
-// NewCancelToken returns an armed token.
-func NewCancelToken() *CancelToken { return &CancelToken{} }
-
-// Cancel latches the token. reason explains why; winner is the trace ID
-// of the attempt that made this one redundant ("" when none).
-func (t *CancelToken) Cancel(reason, winner string) {
-	if t == nil || t.cancelled {
-		return
-	}
-	t.cancelled = true
-	t.reason = reason
-	t.winner = winner
-}
-
-// Cancelled reports whether Cancel has been called. Nil-safe, so the
-// invoke path checks it unconditionally.
-func (t *CancelToken) Cancelled() bool { return t != nil && t.cancelled }
-
-// TraceID returns the attempt's trace ID, stamped when the attempt
-// entered a platform ("" before that).
-func (t *CancelToken) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	return t.traceID
-}
-
-func (t *CancelToken) setTrace(id string) {
-	if t != nil {
-		t.traceID = id
-	}
+// Race is one invocation's race across every attempt its dispatcher
+// launches. The dispatcher settles it once, naming the winner; from then
+// on every attempt of the race still in flight, or launched later, ends
+// with OutcomeCancelled at its next checkpoint.
+type Race struct {
+	Settled bool   // a result has settled the race
+	Winner  string // trace ID of the winning attempt ("" when none)
 }
 
 // SetDeadline sets (or clears, with 0) the per-invocation deadline for
@@ -108,11 +72,11 @@ func (pl *Platform) SetDeadline(d time.Duration) { pl.cfg.Deadline = d }
 // this node at arrival time. The dispatcher's name is stamped on the
 // attempt's root span (a zero-width "pick" step plus a dispatcher=
 // attribute), so a cluster trace shows where placement happened before
-// the node-local phases. tok lets the dispatcher cancel the attempt
-// cooperatively. It returns the attempt's terminal InvocationResult
-// after Config.OnResult has seen it, so the dispatcher settles the race
-// it launched the attempt for; an attempt unwound by Engine.Shutdown
-// never returns.
-func (pl *Platform) InvokeAttempt(p *sim.Proc, function, dispatcher string, tok *CancelToken) InvocationResult {
-	return pl.invoke(p, function, dispatcher, tok)
+// the node-local phases. race is the invocation's race: once it
+// settles, the attempt stops at its next checkpoint. It returns the
+// attempt's terminal InvocationResult after Config.OnResult has seen
+// it, so the dispatcher settles the race with it; an attempt unwound by
+// Engine.Shutdown never returns.
+func (pl *Platform) InvokeAttempt(p *sim.Proc, function, dispatcher string, race *Race) InvocationResult {
+	return pl.invoke(p, function, dispatcher, race)
 }

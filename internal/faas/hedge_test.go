@@ -29,22 +29,22 @@ func hedgePlatform(t *testing.T, tweak func(*Config)) (*Platform, *[]InvocationR
 	return pl, results
 }
 
-// TestCancelledAttemptReleasesAccounting: cancelling an attempt
+// TestCancelledAttemptReleasesAccounting: settling an attempt's race
 // mid-execution aborts it at the next checkpoint with OutcomeCancelled
 // and unwinds its instance accounting completely — no memory stays
 // charged, unlike a successful invocation whose warm instance lingers.
 func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 	pl, results := hedgePlatform(t, nil)
 	before := pl.UsedMemory()
-	tok := NewCancelToken()
+	race := &Race{}
 	var returned InvocationResult
 	pl.Engine().At(0, "dispatch/JS", func(p *sim.Proc) {
-		returned = pl.InvokeAttempt(p, "JS", "test", tok)
+		returned = pl.InvokeAttempt(p, "JS", "test", race)
 	})
 	// JS executes for ~100ms; 10ms lands mid-exec, after the instance
 	// was admitted and started.
-	pl.Engine().At(10*time.Millisecond, "cancel", func(p *sim.Proc) {
-		tok.Cancel("hedge-lost", "winner-trace")
+	pl.Engine().At(10*time.Millisecond, "settle", func(p *sim.Proc) {
+		race.Settled, race.Winner = true, "winner-trace"
 	})
 	pl.Engine().Run()
 
@@ -56,8 +56,8 @@ func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 		t.Fatalf("outcome %q, want %q", r.Outcome, OutcomeCancelled)
 	}
 	var ec *ErrCancelled
-	if !errors.As(r.Err, &ec) || ec.Reason != "hedge-lost" || ec.Winner != "winner-trace" {
-		t.Fatalf("error %v (%T), want *ErrCancelled{hedge-lost, winner-trace}", r.Err, r.Err)
+	if !errors.As(r.Err, &ec) || ec.Winner != "winner-trace" {
+		t.Fatalf("error %v (%T), want *ErrCancelled{winner-trace}", r.Err, r.Err)
 	}
 	if returned != r {
 		t.Fatalf("InvokeAttempt returned %+v, OnResult saw %+v", returned, r)
@@ -73,15 +73,14 @@ func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 	}
 }
 
-// TestPreCancelledAttemptAbortsAtAdmission: a token cancelled before
-// the attempt reaches the platform aborts at the first checkpoint —
-// before any instance exists — still delivering a terminal outcome.
+// TestPreCancelledAttemptAbortsAtAdmission: an attempt launched after
+// its race settled aborts at the first checkpoint — before any instance
+// exists — still delivering a terminal outcome.
 func TestPreCancelledAttemptAbortsAtAdmission(t *testing.T) {
 	pl, results := hedgePlatform(t, nil)
-	tok := NewCancelToken()
-	tok.Cancel("hedge-lost", "")
+	race := &Race{Settled: true}
 	pl.Engine().At(0, "dispatch/JS", func(p *sim.Proc) {
-		pl.InvokeAttempt(p, "JS", "test", tok)
+		pl.InvokeAttempt(p, "JS", "test", race)
 	})
 	pl.Engine().Run()
 
@@ -139,24 +138,39 @@ func TestDeadlineMet(t *testing.T) {
 	}
 }
 
-// TestCancelTokenNilSafety: every CancelToken method must be nil-safe —
-// the invoke path checks tokens unconditionally.
-func TestCancelTokenNilSafety(t *testing.T) {
-	var tok *CancelToken
-	tok.Cancel("x", "y")
-	if tok.Cancelled() || tok.TraceID() != "" {
-		t.Fatal("nil token must read as never-cancelled and empty")
+// TestSettledRaceCancelsEveryAttempt: one race latches all its
+// attempts. Once it settles, the attempt in flight stops at its next
+// checkpoint and one launched later is cancelled too, both naming the
+// winner; an attempt of a race that never settles, and one with no
+// race, run to success.
+func TestSettledRaceCancelsEveryAttempt(t *testing.T) {
+	pl, results := hedgePlatform(t, nil)
+	eng := pl.Engine()
+	race, open := &Race{}, &Race{}
+	var inFlight, late, unsettled InvocationResult
+	eng.At(0, "in-flight", func(p *sim.Proc) { inFlight = pl.InvokeAttempt(p, "JS", "test", race) })
+	eng.At(0, "unsettled", func(p *sim.Proc) { unsettled = pl.InvokeAttempt(p, "JS", "test", open) })
+	pl.Invoke(0, "JS")
+	eng.At(10*time.Millisecond, "settle", func(*sim.Proc) { race.Settled, race.Winner = true, "w" })
+	eng.At(20*time.Millisecond, "late", func(p *sim.Proc) { late = pl.InvokeAttempt(p, "JS", "test", race) })
+	eng.Run()
+
+	for name, r := range map[string]InvocationResult{"in-flight": inFlight, "late": late} {
+		var ec *ErrCancelled
+		if r.Outcome != OutcomeCancelled || !errors.As(r.Err, &ec) || ec.Winner != "w" {
+			t.Fatalf("%s attempt = %q / %v, want cancelled naming winner w", name, r.Outcome, r.Err)
+		}
 	}
-	tok = NewCancelToken()
-	if tok.Cancelled() {
-		t.Fatal("fresh token reads cancelled")
+	if unsettled.Outcome != OutcomeSuccess {
+		t.Fatalf("attempt of an unsettled race = %q / %v, want success", unsettled.Outcome, unsettled.Err)
 	}
-	tok.Cancel("first", "w1")
-	tok.Cancel("second", "w2") // one-way latch: the first cancel sticks
-	if !tok.Cancelled() {
-		t.Fatal("token lost its latch")
+	var successes int
+	for _, r := range *results {
+		if r.Outcome == OutcomeSuccess {
+			successes++
+		}
 	}
-	if tok.reason != "first" || tok.winner != "w1" {
-		t.Fatalf("latch overwritten: reason=%q winner=%q", tok.reason, tok.winner)
+	if len(*results) != 4 || successes != 2 || pl.Metrics().Cancelled.Value() != 2 {
+		t.Fatalf("%d results, %d successes, %d cancelled; want 4/2/2", len(*results), successes, pl.Metrics().Cancelled.Value())
 	}
 }

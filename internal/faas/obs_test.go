@@ -105,9 +105,8 @@ func TestStartupSpansSumToReportedStartupTotals(t *testing.T) {
 // at, and runs to completion. It returns the platform, the attempt's
 // result, the virtual time the result was delivered, and the attempt's
 // invoke/<fn> root span. An attempt dispatched through InvokeAttempt
-// must return exactly the result OnResult saw, with its token stamped
-// with the result's trace ID.
-func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Platform, *CancelToken),
+// must return exactly the result OnResult saw.
+func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Platform, *Race),
 	fn string, at time.Duration, attempt bool) (*Platform, InvocationResult, time.Duration, *obs.Span) {
 	t.Helper()
 	var results []InvocationResult
@@ -129,17 +128,17 @@ func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Pla
 			t.Fatal(err)
 		}
 	}
-	var tok *CancelToken
+	var race *Race
 	if attempt {
-		tok = NewCancelToken()
+		race = &Race{}
 	}
 	if arm != nil {
-		arm(pl, tok)
+		arm(pl, race)
 	}
 	var returned []InvocationResult
 	if attempt {
 		pl.Engine().At(at, "dispatch/"+fn, func(p *sim.Proc) {
-			returned = append(returned, pl.InvokeAttempt(p, fn, "test", tok))
+			returned = append(returned, pl.InvokeAttempt(p, fn, "test", race))
 		})
 	} else {
 		pl.Invoke(at, fn)
@@ -151,9 +150,6 @@ func terminalRun(t *testing.T, policy Policy, tweak func(*Config), arm func(*Pla
 	if attempt {
 		if len(returned) != 1 || returned[0] != results[0] {
 			t.Fatalf("InvokeAttempt returned %+v, OnResult saw %+v", returned, results[0])
-		}
-		if tok.TraceID() != results[0].TraceID {
-			t.Fatalf("token trace %q, want %q", tok.TraceID(), results[0].TraceID)
 		}
 	}
 	var root *obs.Span
@@ -186,17 +182,17 @@ func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
 	// JS arrives at 2ms; its cold TrEnv start runs to ~135ms and its
 	// execution to ~276ms, so an interrupt at 202ms lands mid-exec.
 	const arrive = 2 * time.Millisecond
-	crashAt := func(d time.Duration) func(*Platform, *CancelToken) {
-		return func(pl *Platform, _ *CancelToken) {
+	crashAt := func(d time.Duration) func(*Platform, *Race) {
+		return func(pl *Platform, _ *Race) {
 			pl.Engine().At(d, "crash", func(*sim.Proc) { pl.Crash() })
 		}
 	}
-	cancelAt := func(d time.Duration, winner string) func(*Platform, *CancelToken) {
-		return func(pl *Platform, tok *CancelToken) {
-			pl.Engine().At(d, "cancel", func(*sim.Proc) { tok.Cancel("hedge-lost", winner) })
+	cancelAt := func(d time.Duration, winner string) func(*Platform, *Race) {
+		return func(pl *Platform, race *Race) {
+			pl.Engine().At(d, "settle", func(*sim.Proc) { race.Settled, race.Winner = true, winner })
 		}
 	}
-	outage := func(pl *Platform, _ *CancelToken) {
+	outage := func(pl *Platform, _ *Race) {
 		inj := fault.NewInjector(pl.Engine(), pl.Seed(), fault.Scenario{
 			PoolOutages: []fault.PoolOutage{{Pool: "cxl", From: 0, To: time.Hour}},
 		})
@@ -206,9 +202,9 @@ func TestFailedInvocationRecordsErrorSpanAndCounter(t *testing.T) {
 		name    string
 		policy  Policy
 		tweak   func(*Config)
-		arm     func(*Platform, *CancelToken)
+		arm     func(*Platform, *Race)
 		fn      string
-		attempt bool // dispatch through InvokeAttempt with a cancel token
+		attempt bool // dispatch through InvokeAttempt in a race
 		// ends is where the abort lands: "arrival" (before admission), or
 		// the clean run's phase ("startup", "exec") whose end is the
 		// checkpoint that caught the interrupt; "" checks only that the
