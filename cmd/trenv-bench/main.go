@@ -44,6 +44,12 @@
 // experiment races its own fixed policies. Every bundle still records
 // the flag as part of the run's identity.
 //
+// -chaos and -prefetch reach the single-node figure runs: fig17,
+// fig18, fig20 and fig22. The rack experiments (availability, hedging,
+// incidents, prefetch) build their own racks, chaos schedules and
+// prefetch settings and ignore both flags. Every bundle still records
+// them as part of the run's identity.
+//
 // -shards sets the worker parallelism for sharded-fleet experiment
 // runs (the "sharding" experiment executes its reference run at that
 // count and checks it against the fixed worker-count sweep); every
@@ -78,10 +84,10 @@ func main() {
 	analyzePath := flag.String("analyze", "", "write the trace-analytics report as JSON to this file")
 	flamePath := flag.String("flame", "", "write recorded spans as folded flamegraph stacks to this file")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of text")
-	chaosSpec := flag.String("chaos", "", "fault-injection spec applied to every run, e.g. 'outage:cxl:10s-20s,flaky:rdma:0.2:burst=3,crash:n1:30s'")
+	chaosSpec := flag.String("chaos", "", "fault-injection spec applied to the fig17, fig18, fig20 and fig22 runs (the rack experiments ignore it), e.g. 'outage:cxl:10s-20s,flaky:rdma:0.2:burst=3,crash:n1:30s'")
 	alertsPath := flag.String("alerts", "", "attach the alert engine to every run and write per-run alert states, incidents, and timelines as JSON to this file")
 	rulesSpec := flag.String("rules", "", "with -alerts or -report: alerting rules as a compact spec or @file (empty = built-in default set)")
-	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching on every TrEnv platform the experiments build")
+	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching on the TrEnv platforms of the fig17, fig18, fig20 and fig22 runs (the rack experiments ignore it)")
 	hedgeSpec := flag.String("hedge", "", "request-hedging policy armed on the availability experiment's rack, e.g. 'delay:50ms', 'p95', 'clone:2' (see README for the grammar)")
 	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet experiment runs (0 = sequential; all outputs are invariant of it)")
 	reportPath := flag.String("report", "", "write the schema-stable trenv-report/v1 run bundle (figures, metrics, series, spans, analysis) to this file")

@@ -136,9 +136,11 @@ type ruleState struct {
 
 	// matched holds the recorder series a threshold, rate or absence
 	// rule watches, resolved whenever the recorder's series set changes;
-	// fns is a burn rule's named function (nil for "*").
+	// burns[i] holds the handles a burn rule reads on slos[i]: every
+	// tracked function for "*", or the named function's once slos[i] has
+	// seen it, resolved whenever that tracker's functions change.
 	matched []*obs.TimeSeries
-	fns     []string
+	burns   [][]obs.SLOHandle
 }
 
 // Event is one timeline entry: a rule transitioned at virtual instant T.
@@ -173,11 +175,11 @@ type Engine struct {
 	tracer *obs.Tracer
 
 	// resolved is the recorder series count the rules' matches were
-	// resolved at (-1: never); sloFns[i] is slos[i]'s tracked functions
-	// as of the last change. Series and functions never leave, so equal
-	// counts mean nothing to re-resolve.
+	// resolved at (-1: never); handles[i] is slos[i]'s handles as of the
+	// last change. Series and functions never leave, so equal counts mean
+	// nothing to re-resolve.
 	resolved int
-	sloFns   [][]string
+	handles  [][]obs.SLOHandle
 
 	evals    int64
 	lastEval time.Duration
@@ -202,11 +204,7 @@ func New(rules []Rule) *Engine {
 			panic(fmt.Sprintf("alert: duplicate rule name %q", r.Name))
 		}
 		seen[r.Name] = true
-		st := &ruleState{rule: r, state: StateInactive}
-		if r.Kind == KindBurn && r.Function != "" && r.Function != "*" {
-			st.fns = []string{r.Function}
-		}
-		e.states = append(e.states, st)
+		e.states = append(e.states, &ruleState{rule: r, state: StateInactive})
 	}
 	return e
 }
@@ -230,7 +228,12 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 func (e *Engine) AddSLO(t *obs.SLOTracker) {
 	if t != nil {
 		e.slos = append(e.slos, t)
-		e.sloFns = append(e.sloFns, nil)
+		e.handles = append(e.handles, nil)
+		for _, st := range e.states {
+			if st.rule.Kind == KindBurn {
+				st.burns = append(st.burns, nil)
+			}
+		}
 	}
 }
 
@@ -251,7 +254,7 @@ func (e *Engine) Eval(now time.Duration) {
 }
 
 // resolve re-matches the rules against the recorder's series and
-// re-reads the trackers' functions, but only when either set changed
+// re-reads the trackers' handles, but only when either set changed
 // since the last evaluation.
 func (e *Engine) resolve() {
 	if e.rec != nil && e.rec.NumSeries() != e.resolved {
@@ -264,10 +267,31 @@ func (e *Engine) resolve() {
 		}
 	}
 	for i, slo := range e.slos {
-		if slo.NumFunctions() != len(e.sloFns[i]) {
-			e.sloFns[i] = slo.Functions()
+		if slo.NumFunctions() == len(e.handles[i]) {
+			continue
+		}
+		e.handles[i] = slo.Handles()
+		for _, st := range e.states {
+			if st.rule.Kind == KindBurn {
+				st.burns[i] = burnHandles(e.handles[i], st.rule.Function)
+			}
 		}
 	}
+}
+
+// burnHandles returns the handles a burn rule on fn reads out of one
+// tracker's: all of them for "*" or "", else the named function's, or
+// none while the tracker has not seen it.
+func burnHandles(all []obs.SLOHandle, fn string) []obs.SLOHandle {
+	if fn == "" || fn == "*" {
+		return all
+	}
+	for i := range all {
+		if all[i].Name == fn {
+			return all[i : i+1]
+		}
+	}
+	return nil
 }
 
 // condition evaluates one rule's predicate, returning whether it is
@@ -301,15 +325,11 @@ func (e *Engine) condition(st *ruleState, now time.Duration) (bool, string) {
 		}
 		return false, ""
 	case KindBurn:
-		for i, slo := range e.slos {
-			fns := st.fns
-			if fns == nil {
-				fns = e.sloFns[i]
-			}
-			for _, fn := range fns {
+		for _, hs := range st.burns {
+			for _, h := range hs {
 				for _, bw := range r.Burn {
-					if b := slo.BurnRate(fn, now, bw.Window); b >= bw.Factor {
-						return true, fmt.Sprintf("%s burn %.2fx over %s >= %gx", fn, b, bw.Window, bw.Factor)
+					if b := h.BurnRate(now, bw.Window); b >= bw.Factor {
+						return true, fmt.Sprintf("%s burn %.2fx over %s >= %gx", h.Name, b, bw.Window, bw.Factor)
 					}
 				}
 			}

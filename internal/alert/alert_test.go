@@ -249,6 +249,31 @@ func TestBurnRule(t *testing.T) {
 	}
 }
 
+// TestNamedBurnRuleWaitsForItsFunction: a burn rule on a named function
+// stays inactive while no tracker has seen that function, even with
+// another function burning, and fires once any tracker records it.
+func TestNamedBurnRuleWaitsForItsFunction(t *testing.T) {
+	f := newFixture(t, []Rule{
+		{Name: "g", Kind: KindBurn, Function: "G",
+			Burn: []BurnWindow{{Window: time.Second, Factor: 5}}},
+	}, 0)
+	a, b := obs.NewSLOTracker(time.Second), obs.NewSLOTracker(time.Second)
+	for _, slo := range []*obs.SLOTracker{a, b} {
+		slo.SetDefault(obs.SLO{Target: 100 * time.Millisecond, Objective: 0.9})
+		f.eng.AddSLO(slo)
+	}
+	a.Record("F", 100*time.Millisecond, time.Second) // F burns 10x
+	f.rec.Sample(200 * time.Millisecond)
+	if got := f.state("g").State; got != StateInactive {
+		t.Fatalf("G unseen: state = %s, want inactive", got)
+	}
+	b.Record("G", 300*time.Millisecond, time.Second)
+	f.rec.Sample(400 * time.Millisecond)
+	if st := f.state("g"); st.State != StateFiring || !strings.HasPrefix(st.Detail, "G burn 10.00x") {
+		t.Fatalf("G burning on the second tracker: state = %s, detail %q", st.State, st.Detail)
+	}
+}
+
 func TestIncidentCaptureLinksWorstTraces(t *testing.T) {
 	f := newFixture(t, []Rule{
 		{Name: "hot", Kind: KindThreshold, Series: "g", Op: OpGE, Value: 5, For: 200 * time.Millisecond},

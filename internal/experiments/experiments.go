@@ -36,13 +36,16 @@ type Options struct {
 	// "<experiment>/<workload>/<policy>" run name.
 	Recorders *obs.RecorderSet
 	// Chaos, when non-nil and non-empty, injects the fault schedule into
-	// every platform an experiment builds (cmd/trenv-bench -chaos). The
-	// injector is seeded from Seed, so chaos runs stay reproducible.
+	// every platform containerPlatform builds: the fig17, fig18, fig20
+	// and fig22 runs (cmd/trenv-bench -chaos). The racks Options.rack
+	// builds ignore it. The injector is seeded from Seed, so chaos runs
+	// stay reproducible.
 	Chaos *fault.Scenario
 	// Prefetch turns working-set prefetching on for every TrEnv platform
-	// an experiment builds (cmd/trenv-bench -prefetch); non-TrEnv
-	// policies ignore it. The dedicated "prefetch" experiment compares
-	// on vs off explicitly and is unaffected by this knob.
+	// containerPlatform builds: the fig17, fig18, fig20 and fig22 runs
+	// (cmd/trenv-bench -prefetch); non-TrEnv policies ignore it. The
+	// racks Options.rack builds ignore it too, and the dedicated
+	// "prefetch" experiment compares on vs off explicitly.
 	Prefetch bool
 	// Alerts, when non-nil, tracks one alert engine per observed run
 	// (cmd/trenv-bench -alerts): rules evaluate on each run's recorder

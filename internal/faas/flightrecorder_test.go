@@ -123,14 +123,14 @@ func TestPlatformSLOTracking(t *testing.T) {
 	if slo == nil {
 		t.Fatal("SLO tracker not created")
 	}
-	fns := slo.Functions()
+	fns := slo.Handles()
 	if len(fns) == 0 {
 		t.Fatal("no functions tracked")
 	}
 	var total, breaches int64
 	for _, fn := range fns {
-		total += slo.Total(fn)
-		breaches += slo.Breaches(fn)
+		total += slo.Total(fn.Name)
+		breaches += slo.Breaches(fn.Name)
 	}
 	if total != int64(pl.Metrics().Invocations()) {
 		t.Fatalf("SLO events %d != invocations %d", total, pl.Metrics().Invocations())

@@ -177,17 +177,17 @@ func (ts *TimeSeries) RateOver(now, window time.Duration) (rate float64, ok bool
 // appear as the registry first reports them (dynamic families grow
 // during a run). The recorder binds one slot to the first entry of each
 // key in the registry's sample plan and rebinds only when the plan is
-// recompiled, so a steady tick reads one value per series, compares its
-// bits with the slot's last, and writes only where they differ.
+// recompiled, so a steady tick calls one reader per series, compares
+// its bits with the slot's last, and writes only where they differ.
 type Recorder struct {
 	reg   *Registry
 	cap   int
 	byKey map[string]*TimeSeries
-	// series, entry and last run in parallel, in key order: series[k]
-	// records reg.plan[entry[k]], and last[k] holds the bits of its
-	// newest value.
+	// series, read and last run in parallel, in key order: read[k] is the
+	// plan reader of series[k], and last[k] holds the bits of its newest
+	// value.
 	series []*TimeSeries
-	entry  []int
+	read   []func() float64
 	last   []uint64
 	gen    int // plan generation the slots are bound to
 	// times rings the newest cap+1 sample instants, one more than a
@@ -245,9 +245,9 @@ func (r *Recorder) record(now time.Duration, advance bool) {
 	if !advance {
 		return
 	}
-	i, plan := r.n-1, r.reg.plan
-	for k, e := range r.entry {
-		v := plan[e].read()
+	i := r.n - 1
+	for k, read := range r.read {
+		v := read()
 		if b := math.Float64bits(v); b != r.last[k] {
 			r.last[k] = b
 			r.series[k].add(i, v)
@@ -262,7 +262,7 @@ func (r *Recorder) record(now time.Duration, advance bool) {
 // holds every key ever sampled (series never leave a registry), so the
 // slots are the series in key order.
 func (r *Recorder) bind() {
-	r.series, r.entry, r.last = r.series[:0], r.entry[:0], r.last[:0]
+	r.series, r.read, r.last = r.series[:0], r.read[:0], r.last[:0]
 	for i := range r.reg.plan {
 		e := &r.reg.plan[i]
 		if k := len(r.series); k > 0 && r.series[k-1].Key == e.key {
@@ -275,7 +275,7 @@ func (r *Recorder) bind() {
 			r.byKey[e.key] = ts
 		}
 		r.series = append(r.series, ts)
-		r.entry = append(r.entry, i)
+		r.read = append(r.read, e.read)
 		r.last = append(r.last, math.Float64bits(ts.steps[len(ts.steps)-1].v))
 	}
 	r.gen = r.reg.gen

@@ -255,9 +255,6 @@ func TestSLOBurnRate(t *testing.T) {
 	if got := tr.BurnRate("JS", at(54), time.Minute); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("burn rate = %v, want 2", got)
 	}
-	if got := tr.Compliance("JS", at(54), time.Minute); got != 0.8 {
-		t.Fatalf("compliance = %v, want 0.8", got)
-	}
 	if tr.Total("JS") != 10 || tr.Breaches("JS") != 2 {
 		t.Fatalf("totals = %d/%d", tr.Total("JS"), tr.Breaches("JS"))
 	}
@@ -279,8 +276,8 @@ func TestSLODefaultAndRegister(t *testing.T) {
 	tr.Record("B", time.Second, 20*time.Millisecond) // breach
 	tr.Record("A", 2*time.Second, 5*time.Millisecond)
 
-	if got := tr.Functions(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Fatalf("functions = %v", got)
+	if got := tr.Handles(); len(got) != 2 || got[0].Name != "A" || got[1].Name != "B" {
+		t.Fatalf("handles = %v", got)
 	}
 	reg := NewRegistry()
 	tr.Register(reg, map[string]string{"node": "n1"}, func() time.Duration { return now })

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,11 +61,13 @@ type family struct {
 }
 
 // series is one registered series: how to read it, nothing rendered.
+// value reads a counter or gauge, or a summary's _count, and sum a
+// summary's _sum; both are built once, when the series is registered.
 type series struct {
-	labels map[string]string
-	value  func() float64
-	hist   *sim.Histogram
-	ex     func() *ExemplarReservoir
+	labels     map[string]string
+	value, sum func() float64
+	hist       *sim.Histogram
+	ex         func() *ExemplarReservoir
 }
 
 // seriesText is a series' rendered labels (base: `{k="v",...}`, ""
@@ -86,23 +89,14 @@ type row struct {
 }
 
 // planEntry is one sample of the compiled plan: a counter or gauge
-// value, or one of a summary's _count and _sum.
+// value, or one of a summary's _count and _sum, with its series' reader
+// for that sample.
 type planEntry struct {
 	key     string
 	name    string
 	s       *series
-	sum     bool // a summary's _sum (otherwise its _count)
+	read    func() float64
 	counter bool
-}
-
-func (e *planEntry) read() float64 {
-	switch {
-	case e.s.hist == nil:
-		return e.s.value()
-	case e.sum:
-		return e.s.hist.Sum()
-	}
-	return float64(e.s.hist.N())
 }
 
 type boundSet struct {
@@ -176,14 +170,19 @@ func checkLabelName(name string) {
 	}
 }
 
-// newSeries validates the label names; compile renders them later.
+// newSeries validates the label names; compile renders them later. A
+// histogram's _count and _sum readers are built here.
 func newSeries(labels map[string]string, value func() float64, h *sim.Histogram, ex func() *ExemplarReservoir) series {
 	if len(labels) > 0 {
 		for k := range labels {
 			checkLabelName(k)
 		}
 	}
-	return series{labels: labels, value: value, hist: h, ex: ex}
+	s := series{labels: labels, value: value, hist: h, ex: ex}
+	if h != nil {
+		s.value, s.sum = func() float64 { return float64(h.N()) }, h.Sum
+	}
+	return s
 }
 
 func (r *Registry) familyFor(name, help string, kind familyKind) *family {
@@ -362,22 +361,22 @@ func (r *Registry) compile() {
 		for _, set := range f.sets {
 			f.rows = set.appendRows(f, f.rows)
 		}
-		sort.SliceStable(f.rows, func(i, j int) bool { return f.rows[i].t.base < f.rows[j].t.base })
+		slices.SortStableFunc(f.rows, func(a, b row) int { return strings.Compare(a.t.base, b.t.base) })
 	}
-	var plan []planEntry
+	plan := r.plan[:0]
 	for _, name := range r.names {
 		f := r.families[name]
 		for _, rw := range f.rows {
 			if f.kind != kindSummary {
-				plan = append(plan, planEntry{key: rw.t.key, name: f.name, s: rw.s, counter: f.kind == kindCounter})
+				plan = append(plan, planEntry{key: rw.t.key, name: f.name, s: rw.s, read: rw.s.value, counter: f.kind == kindCounter})
 				continue
 			}
 			plan = append(plan,
-				planEntry{key: rw.t.key, name: f.count, s: rw.s, counter: true},
-				planEntry{key: rw.t.sumKey, name: f.sum, s: rw.s, sum: true, counter: true})
+				planEntry{key: rw.t.key, name: f.count, s: rw.s, read: rw.s.value, counter: true},
+				planEntry{key: rw.t.sumKey, name: f.sum, s: rw.s, read: rw.s.sum, counter: true})
 		}
 	}
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].key < plan[j].key })
+	slices.SortStableFunc(plan, func(a, b planEntry) int { return strings.Compare(a.key, b.key) })
 	r.plan, r.dirty = plan, false
 	r.gen++
 }
@@ -459,7 +458,7 @@ func appendSummary(b []byte, name string, s *series, base string) []byte {
 	b = append(b, "_sum"...)
 	b = append(b, base...)
 	b = append(b, ' ')
-	b = strconv.AppendFloat(b, s.hist.Sum(), 'g', -1, 64)
+	b = strconv.AppendFloat(b, s.sum(), 'g', -1, 64)
 	b = append(b, '\n')
 	b = append(b, name...)
 	b = append(b, "_count"...)

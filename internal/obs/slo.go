@@ -40,11 +40,29 @@ type sloEvent struct {
 type sloSeries struct {
 	slo SLO
 	// events is a ring in time order, oldest at head once full. Ties keep
-	// record order.
+	// record order. Events carry logical indexes: the oldest retained one
+	// is base, and index i lives at events[(head+i-base)%len(events)].
 	events   []sloEvent
 	head     int
+	base     int
 	total    int64
 	breaches int64
+	// cursors holds one cursor per window length read so far.
+	cursors []burnCursor
+}
+
+// burnCursor is one window's running count: the events [lo, hi) are
+// those with t in (at-window, at], and total and bad count them. A read
+// at or after at only moves both ends forward, so a run's ticks cost
+// what enters and leaves the window since the last tick.
+type burnCursor struct {
+	window, at time.Duration
+	lo, hi     int
+	total, bad int64
+}
+
+func (s *sloSeries) event(i int) sloEvent {
+	return s.events[(s.head+i-s.base)%len(s.events)]
 }
 
 func (s *sloSeries) record(e sloEvent, cap int) {
@@ -58,8 +76,27 @@ func (s *sloSeries) record(e sloEvent, cap int) {
 	case n < cap:
 		s.events = append(s.events, e)
 	default:
+		s.drop()
 		s.events[s.head] = e
 		s.head = (s.head + 1) % cap
+	}
+}
+
+// drop retires the oldest event of a full ring: every cursor that
+// counts it stops counting it, and no cursor starts before the new
+// oldest event.
+func (s *sloSeries) drop() {
+	old := s.event(s.base)
+	s.base++
+	for k := range s.cursors {
+		c := &s.cursors[k]
+		if c.lo < s.base && c.lo < c.hi {
+			c.total--
+			if old.bad {
+				c.bad--
+			}
+		}
+		c.lo, c.hi = max(c.lo, s.base), max(c.hi, s.base)
 	}
 }
 
@@ -67,15 +104,17 @@ func (s *sloSeries) record(e sloEvent, cap int) {
 // before its instant, so the ring stays in time order. A full ring then
 // drops its oldest event, which is e itself when e is older than all of
 // them: the ring keeps the newest cap events by time. In a run every
-// event is recorded at the engine's now, so this never happens there.
+// event is recorded at the engine's now, so this never happens there,
+// and it drops every cursor rather than repair them.
 func (s *sloSeries) insert(e sloEvent, cap int) {
 	ev := append(append([]sloEvent(nil), s.events[s.head:]...), s.events[:s.head]...)
 	i := sort.Search(len(ev), func(k int) bool { return ev[k].t > e.t })
 	ev = slices.Insert(ev, i, e)
 	if len(ev) > cap {
 		ev = ev[1:]
+		s.base++
 	}
-	s.events, s.head = ev, 0
+	s.events, s.head, s.cursors = ev, 0, s.cursors[:0]
 }
 
 // burnRate is SLOTracker.BurnRate for this function.
@@ -93,28 +132,44 @@ func (s *sloSeries) burnRate(now, window time.Duration) float64 {
 	return (float64(bad) / float64(total)) / den
 }
 
-// window counts events with t in (now-window, now]. The ring is in time
-// order, so it scans back from the newest event and stops at the first
-// one at or before now-window. A binary search measured slower at the
-// ~50 events per function a burn window holds on the W1 trace.
+// window counts events with t in (now-window, now] through the window's
+// cursor. A read before the cursor's instant restarts it at the oldest
+// retained event. The ring is in time order, so the events at or before
+// now are a prefix of it, and so are those at or before now-window.
 func (s *sloSeries) window(now, window time.Duration) (total, bad int64) {
-	lo := now - window
-	// Once the ring wraps, events[:head] holds its newest events.
-	for _, seg := range [2][]sloEvent{s.events[:s.head], s.events[s.head:]} {
-		for k := len(seg) - 1; k >= 0; k-- {
-			e := seg[k]
-			if e.t <= lo {
-				return total, bad
-			}
-			if e.t <= now {
-				total++
-				if e.bad {
-					bad++
-				}
-			}
+	k := 0
+	for k < len(s.cursors) && s.cursors[k].window != window {
+		k++
+	}
+	if k == len(s.cursors) {
+		s.cursors = append(s.cursors, burnCursor{window: window, lo: s.base, hi: s.base})
+	}
+	c := &s.cursors[k]
+	if now < c.at {
+		*c = burnCursor{window: window, lo: s.base, hi: s.base}
+	}
+	c.at = now
+	for end := s.base + len(s.events); c.hi < end; c.hi++ {
+		e := s.event(c.hi)
+		if e.t > now {
+			break
+		}
+		c.total++
+		if e.bad {
+			c.bad++
 		}
 	}
-	return total, bad
+	for cut := now - window; c.lo < c.hi; c.lo++ {
+		e := s.event(c.lo)
+		if e.t > cut {
+			break
+		}
+		c.total--
+		if e.bad {
+			c.bad--
+		}
+	}
+	return c.total, c.bad
 }
 
 // SLOTracker tracks per-function latency objectives over virtual time
@@ -129,7 +184,7 @@ type SLOTracker struct {
 	cap     int
 	windows []time.Duration
 	byFn    map[string]*sloSeries
-	names   []string // sorted function names
+	fns     []SLOHandle // sorted by name
 	// pubs are the registrations: each owns the series sets a newly
 	// tracked function is added to.
 	pubs []*sloPub
@@ -154,6 +209,18 @@ func (p *sloPub) add(fn string, s *sloSeries, windows []time.Duration) {
 		p.burns.Add(mergeLabels(p.base, map[string]string{"function": fn, "window": w.String()}),
 			func() float64 { return s.burnRate(p.now(), w) })
 	}
+}
+
+// SLOHandle is one tracked function: its name and its event series. A
+// burn rate read through it looks nothing up.
+type SLOHandle struct {
+	Name string
+	s    *sloSeries
+}
+
+// BurnRate is SLOTracker.BurnRate for the handle's function.
+func (h SLOHandle) BurnRate(now, window time.Duration) float64 {
+	return h.s.burnRate(now, window)
 }
 
 // NewSLOTracker tracks burn rate over the given sliding windows
@@ -190,10 +257,8 @@ func (t *SLOTracker) seriesFor(fn string, slo SLO) *sloSeries {
 	if !ok {
 		s = &sloSeries{slo: slo}
 		t.byFn[fn] = s
-		i := sort.SearchStrings(t.names, fn)
-		t.names = append(t.names, "")
-		copy(t.names[i+1:], t.names[i:])
-		t.names[i] = fn
+		i := sort.Search(len(t.fns), func(k int) bool { return t.fns[k].Name >= fn })
+		t.fns = slices.Insert(t.fns, i, SLOHandle{Name: fn, s: s})
 		for _, p := range t.pubs {
 			p.add(fn, s, t.windows)
 		}
@@ -215,14 +280,14 @@ func (t *SLOTracker) Record(fn string, at, latency time.Duration) {
 	s.record(sloEvent{t: at, bad: latency > s.slo.Target}, t.cap)
 }
 
-// Functions returns every tracked function, sorted.
-func (t *SLOTracker) Functions() []string {
-	return append([]string(nil), t.names...)
+// Handles returns one handle per tracked function, sorted by name.
+func (t *SLOTracker) Handles() []SLOHandle {
+	return append([]SLOHandle(nil), t.fns...)
 }
 
 // NumFunctions returns how many functions are tracked. Functions are
-// never dropped, so an unchanged count means an unchanged Functions list.
-func (t *SLOTracker) NumFunctions() int { return len(t.names) }
+// never dropped, so an unchanged count means an unchanged Handles list.
+func (t *SLOTracker) NumFunctions() int { return len(t.fns) }
 
 // Total returns how many invocations of fn were recorded.
 func (t *SLOTracker) Total(fn string) int64 {
@@ -253,20 +318,6 @@ func (t *SLOTracker) BurnRate(fn string, now, window time.Duration) float64 {
 	return s.burnRate(now, window)
 }
 
-// Compliance returns the fraction of invocations within target over the
-// window ending at now (1 when nothing was recorded).
-func (t *SLOTracker) Compliance(fn string, now, window time.Duration) float64 {
-	s, ok := t.byFn[fn]
-	if !ok {
-		return 1
-	}
-	total, bad := s.window(now, window)
-	if total == 0 {
-		return 1
-	}
-	return 1 - float64(bad)/float64(total)
-}
-
 // mergeLabels returns base ∪ extra (extra wins on conflicts).
 func mergeLabels(base, extra map[string]string) map[string]string {
 	if len(base) == 0 && len(extra) == 0 {
@@ -294,8 +345,8 @@ func (t *SLOTracker) Register(reg *Registry, base map[string]string, now func() 
 	reg.GaugeSet("trenv_slo_target_ms", "Configured per-function latency target.", &p.target)
 	reg.GaugeSet("trenv_slo_burn_rate",
 		"Error-budget burn rate over a sliding virtual-time window (1 = at budget).", &p.burns)
-	for _, fn := range t.names {
-		p.add(fn, t.byFn[fn], t.windows)
+	for _, h := range t.fns {
+		p.add(h.Name, h.s, t.windows)
 	}
 	t.pubs = append(t.pubs, p)
 }

@@ -16,9 +16,9 @@ import (
 // platform's metrics, its SLO tracker, build info, and the default
 // alert rules, sampled into rings of the given capacity. It runs one
 // invocation of every Table-4 function, so each per-function and SLO
-// series exists before it returns the recorder, the engine and the
-// virtual instant the run ended at.
-func observedNode(tb testing.TB, capacity int) (*obs.Recorder, *alert.Engine, time.Duration) {
+// series exists before it returns the recorder, the engine, the node's
+// SLO tracker and the virtual instant the run ended at.
+func observedNode(tb testing.TB, capacity int) (*obs.Recorder, *alert.Engine, *obs.SLOTracker, time.Duration) {
 	tb.Helper()
 	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
 	cfg.Seed = 1
@@ -41,16 +41,19 @@ func observedNode(tb testing.TB, capacity int) (*obs.Recorder, *alert.Engine, ti
 	ae.RegisterMetrics(reg, nil)
 	pl.AttachAlerts(ae)
 	pl.RunTrace(tr)
-	return rec, ae, pl.Engine().Now()
+	return rec, ae, pl.SLO(), pl.Engine().Now()
 }
 
 // TestRecorderTickAllocs is the flight recorder's allocation ceiling:
 // once the sample plan is compiled, no series appears and the alert
 // rules are quiet, one sampling tick — every series read and pushed,
-// every rule evaluated — allocates nothing.
+// every rule evaluated — allocates nothing. It measures two batches:
+// one after the run, when every burn window is empty, and one while a
+// burst of events sits in both windows, so each tick moves the burn
+// windows' cursors past events.
 func TestRecorderTickAllocs(t *testing.T) {
 	const capacity = 8
-	rec, ae, now := observedNode(t, capacity)
+	rec, ae, slo, now := observedNode(t, capacity)
 	tick := func() {
 		now += obs.DefaultSampleInterval
 		rec.Sample(now)
@@ -73,6 +76,35 @@ func TestRecorderTickAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
 		t.Fatalf("steady tick allocates %v times, want 0", allocs)
 	}
+
+	// One breach in a burst of 100 at the node's default 0.99 objective
+	// burns at about 1x, under every factor of the slo-burn rule. One tick
+	// records the burst's value changes; the 101 measured ticks then span
+	// 10.1 s, inside both windows.
+	fn := slo.Handles()[0].Name
+	for i := 0; i < 100; i++ {
+		lat := time.Millisecond
+		if i == 0 {
+			lat = time.Hour
+		}
+		slo.Record(fn, now, lat)
+	}
+	tick()
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Fatalf("tick with full burn windows allocates %v times, want 0", allocs)
+	}
+	bad, total, objective := 1.0, 100.0, 0.99
+	want := (bad / total) / (1 - objective)
+	for _, w := range slo.Windows() {
+		if got := slo.BurnRate(fn, now, w); got != want {
+			t.Fatalf("%s burns %v over %v after the measured ticks, want %v: the burst left the window", fn, got, w, want)
+		}
+	}
+	for _, st := range ae.Snapshot() {
+		if st.State != alert.StateInactive {
+			t.Fatalf("rule %s is %s during the burst", st.Rule.Name, st.State)
+		}
+	}
 	if got := rec.NumSeries(); got != series {
 		t.Fatalf("series grew %d -> %d during the measured ticks", series, got)
 	}
@@ -85,7 +117,7 @@ func TestRecorderTickAllocs(t *testing.T) {
 // flight-recorder sample and alert evaluation over a node's full
 // surface, with full rings.
 func BenchmarkRecorderSample(b *testing.B) {
-	rec, _, now := observedNode(b, obs.DefaultSeriesCapacity)
+	rec, _, _, now := observedNode(b, obs.DefaultSeriesCapacity)
 	for i := 0; i < obs.DefaultSeriesCapacity; i++ {
 		now += obs.DefaultSampleInterval
 		rec.Sample(now)

@@ -458,8 +458,8 @@ func NewRecorderSet(every time.Duration, capacity int) *RecorderSet {
 // SLOObjective configure the platform-wide default).
 type SLO = obs.SLO
 
-// SLOTracker records per-function compliance and burn rates over
-// sliding virtual-time windows; see ContainerPlatform.SLO.
+// SLOTracker records per-function event and breach counts and burn
+// rates over sliding virtual-time windows; see ContainerPlatform.SLO.
 type SLOTracker = obs.SLOTracker
 
 // RegisterTracerDrops publishes a span tracer's drop counter
