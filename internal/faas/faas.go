@@ -927,6 +927,13 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, race *Race) (re
 	}
 	if pl.tracer != nil {
 		root := obs.NewSpan("invoke/"+name, tArrive, tEnd)
+		// Room for exactly the attributes set below, so no SetAttr regrows
+		// the slice.
+		attrs := 4
+		if dispatcher != "" {
+			attrs = 5
+		}
+		root.Attrs = make([]obs.Attr, 0, attrs)
 		root.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).
 			SetAttr("path", string(st.Path)).SetAttr("node", pl.nodeName)
 		if dispatcher != "" {

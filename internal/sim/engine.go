@@ -6,7 +6,12 @@
 // goroutine that the engine binds at the process's first resume and takes
 // back when the body returns, so the goroutines alive track in-flight
 // processes rather than scheduled arrivals, and each keeps the stack earlier
-// bodies grew. A trace's arrivals enter through one feed (AtEach) that
+// bodies grew. The event loop runs on whichever goroutine holds control:
+// when a body parks or returns, its runner pops the next events itself and
+// passes control straight to the next process's runner, in one goroutine
+// switch, or to none when that process is its own or, once its body has
+// returned, a fresh arrival it binds itself. A trace's arrivals enter
+// through one feed (AtEach) that
 // keeps a single arrival queued at a time, so the event heap holds the
 // in-flight processes rather than the whole trace. The engine also
 // provides counted resources (CPU cores) and the statistics types
@@ -18,6 +23,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -46,6 +52,9 @@ type Engine struct {
 	free       []*event      // recycled event structs for the hot push/pop path
 	deadline   time.Duration // the running loop's bound; < 0 means none
 	exclusive  bool          // the running loop leaves events at exactly deadline queued
+	back       chan struct{} // a runner to run's caller: the run is over, or a runner exited
+	fault      any           // a panic the loop raised on a runner, raised again by run's caller
+	exiting    bool          // a callback called runtime.Goexit on a runner: the loop runs nothing more
 }
 
 type event struct {
@@ -140,7 +149,7 @@ func (e *Engine) recycle(ev *event) {
 
 // NewEngine returns an engine whose random stream is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), back: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -150,9 +159,9 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Proc is a simulated process. Its body runs on a runner the engine binds
-// at the process's first resume, and only while the engine is blocked
-// waiting for it, giving cooperative, deterministic scheduling. Creating a
-// Proc starts no goroutine.
+// at the process's first resume, and only while that runner holds control,
+// giving cooperative, deterministic scheduling. Creating a Proc starts no
+// goroutine.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -270,57 +279,42 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.push(e.newEvent(e.now+d, nil, fn))
 }
 
-// resume hands control to p, binding a runner at its first resume, and
-// blocks until p parks or returns.
-func (e *Engine) resume(p *Proc) {
-	r := p.r
-	if r == nil {
-		if p.feed != nil {
-			e.release(p.feed) // the feed's next arrival waits in the queue from now on
-		}
-		r = e.bind(p)
-	}
-	r.resume()
-}
-
 // runner is a long-lived goroutine that runs process bodies one after
 // another, so a body starts on a stack that earlier bodies already grew.
-// The engine and the runner pass control back and forth over two
-// unbuffered channels, so exactly one of them runs at a time; that
-// handoff lives in resume and park alone.
+// Exactly one goroutine holds control at a time: run's caller or one
+// runner. When a body parks or returns, its runner runs the event loop
+// itself and passes control straight to the runner of the next process
+// over that runner's wake channel, or back to run's caller over the
+// engine's back channel once the run is over. It keeps control, with no
+// switch, when the next process is its own, or a fresh one it binds
+// after its body returned.
 type runner struct {
-	eng   *Engine
-	wake  chan struct{} // engine to runner: run the bound process; closed to stop an idle runner
-	yield chan struct{} // runner to engine: the bound process parked or returned; closed as the goroutine exits
-	proc  *Proc         // bound process; nil while idle
-	slot  int           // index in eng.busy while bound
+	eng  *Engine
+	wake chan struct{} // control passes to this runner; closed to stop it while idle
+	proc *Proc         // bound process; nil while idle
+	slot int           // index in eng.busy while bound
 }
 
-// resume runs the bound process until it parks or returns.
-func (r *runner) resume() {
-	r.wake <- struct{}{}
-	<-r.yield
-}
-
-// park hands control back to the engine and blocks until the next resume.
-func (r *runner) park() {
-	r.yield <- struct{}{}
-	<-r.wake
-}
-
-// loop starts each process the engine binds, until the engine stops it.
-func (r *runner) loop() {
-	defer close(r.yield)
+// serve runs each process bound to r until r leaves the pool or stopIdle
+// closes wake.
+func (r *runner) serve() {
 	for range r.wake {
-		if !r.exec() {
-			return
+		for {
+			if !r.exec() {
+				return // left the pool; exec passed control on
+			}
+			if !r.handoff() {
+				break // control passed on: wait for the next process
+			}
 		}
 	}
+	r.eng.back <- struct{}{} // stopped while idle: stopIdle waits for this
 }
 
-// exec runs the bound process's body to its end, detaches the process and
-// yields to the engine. It reports whether the runner stays in the pool:
-// not after runtime.Goexit in the body, nor once the engine has stopped.
+// exec runs the bound process's body to its end and detaches the process.
+// It reports whether r stays in the pool: not after runtime.Goexit in the
+// body, nor once the engine has stopped. A runner that leaves the pool
+// passes control on before its goroutine exits.
 func (r *runner) exec() (reuse bool) {
 	e, p := r.eng, r.proc
 	returned := false
@@ -331,7 +325,9 @@ func (r *runner) exec() (reuse bool) {
 		}
 		reuse = (returned || v != nil) && !e.stopped
 		e.unbind(r, reuse)
-		r.yield <- struct{}{}
+		if !reuse {
+			r.handoff() // r is on neither list, so control leaves it
+		}
 	}()
 	fn, f := p.fn, p.feed
 	p.fn, p.feed = nil, nil
@@ -344,6 +340,61 @@ func (r *runner) exec() (reuse bool) {
 	return
 }
 
+// handoff runs the loop on r's goroutine, which holds control, and passes
+// control to the runner the loop returns, or back to run's caller. It
+// reports whether that runner is r, which then goes on with no switch.
+// A panic the loop raises ends the run: run's caller raises it again. So
+// does runtime.Goexit in a callback, once r's goroutine has unwound: a
+// parked body runs its deferred calls and exec hands the run back, and a
+// runner with no body leaves the pool and hands it back at once.
+func (r *runner) handoff() (stay bool) {
+	e := r.eng
+	looped := false
+	defer func() {
+		if looped {
+			return
+		}
+		v := recover()
+		if v == nil { // runtime.Goexit
+			e.exiting = true
+			if r.proc != nil {
+				return
+			}
+			if i := slices.Index(e.idle, r); i >= 0 {
+				e.idle = slices.Delete(e.idle, i, i+1)
+			}
+		}
+		e.fault = v
+		e.back <- struct{}{}
+	}()
+	next := e.loop()
+	looped = true
+	if next == r {
+		return true
+	}
+	if next == nil {
+		e.back <- struct{}{}
+	} else {
+		next.wake <- struct{}{}
+	}
+	return false
+}
+
+// drive passes control to r and waits until a runner hands the run back,
+// then raises again a panic or runtime.Goexit the loop raised on a runner.
+func (e *Engine) drive(r *runner) {
+	r.wake <- struct{}{}
+	<-e.back
+	if v := e.fault; v != nil {
+		e.fault = nil
+		panic(v)
+	}
+	if e.exiting {
+		e.exiting = false
+		runtime.Goexit()
+	}
+}
+
 // bind gives p the most recently idled runner, or a new one.
 func (e *Engine) bind(p *Proc) *runner {
 	var r *runner
@@ -352,8 +403,8 @@ func (e *Engine) bind(p *Proc) *runner {
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
 	} else {
-		r = &runner{eng: e, wake: make(chan struct{}), yield: make(chan struct{})}
-		go r.loop()
+		r = &runner{eng: e, wake: make(chan struct{})}
+		go r.serve()
 	}
 	r.proc, r.slot = p, len(e.busy)
 	e.busy = append(e.busy, r)
@@ -362,8 +413,7 @@ func (e *Engine) bind(p *Proc) *runner {
 }
 
 // unbind marks r's process done and takes r off the busy list, back to
-// the idle list when reuse is set. It runs on the runner while the engine
-// waits in resume.
+// the idle list when reuse is set. It runs on r, which holds control.
 func (e *Engine) unbind(r *runner, reuse bool) {
 	r.proc.done, r.proc.r, r.proc = true, nil, nil
 	last := len(e.busy) - 1
@@ -380,7 +430,7 @@ func (e *Engine) unbind(r *runner, reuse bool) {
 func (e *Engine) stopIdle() {
 	for i, r := range e.idle {
 		close(r.wake)
-		<-r.yield
+		<-e.back
 		e.idle[i] = nil
 	}
 	e.idle = e.idle[:0]
@@ -429,7 +479,9 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Park suspends the process indefinitely; some other component must
 // Resume it. Sleep and Resource wait through it, as does admission control.
 func (p *Proc) Park() {
-	p.r.park()
+	if r := p.r; !r.handoff() {
+		<-r.wake // control comes back when the process is next due, or to unwind it
+	}
 	if p.eng.stopped {
 		panic(stopPanic{})
 	}
@@ -468,8 +520,10 @@ func (e *Engine) runWindow(horizon time.Duration) {
 	e.run(horizon, true)
 }
 
-// run is the scheduler hot loop shared by RunUntil and runWindow. With
-// exclusive set, events at exactly the deadline stay queued.
+// run is shared by RunUntil and runWindow. With exclusive set, events at
+// exactly the deadline stay queued. It runs the loop on its own goroutine
+// until the first process is due, then passes control to that process's
+// runner and waits until a runner hands the run back.
 func (e *Engine) run(deadline time.Duration, exclusive bool) {
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -477,6 +531,22 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 	e.running = true
 	e.deadline, e.exclusive = deadline, exclusive
 	defer func() { e.running = false }()
+	if r := e.loop(); r != nil {
+		e.drive(r)
+	}
+	if e.stopped {
+		e.unwind()
+	} else if len(e.queue) == 0 {
+		e.stopIdle() // drained: nothing is left to start a process
+	}
+}
+
+// loop is the scheduler hot loop. It runs on whichever goroutine holds
+// control: run's caller, or a runner whose body parked or returned. It
+// pops events in (time, sequence) order and runs callbacks in place until
+// a process is due, and returns that process's runner, binding one at its
+// first resume; it returns nil when the run is over.
+func (e *Engine) loop() *runner {
 	for len(e.queue) > 0 && e.runsAt(e.queue[0].at) {
 		ev := e.pop()
 		if ev.at < e.now {
@@ -489,26 +559,30 @@ func (e *Engine) run(deadline time.Duration, exclusive bool) {
 		}
 		proc, fn := ev.proc, ev.fn
 		e.recycle(ev)
-		if proc != nil {
-			if !proc.done {
-				e.resume(proc)
-			}
+		if proc == nil {
+			fn()
 			continue
 		}
-		fn()
+		if proc.done {
+			continue
+		}
+		if proc.r != nil {
+			return proc.r
+		}
+		if proc.feed != nil {
+			e.release(proc.feed) // the feed's next arrival waits in the queue from now on
+		}
+		return e.bind(proc)
 	}
-	if e.stopped {
-		e.unwind()
-	} else if len(e.queue) == 0 {
-		e.stopIdle() // drained: nothing is left to start a process
-	}
+	return nil
 }
 
 // runsAt reports whether the running loop would run an event at t now:
-// the engine is not stopped and t is inside the loop's bound. The loop's
-// head check and Sleep's in-place wake-up share it, so the two agree.
+// the engine is not stopped, no callback's runtime.Goexit is unwinding and
+// t is inside the loop's bound. The loop's head check and Sleep's in-place
+// wake-up share it, so the two agree.
 func (e *Engine) runsAt(t time.Duration) bool {
-	return !e.stopped && (e.deadline < 0 || t < e.deadline || (t == e.deadline && !e.exclusive))
+	return !e.stopped && !e.exiting && (e.deadline < 0 || t < e.deadline || (t == e.deadline && !e.exclusive))
 }
 
 // Shutdown unwinds every parked process in proc-id order, drops all
@@ -517,11 +591,10 @@ func (e *Engine) runsAt(t time.Duration) bool {
 //
 // Shutdown may also be called from inside a running process or callback:
 // in that case it marks the engine stopped and drops the queue
-// immediately, and the run loop unwinds the remaining parked processes
-// once the calling process yields or returns. (Unwinding synchronously
-// from inside a process would deadlock: the engine is blocked waiting for
-// that process to park, so it cannot arbitrate a resume of any other
-// process.)
+// immediately, and run's caller unwinds the started processes once the
+// goroutine holding control parks, returns or finishes the callback and
+// hands the run back. (That goroutine cannot unwind them in proc-id order
+// itself: its own body, if it has one, is still running.)
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	e.queue = nil
@@ -542,7 +615,7 @@ func (e *Engine) unwind() {
 		started = append(started[:0], e.busy...)
 		sort.Slice(started, func(i, j int) bool { return started[i].proc.id < started[j].proc.id })
 		for _, r := range started {
-			r.resume()
+			e.drive(r)
 		}
 	}
 	e.stopIdle()

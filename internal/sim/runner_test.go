@@ -110,6 +110,87 @@ func TestGoexitInBodyRetiresRunner(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// A panic a callback raises reaches Run's caller with the same value,
+// whether the callback runs on the runner of a body that parked or of one
+// that returned. Shutdown then unwinds the parked body and stops every
+// runner.
+func TestCallbackPanicReachesRunCaller(t *testing.T) {
+	for _, park := range []bool{true, false} {
+		base := runtime.NumGoroutine()
+		e := NewEngine(1)
+		boom := fmt.Errorf("boom (park %v)", park)
+		unwound := false
+		e.Go("scheduler", func(p *Proc) {
+			defer func() { unwound = true }()
+			e.After(time.Millisecond, func() { panic(boom) })
+			if park {
+				p.Park() // the callback runs on this body's runner
+				t.Errorf("park %v: the body ran past its park", park)
+			}
+		})
+		func() {
+			defer func() {
+				if v := recover(); v != boom {
+					t.Errorf("park %v: Run's caller recovered %v, want %v", park, v, boom)
+				}
+			}()
+			e.Run()
+			t.Errorf("park %v: Run returned", park)
+		}()
+		if e.Now() != time.Millisecond || e.Events() != 2 {
+			t.Errorf("park %v: Now %v, Events %d; want 1ms, 2", park, e.Now(), e.Events())
+		}
+		e.Shutdown()
+		if !unwound {
+			t.Errorf("park %v: the body's deferred cleanup did not run", park)
+		}
+		waitForGoroutines(t, base)
+	}
+}
+
+// runtime.Goexit in a callback ends the goroutine that called Run, and
+// the loop runs no further event. A parked body whose runner ran the
+// callback unwinds with it, so no goroutine is left behind, and a later
+// Shutdown finds no runner to stop.
+func TestCallbackGoexitEndsRunCaller(t *testing.T) {
+	for _, park := range []bool{true, false} {
+		base := runtime.NumGoroutine()
+		e := NewEngine(1)
+		unwound, ranOn := false, false
+		e.Go("scheduler", func(p *Proc) {
+			defer func() { unwound = true }()
+			e.After(time.Millisecond, runtime.Goexit)
+			e.After(time.Millisecond, func() { ranOn = true })
+			if park {
+				p.Park() // the callback runs on this body's runner
+				t.Errorf("park %v: the body ran past its park", park)
+			}
+		})
+		returned := false
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			e.Run()
+			returned = true
+		}()
+		select {
+		case <-exited:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("park %v: the goroutine that called Run did not exit", park)
+		}
+		if returned || ranOn || !unwound {
+			t.Fatalf("park %v: Run returned %v, later callback ran %v, body unwound %v; want false, false, true",
+				park, returned, ranOn, unwound)
+		}
+		if e.Now() != time.Millisecond || e.Events() != 2 || e.Pending() != 1 {
+			t.Fatalf("park %v: Now %v, Events %d, Pending %d; want 1ms, 2, 1", park, e.Now(), e.Events(), e.Pending())
+		}
+		waitForGoroutines(t, base)
+		e.Shutdown()
+		waitForGoroutines(t, base)
+	}
+}
+
 // Shutdown from inside a process unwinds the parked processes in proc-id
 // order, so two same-seed runs record their cleanups identically.
 func TestShutdownUnwindOrderIsDeterministic(t *testing.T) {

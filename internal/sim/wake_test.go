@@ -138,8 +138,9 @@ func TestSleepWakeAtShardHorizonStaysQueued(t *testing.T) {
 
 // BenchmarkSleep measures one Sleep: inline, one sleeper whose every
 // wake-up is the loop's next event and carries on in place; handoff, two
-// interleaved sleepers whose every wake-up is queued, popped and resumed
-// through the runner's channel handoff.
+// interleaved sleepers whose every wake-up is queued, then popped by the
+// other sleeper's runner as it parks, which passes control straight to
+// the sleeper's runner in one goroutine switch.
 func BenchmarkSleep(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
