@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/mmtemplate"
+	"repro/internal/sandbox"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
@@ -376,4 +377,176 @@ func TestReconfigAblationOrdering(t *testing.T) {
 	if !(reconfig > cgroup && cgroup > tmpl) {
 		t.Fatalf("ablation ordering broken: reconfig=%v cgroup=%v template=%v", reconfig, cgroup, tmpl)
 	}
+}
+
+// TestStartPathItemization pins what every start path charges and builds,
+// on an empty sandbox and netns pool (miss) and on pools that each hold one
+// (hit): the whole Startup, the instance's path, overhead and isolation,
+// the node's usage and the clock after the start, and both pools and the
+// clock after Release.
+func TestStartPathItemization(t *testing.T) {
+	type startFn func(f *fixture, p *sim.Proc, js workload.FunctionProfile, img *snapshot.Image) (*Instance, Startup, error)
+	cold := func(f *fixture, p *sim.Proc, js workload.FunctionProfile, _ *snapshot.Image) (*Instance, Startup, error) {
+		return f.rt.StartCold(p, js)
+	}
+	criu := func(f *fixture, p *sim.Proc, js workload.FunctionProfile, _ *snapshot.Image) (*Instance, Startup, error) {
+		return f.rt.StartCRIU(p, js, js.Snapshot())
+	}
+	lazy := func(f *fixture, p *sim.Proc, js workload.FunctionProfile, _ *snapshot.Image) (*Instance, Startup, error) {
+		return f.rt.StartLazyVM(p, js, js.Snapshot(), f.tmpfs, snapshot.ReapConfig(js.WorkingSet()))
+	}
+	trenv := func(f *fixture, p *sim.Proc, js workload.FunctionProfile, img *snapshot.Image) (*Instance, Startup, error) {
+		return f.rt.StartTrEnv(p, js, img)
+	}
+	reconfig := func(clone bool) startFn {
+		return func(f *fixture, p *sim.Proc, js workload.FunctionProfile, _ *snapshot.Image) (*Instance, Startup, error) {
+			return f.rt.StartReconfig(p, js, js.Snapshot(), clone)
+		}
+	}
+	// The steps' itemizations at seed 1: a sandbox built from scratch, a
+	// pooled one repurposed (with and without the legacy cgroup
+	// migration), a microVM's netns and resume, and JS's full-copy, lazy
+	// and template restores.
+	created := sandbox.Breakdown{NetNS: 80000000, Rootfs: 10000000, CgroupCreate: 27779410, CgroupMigrate: 12153551, Other: 800000}
+	const repurposed, migrated = 779410, 779410 + 12153551
+	resumed := sandbox.Breakdown{NetNS: 80000000, Other: 12000000}
+	copied := snapshot.Breakdown{Orchestration: 3000000, Mmap: 12000, Copy: 92678070, Procs: 888000}
+	fetched := snapshot.Breakdown{Orchestration: 3250000, Mmap: 12000, Copy: 20385742, Procs: 888000}
+	attached := snapshot.Breakdown{Orchestration: 1200000, Attach: 262980, Procs: 888000}
+	const image = 107900928 - 8388608 // JS's full image on the node
+	const clean = 500000              // Release's Factory.Clean of a recycled sandbox
+	coldStart := Startup{Path: PathCold, Sandbox: 130732961, Restore: 500000000, SandboxBD: created}
+	criuStart := Startup{Path: PathCRIU, Sandbox: 130732961, Restore: 96578070, SandboxBD: created,
+		RestoreBD: copied, RestorePool: "local", RestorePages: 24295}
+	lazyMiss := Startup{Path: PathLazyVM, Sandbox: 92000000, Restore: 24535742, SandboxBD: resumed,
+		RestoreBD: fetched, RestorePool: "tmpfs", RestorePages: 10688}
+	lazyHit := lazyMiss
+	lazyHit.Sandbox, lazyHit.SandboxBD = 12000000, sandbox.Breakdown{Other: 12000000}
+	trenvMiss := Startup{Path: PathCold, Sandbox: 130732961, Restore: 2350980, SandboxBD: created, RestoreBD: attached}
+	trenvHit := Startup{Path: PathRepurpose, Sandbox: repurposed, Restore: 2350980, RestoreBD: attached}
+	reconfigMiss := criuStart
+	reconfigMiss.Path = PathCold
+	cloneHit := Startup{Path: PathRepurpose, Sandbox: repurposed, Restore: 96578070,
+		RestoreBD: copied, RestorePool: "local", RestorePages: 24295}
+	migrateHit := cloneHit
+	migrateHit.Sandbox, migrateHit.SandboxBD = migrated, sandbox.Breakdown{CgroupMigrate: 12153551}
+
+	cases := []struct {
+		name    string
+		start   startFn
+		hit     bool // both pools hold one entry before the start
+		recycle bool // Release's recycleSandbox
+		want    Startup
+		vm      bool          // the instance holds a netns, not a sandbox
+		used    int64         // node bytes in use after the start
+		now     time.Duration // clock after the start
+		sbPool  int           // sandbox pool length after Release
+		nsPool  int           // netns pool length after Release
+	}{
+		{name: "cold/miss", start: cold, want: coldStart, used: image + 8388608, now: 630732961, sbPool: 0, nsPool: 0},
+		{name: "cold/hit", start: cold, hit: true, want: coldStart, used: image + 8388608, now: 630732961, sbPool: 1, nsPool: 1},
+		{name: "criu/miss", start: criu, want: criuStart, used: image + 8388608, now: 227311031, sbPool: 0, nsPool: 0},
+		{name: "criu/hit", start: criu, hit: true, want: criuStart, used: image + 8388608, now: 227311031, sbPool: 1, nsPool: 1},
+		{name: "lazy-vm/miss", start: lazy, want: lazyMiss, vm: true, used: 110886912, now: 116535742, sbPool: 0, nsPool: 1},
+		{name: "lazy-vm/hit", start: lazy, hit: true, want: lazyHit, vm: true, used: 110886912, now: 36535742, sbPool: 1, nsPool: 1},
+		{name: "trenv/miss", start: trenv, recycle: true, want: trenvMiss, used: 8388608, now: 133083941, sbPool: 1, nsPool: 0},
+		{name: "trenv/hit", start: trenv, hit: true, recycle: true, want: trenvHit, used: 8388608, now: 3130390, sbPool: 1, nsPool: 1},
+		{name: "reconfig-clone/miss", start: reconfig(true), recycle: true, want: reconfigMiss, used: image + 8388608, now: 227311031, sbPool: 1, nsPool: 0},
+		{name: "reconfig-clone/hit", start: reconfig(true), hit: true, recycle: true, want: cloneHit, used: image + 8388608, now: 97357480, sbPool: 1, nsPool: 1},
+		{name: "reconfig-migrate/miss", start: reconfig(false), recycle: true, want: reconfigMiss, used: image + 8388608, now: 227311031, sbPool: 1, nsPool: 0},
+		{name: "reconfig-migrate/hit", start: reconfig(false), hit: true, recycle: true, want: migrateHit, used: image + 8388608, now: 109511031, sbPool: 1, nsPool: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture()
+			js := prof(t, "JS")
+			img, err := f.store.Preprocess(js.Snapshot(), snapshot.Placement{Hot: f.cxl, HotFraction: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.hit {
+				f.rt.SBPool.Put(f.rt.Factory.CreateWarm())
+				f.rt.NetPool.Put(&sandbox.NetNS{})
+			}
+			run(t, func(p *sim.Proc) {
+				in, st, err := c.start(f, p, js, img)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st != c.want {
+					t.Errorf("startup = %#v\nwant %#v", st, c.want)
+				}
+				overhead := f.rt.ContainerOverhead
+				if c.vm {
+					overhead = f.rt.VMOverhead
+				}
+				if in.Path != c.want.Path || in.OverheadBytes != overhead {
+					t.Errorf("instance path %s overhead %d, want %s %d", in.Path, in.OverheadBytes, c.want.Path, overhead)
+				}
+				if (in.NetNS != nil) != c.vm || (in.Sandbox != nil) == c.vm {
+					t.Errorf("instance netns %v sandbox %v, want vm=%v", in.NetNS, in.Sandbox, c.vm)
+				}
+				if f.node.Used() != c.used || p.Now() != c.now {
+					t.Errorf("used %d at %d, want %d at %d", f.node.Used(), p.Now(), c.used, c.now)
+				}
+				end := c.now
+				if c.recycle {
+					end += clean
+				}
+				f.rt.Release(p, in, c.recycle)
+				if f.node.Used() != 0 || f.rt.SBPool.Len() != c.sbPool || f.rt.NetPool.Len() != c.nsPool || p.Now() != end {
+					t.Errorf("after release: used %d, pools %d/%d at %d, want 0, %d/%d at %d",
+						f.node.Used(), f.rt.SBPool.Len(), f.rt.NetPool.Len(), p.Now(), c.sbPool, c.nsPool, end)
+				}
+			})
+		})
+	}
+}
+
+// TestFullCopySharesTheMedium pins the concurrent-restore surcharge: a
+// full copy that starts while another is in flight pays one more copy of
+// its image, in Restore and in RestoreBD.Copy, whichever start path
+// (CRIU or the Figure 21 reconfig) it comes from.
+func TestFullCopySharesTheMedium(t *testing.T) {
+	f := newFixture()
+	js := prof(t, "JS")
+	e := sim.NewEngine(1)
+	var criu, reconfig Startup
+	e.Go("criu", func(p *sim.Proc) {
+		in, st, err := f.rt.StartCRIU(p, js, js.Snapshot())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		criu = st
+		f.rt.Release(p, in, false)
+	})
+	e.Go("reconfig", func(p *sim.Proc) {
+		in, st, err := f.rt.StartReconfig(p, js, js.Snapshot(), false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		reconfig = st
+		f.rt.Release(p, in, true)
+	})
+	e.Run()
+	// The CRIU start builds its sandbox first, so its copy runs alone;
+	// the reconfig start's copy begins while it is in flight.
+	extra := f.rt.Lat.CopyCost(js.Snapshot().MemBytes())
+	if criu.Restore != 96578070 || criu.RestoreBD.Copy != 92678070 {
+		t.Errorf("lone copy: restore %d copy %d, want 96578070 92678070", criu.Restore, criu.RestoreBD.Copy)
+	}
+	if reconfig.Restore != criu.Restore+extra || reconfig.RestoreBD.Copy != criu.RestoreBD.Copy+extra {
+		t.Errorf("shared copy: restore %d copy %d, want one more copy (%d) than %d %d",
+			reconfig.Restore, reconfig.RestoreBD.Copy, extra, criu.Restore, criu.RestoreBD.Copy)
+	}
+	// Both copies ended, so the next one runs alone again.
+	run(t, func(p *sim.Proc) {
+		_, st, err := f.rt.StartCRIU(p, js, js.Snapshot())
+		if err != nil || st.Restore != criu.Restore {
+			t.Errorf("copy after the burst: restore %d, err %v; want %d", st.Restore, err, criu.Restore)
+		}
+	})
 }

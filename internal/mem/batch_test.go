@@ -110,3 +110,51 @@ func TestPromotionCacheLRU(t *testing.T) {
 		t.Fatal("resident re-promotion re-allocated")
 	}
 }
+
+// TestContendedDemandAndBatchShareOneRoundTrip prices demand and batched
+// fetches on loaded RDMA and tmpfs pools: a demand fetch of n pages pays
+// n round trips, a batch one round trip plus (n-1) BatchPageStream. Both
+// draw the RDMA cliff from the same rng draw, so same-seed pools count the
+// same cliffs; tmpfs draws nothing.
+func TestContendedDemandAndBatchShareOneRoundTrip(t *testing.T) {
+	lat := DefaultLatencyModel()
+	const load, n, fetches = 30, 8, 200
+	stream := (n - 1) * lat.BatchPageStream
+	for _, c := range []struct {
+		kind      PoolKind
+		rtt, tail time.Duration // one round trip at load, and one past the cliff
+	}{
+		{RDMA, 9600 * time.Nanosecond, 48000 * time.Nanosecond}, // 6 µs × (1 + 0.02×30), ×5 past the cliff
+		{Tmpfs, 19600 * time.Nanosecond, 0},                     // 7 µs × (1 + 0.06×30)
+	} {
+		demand, batch := NewPool(c.kind, 0, lat), NewPool(c.kind, 0, lat)
+		for i := 0; i < load; i++ {
+			demand.BeginFetch()
+			batch.BeginFetch()
+		}
+		rd, rb, draws := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		var cliffs int64
+		for i := 0; i < fetches; i++ {
+			rtt := c.rtt
+			if c.kind == RDMA && draws.Float64() < lat.RDMACliffProbability {
+				rtt = c.tail
+				cliffs++
+			}
+			if got := demand.FetchLatency(rd, n); got != n*rtt {
+				t.Fatalf("%s fetch %d: demand %v, want %d × %v", c.kind, i, got, n, rtt)
+			}
+			if got := batch.BatchFetchLatency(rb, n); got != rtt+stream {
+				t.Fatalf("%s fetch %d: batch %v, want %v + %v", c.kind, i, got, rtt, stream)
+			}
+		}
+		if c.kind == RDMA && cliffs == 0 {
+			t.Fatalf("rdma: no cliff in %d contended fetches", fetches)
+		}
+		if demand.Cliffs() != cliffs || batch.Cliffs() != cliffs {
+			t.Fatalf("%s cliffs: demand %d batch %d, want %d", c.kind, demand.Cliffs(), batch.Cliffs(), cliffs)
+		}
+		if next := draws.Float64(); rd.Float64() != next || rb.Float64() != next {
+			t.Fatalf("%s: demand and batch pricing drew a different number of values", c.kind)
+		}
+	}
+}
