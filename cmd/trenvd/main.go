@@ -79,6 +79,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -349,6 +350,24 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// serve renders one export into a buffer under the server lock, then
+// writes it as contentType, or a JSON 500 if rendering failed; what names
+// the export in the log when the write fails.
+func (s *server) serve(w http.ResponseWriter, what, contentType string, render func(io.Writer) error) {
+	var buf bytes.Buffer
+	s.mu.Lock()
+	err := render(&buf)
+	s.mu.Unlock()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		log.Printf("trenvd: write %s: %v", what, err)
+	}
+}
+
 // parseFormat validates ?format= against a route's choices. An empty
 // format selects the first choice; anything else gets the same JSON 400
 // on every export route. Returns ok=false after writing the error.
@@ -507,18 +526,7 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 
 // metrics serves the registry in Prometheus text format.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	var buf bytes.Buffer
-	err := s.registry.WritePrometheus(&buf)
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		log.Printf("trenvd: write metrics: %v", err)
-	}
+	s.serve(w, "metrics", "text/plain; version=0.0.4; charset=utf-8", s.registry.WritePrometheus)
 }
 
 // timeseries serves the flight recorder's sampled series as JSON, or
@@ -529,26 +537,10 @@ func (s *server) timeseries(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	var buf bytes.Buffer
-	var err error
 	if format == "csv" {
-		err = s.recorder.WriteCSV(&buf)
+		s.serve(w, "timeseries", "text/csv", s.recorder.WriteCSV)
 	} else {
-		err = s.recorder.WriteJSON(&buf)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	ct := "application/json"
-	if format == "csv" {
-		ct = "text/csv"
-	}
-	w.Header().Set("Content-Type", ct)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		log.Printf("trenvd: write timeseries: %v", err)
+		s.serve(w, "timeseries", "application/json", s.recorder.WriteJSON)
 	}
 }
 
@@ -618,18 +610,9 @@ func (s *server) flame(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	roots := s.tracer.Last(last)
-	s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := trenv.WriteFoldedStacks(&buf, roots); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		log.Printf("trenvd: write flame: %v", err)
-	}
+	s.serve(w, "flame", "text/plain; charset=utf-8", func(out io.Writer) error {
+		return trenv.WriteFoldedStacks(out, s.tracer.Last(last))
+	})
 }
 
 // report serves the schema-stable trenv-report/v1 run bundle over the
@@ -639,47 +622,27 @@ func (s *server) flame(w http.ResponseWriter, r *http.Request) {
 // Same-seed servers driven with identical batches serve byte-identical
 // bundles, which is what lets cmd/trenv-diff compare two daemons.
 func (s *server) report(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	rep := trenv.NewRunReport("trenvd", s.seed, 1)
-	rep.SetFlag("policy", string(s.platform.Policy()))
-	if node := s.platform.NodeName(); node != "" {
-		rep.SetFlag("node", node)
-	}
-	rep.AddMetrics("", s.registry)
-	rep.AddRecorder("", s.recorder, 0)
-	rep.AddAlerts("", s.alertEng)
-	roots := s.tracer.Spans()
-	rep.AddSpans(roots)
-	rep.Analyze(roots, 0)
-	var buf bytes.Buffer
-	err := rep.WriteJSON(&buf)
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		log.Printf("trenvd: write report: %v", err)
-	}
+	s.serve(w, "report", "application/json", func(out io.Writer) error {
+		rep := trenv.NewRunReport("trenvd", s.seed, 1)
+		rep.SetFlag("policy", string(s.platform.Policy()))
+		if node := s.platform.NodeName(); node != "" {
+			rep.SetFlag("node", node)
+		}
+		rep.AddMetrics("", s.registry)
+		rep.AddRecorder("", s.recorder, 0)
+		rep.AddAlerts("", s.alertEng)
+		roots := s.tracer.Spans()
+		rep.AddSpans(roots)
+		rep.Analyze(roots, 0)
+		return rep.WriteJSON(out)
+	})
 }
 
 // alerts serves the alert-engine snapshot: per-rule state and spec,
 // captured incidents with their trace links, and the virtual-time
 // transition timeline. Deterministic for a given seed and rule set.
 func (s *server) alerts(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	var buf bytes.Buffer
-	err := s.alertEng.WriteJSON(&buf)
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		log.Printf("trenvd: write alerts: %v", err)
-	}
+	s.serve(w, "alerts", "application/json", s.alertEng.WriteJSON)
 }
 
 // selfstats reports the engine's wall-clock performance counters:

@@ -133,16 +133,6 @@ func (p Profile) CPUUtilization() float64 {
 	return float64(p.TotalCPU()) / float64(e2e)
 }
 
-// DynamicMemBytes is the memory allocated during a run on top of the
-// base footprint.
-func (p Profile) DynamicMemBytes() int64 {
-	var n int64
-	for _, s := range p.Steps {
-		n += s.MemBytes
-	}
-	return n
-}
-
 // FileReadBytes is the total file data read during a run.
 func (p Profile) FileReadBytes() int64 {
 	var n int64

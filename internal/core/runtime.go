@@ -4,18 +4,19 @@
 // (§4, Figure 6), and models function execution over whichever memory
 // tier the start path left the instance on.
 //
-// Start paths:
+// Each start path is an isolation step then a memory step, and one
+// finisher charges the isolation overhead and builds the instance:
 //
-//   - StartCold: faasd's cold start — full sandbox creation plus the
+//   - StartCold: faasd's cold start — full sandbox creation, then the
 //     function's bootstrap (interpreter launch, imports).
-//   - StartCRIU: full sandbox creation plus a vanilla CRIU restore
+//   - StartCRIU: full sandbox creation, then a vanilla CRIU restore
 //     (mmap storm + full memory copy).
-//   - StartLazyVM: the REAP+/FaaSnap+ baselines — recycled netns, a
-//     Firecracker-style microVM resume, and a lazy uffd-backed restore.
-//   - StartTrEnv: repurpose a pooled sandbox (or create one on miss) and
-//     attach the preprocessed mm-templates.
-//   - StartReconfig: the Figure 21 ablations — repurposable sandbox but
-//     full-copy memory restore, with or without CLONE_INTO_CGROUP.
+//   - StartLazyVM: the REAP+/FaaSnap+ baselines — a recycled netns and a
+//     Firecracker-style microVM resume, then a lazy uffd-backed restore.
+//   - StartTrEnv: repurpose a pooled sandbox (or create one on miss),
+//     then attach the preprocessed mm-templates.
+//   - StartReconfig: the Figure 21 ablations — TrEnv's repurposing step,
+//     with or without CLONE_INTO_CGROUP, then CRIU's full copy.
 package core
 
 import (
@@ -141,32 +142,6 @@ type Runtime struct {
 	Prefetcher *prefetch.Prefetcher
 }
 
-// adopt mirrors the restored spaces' fault accounting into the
-// runtime's node-wide aggregate.
-func (rt *Runtime) adopt(res *snapshot.Restored) {
-	res.SetStatsSink(&rt.PageStats)
-}
-
-// sleepFullRestore sleeps through a full-copy restore, inflating the copy
-// component by the number of concurrent full restores, and returns the
-// total charged latency.
-func (rt *Runtime) sleepFullRestore(p *sim.Proc, base time.Duration, copyBytes int64) time.Duration {
-	rt.restoring++
-	slowdown := rt.restoring - 1
-	if slowdown > maxRestoreSharing {
-		slowdown = maxRestoreSharing
-	}
-	extra := time.Duration(float64(rt.Lat.CopyCost(copyBytes)) * float64(slowdown))
-	d := base + extra
-	p.Sleep(d)
-	rt.restoring--
-	return d
-}
-
-// maxRestoreSharing caps the concurrent-restore slowdown: the snapshot
-// medium has parallelism, so N-way bursts do not degrade without bound.
-const maxRestoreSharing = 7
-
 // DefaultRuntime wires a runtime over the given node tracker with default
 // cost models.
 func DefaultRuntime(tracker *mem.Tracker) *Runtime {
@@ -184,65 +159,115 @@ func DefaultRuntime(tracker *mem.Tracker) *Runtime {
 	}
 }
 
-func (rt *Runtime) chargeOverhead(n int64) error { return rt.Tracker.Alloc(n) }
+// create builds a sandbox from scratch at the full Table 1 cost.
+func (rt *Runtime) create(p *sim.Proc, fn string, path StartPath) (*sandbox.Sandbox, Startup) {
+	sb, bd := rt.Factory.Create(p, fn)
+	return sb, Startup{Path: path, Sandbox: bd.Total(), SandboxBD: bd}
+}
+
+// repurpose reconfigures a pooled sandbox for fn (§4.1), plus the legacy
+// cgroup migration unless the path spawns with CLONE_INTO_CGROUP. A pool
+// miss creates one instead and makes the start cold.
+func (rt *Runtime) repurpose(p *sim.Proc, fn string, cloneIntoCgroup bool) (*sandbox.Sandbox, Startup, error) {
+	sb := rt.SBPool.Get()
+	if sb == nil {
+		sb, st := rt.create(p, fn, PathCold)
+		return sb, st, nil
+	}
+	d, err := rt.Factory.Repurpose(p, sb, fn)
+	if err != nil {
+		return nil, Startup{}, err
+	}
+	st := Startup{Path: PathRepurpose, Sandbox: d}
+	if !cloneIntoCgroup {
+		st.SandboxBD.CgroupMigrate = rt.Factory.MigrateCgroup(p)
+		st.Sandbox += st.SandboxBD.CgroupMigrate
+	}
+	return sb, st, nil
+}
+
+// fullCopy restores snap with a full copy and sleeps through it; the copy
+// phase pays one more copy per full restore already in flight.
+func (rt *Runtime) fullCopy(p *sim.Proc, snap *snapshot.Snapshot) (*snapshot.Restored, error) {
+	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
+	if err != nil {
+		return nil, err
+	}
+	res.SetStatsSink(&rt.PageStats)
+	rt.restoring++
+	sharing := min(rt.restoring-1, maxRestoreSharing)
+	extra := time.Duration(float64(rt.Lat.CopyCost(snap.MemBytes())) * float64(sharing))
+	res.Latency += extra
+	res.BD.Copy += extra
+	p.Sleep(res.Latency)
+	rt.restoring--
+	return res, nil
+}
+
+// maxRestoreSharing caps the concurrent-restore slowdown: the snapshot
+// medium has parallelism, so N-way bursts do not degrade without bound.
+const maxRestoreSharing = 7
+
+// finish charges the isolation overhead, a microVM's for a netns and a
+// container's otherwise, fills in the restore half of st and builds the
+// instance. If the node cannot hold the overhead, the restored memory is
+// freed and a netns recycled; a sandbox is dropped.
+func (rt *Runtime) finish(prof workload.FunctionProfile, sb *sandbox.Sandbox, ns *sandbox.NetNS, st Startup, res *snapshot.Restored) (*Instance, Startup, error) {
+	overhead := rt.ContainerOverhead
+	if ns != nil {
+		overhead = rt.VMOverhead
+	}
+	if err := rt.Tracker.Alloc(overhead); err != nil {
+		res.ReleaseAll()
+		if ns != nil {
+			rt.NetPool.Put(ns)
+		}
+		return nil, Startup{}, err
+	}
+	st.Restore, st.RestoreBD, st.RestorePool, st.RestorePages = res.Latency, res.BD, res.CopyPool, res.CopyPages
+	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, NetNS: ns, Restored: res,
+		Path: st.Path, OverheadBytes: overhead}, st, nil
+}
 
 // StartCold performs faasd's cold start: full sandbox creation plus the
 // bootstrap phase; the process ends up with the whole image resident.
 func (rt *Runtime) StartCold(p *sim.Proc, prof workload.FunctionProfile) (*Instance, Startup, error) {
-	sb, bd := rt.Factory.Create(p, prof.Name)
-	// Bootstrapping allocates the image as it initializes.
+	sb, st := rt.create(p, prof.Name, PathCold)
+	// Bootstrapping allocates the image as it initializes; it copies
+	// nothing from a snapshot, and its whole cost is ColdInit.
 	res, err := snapshot.RestoreFullCopy(prof.Snapshot(), rt.Tracker, rt.Lat, rt.RestoreCosts)
 	if err != nil {
 		return nil, Startup{}, fmt.Errorf("core: cold start %s: %w", prof.Name, err)
 	}
-	rt.adopt(res)
-	res.Latency = 0 // materialization cost is part of ColdInit below
+	res.SetStatsSink(&rt.PageStats)
+	*res = snapshot.Restored{Snapshot: res.Snapshot, Spaces: res.Spaces, Latency: prof.ColdInit}
 	p.Sleep(prof.ColdInit)
-	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
-	st := Startup{Path: PathCold, Sandbox: bd.Total(), Restore: prof.ColdInit, SandboxBD: bd}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Path: PathCold, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return rt.finish(prof, sb, nil, st, res)
 }
 
 // StartCRIU creates a fresh sandbox and restores the process with a
 // vanilla CRIU full-copy restore.
 func (rt *Runtime) StartCRIU(p *sim.Proc, prof workload.FunctionProfile, snap *snapshot.Snapshot) (*Instance, Startup, error) {
-	sb, bd := rt.Factory.Create(p, prof.Name)
-	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
+	sb, st := rt.create(p, prof.Name, PathCRIU)
+	res, err := rt.fullCopy(p, snap)
 	if err != nil {
 		return nil, Startup{}, fmt.Errorf("core: criu start %s: %w", prof.Name, err)
 	}
-	rt.adopt(res)
-	restore := rt.sleepFullRestore(p, res.Latency, snap.MemBytes())
-	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
-	rbd := res.BD
-	rbd.Copy += restore - res.Latency // concurrent-restore sharing surcharge
-	st := Startup{Path: PathCRIU, Sandbox: bd.Total(), Restore: restore, SandboxBD: bd, RestoreBD: rbd,
-		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Path: PathCRIU, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return rt.finish(prof, sb, nil, st, res)
 }
 
 // StartLazyVM starts a REAP+/FaaSnap+-style microVM: netns from the
 // recycling pool (created on miss), a Firecracker snapshot resume, and a
 // lazy memory restore from the tmpfs snapshot.
 func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap *snapshot.Snapshot, tmpfs *mem.Pool, cfg snapshot.LazyConfig) (*Instance, Startup, error) {
-	var sbd sandbox.Breakdown
+	st := Startup{Path: PathLazyVM}
 	ns := rt.NetPool.Get()
 	if ns == nil {
-		var d time.Duration
-		ns, d = rt.Factory.CreateNetNS(p)
-		sbd.NetNS = d
+		ns, st.SandboxBD.NetNS = rt.Factory.CreateNetNS(p)
 	}
 	p.Sleep(rt.VMResume)
-	sbd.Other = rt.VMResume // Firecracker device-state resume
-	sandboxCost := sbd.Total()
+	st.SandboxBD.Other = rt.VMResume // Firecracker device-state resume
+	st.Sandbox = st.SandboxBD.Total()
 	tmpfs.BeginFetch()
 	res, err := snapshot.RestoreLazy(snap, rt.Tracker, tmpfs, cfg, rt.Lat, rt.RestoreCosts)
 	if err != nil {
@@ -250,40 +275,18 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 		rt.NetPool.Put(ns)
 		return nil, Startup{}, fmt.Errorf("core: lazy start %s: %w", prof.Name, err)
 	}
-	rt.adopt(res)
+	res.SetStatsSink(&rt.PageStats)
 	p.Sleep(res.Latency)
 	tmpfs.EndFetch()
-	if err := rt.chargeOverhead(rt.VMOverhead); err != nil {
-		res.ReleaseAll()
-		rt.NetPool.Put(ns)
-		return nil, Startup{}, err
-	}
-	st := Startup{Path: PathLazyVM, Sandbox: sandboxCost, Restore: res.Latency,
-		SandboxBD: sbd, RestoreBD: res.BD,
-		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
-	return &Instance{Function: prof.Name, Profile: prof, NetNS: ns, Restored: res,
-		Path: PathLazyVM, OverheadBytes: rt.VMOverhead}, st, nil
+	return rt.finish(prof, nil, ns, st, res)
 }
 
 // StartTrEnv starts an instance the TrEnv way: repurpose a pooled sandbox
 // (creating one only on pool miss) and attach the mm-templates.
 func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *snapshot.Image) (*Instance, Startup, error) {
-	var sandboxCost time.Duration
-	var sbd sandbox.Breakdown
-	path := PathRepurpose
-	sb := rt.SBPool.Get()
-	if sb == nil {
-		var bd sandbox.Breakdown
-		sb, bd = rt.Factory.Create(p, prof.Name)
-		sandboxCost = bd.Total()
-		sbd = bd
-		path = PathCold // pool miss: sandbox had to be built
-	} else {
-		d, err := rt.Factory.Repurpose(p, sb, prof.Name)
-		if err != nil {
-			return nil, Startup{}, err
-		}
-		sandboxCost = d
+	sb, st, err := rt.repurpose(p, prof.Name, true)
+	if err != nil {
+		return nil, Startup{}, err
 	}
 	res, err := snapshot.RestoreTemplate(img, rt.Tracker, rt.Lat, rt.AttachCosts, rt.RestoreCosts)
 	if err != nil {
@@ -294,22 +297,16 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 		rt.SBPool.Put(sb)
 		return nil, Startup{}, fmt.Errorf("core: trenv start %s: %w", prof.Name, err)
 	}
-	rt.adopt(res)
+	res.SetStatsSink(&rt.PageStats)
 	p.Sleep(res.Latency)
-	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
-	st := Startup{Path: path, Sandbox: sandboxCost, Restore: res.Latency,
-		SandboxBD: sbd, RestoreBD: res.BD}
-	if rt.Prefetcher != nil {
+	in, st, err := rt.finish(prof, sb, nil, st, res)
+	if err == nil && rt.Prefetcher != nil {
 		// Restore is done; replay (or start recording) the image's
 		// working set. Batches race the invocation from here — their
 		// latency never blocks the start path.
 		st.Prefetch = rt.Prefetcher.OnRestore(p, img.WSLog, res)
 	}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return in, st, err
 }
 
 // StartReconfig is the Figure 21 ablation: sandbox repurposing is on, but
@@ -317,44 +314,15 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 // legacy cgroup-migration cost is paid on top (the "Reconfig" bar); with
 // it true only the fast spawn path is used (the "Cgroup" bar).
 func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, snap *snapshot.Snapshot, cloneIntoCgroup bool) (*Instance, Startup, error) {
-	var sandboxCost time.Duration
-	var sbd sandbox.Breakdown
-	path := PathRepurpose
-	sb := rt.SBPool.Get()
-	if sb == nil {
-		var bd sandbox.Breakdown
-		sb, bd = rt.Factory.Create(p, prof.Name)
-		sandboxCost = bd.Total()
-		sbd = bd
-		path = PathCold
-	} else {
-		d, err := rt.Factory.Repurpose(p, sb, prof.Name)
-		if err != nil {
-			return nil, Startup{}, err
-		}
-		sandboxCost = d
-		if !cloneIntoCgroup {
-			sbd.CgroupMigrate = rt.Factory.MigrateCgroup(p)
-			sandboxCost += sbd.CgroupMigrate
-		}
+	sb, st, err := rt.repurpose(p, prof.Name, cloneIntoCgroup)
+	if err != nil {
+		return nil, Startup{}, err
 	}
-	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
+	res, err := rt.fullCopy(p, snap)
 	if err != nil {
 		return nil, Startup{}, fmt.Errorf("core: reconfig start %s: %w", prof.Name, err)
 	}
-	rt.adopt(res)
-	restore := rt.sleepFullRestore(p, res.Latency, snap.MemBytes())
-	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
-	rbd := res.BD
-	rbd.Copy += restore - res.Latency
-	st := Startup{Path: path, Sandbox: sandboxCost, Restore: restore,
-		SandboxBD: sbd, RestoreBD: rbd,
-		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return rt.finish(prof, sb, nil, st, res)
 }
 
 // Release tears an instance down, returning memory to the node and
@@ -362,22 +330,14 @@ func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, sna
 // into the universal pool, baseline netns into the netns pool; CRIU/cold
 // sandboxes are discarded.
 func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
-	if in.Restored != nil {
-		in.Restored.ReleaseAll()
+	ns, sb := in.NetNS, in.Sandbox
+	rt.ReleaseCrashed(in)
+	if ns != nil {
+		rt.NetPool.Put(ns)
 	}
-	if in.OverheadBytes > 0 {
-		rt.Tracker.Free(in.OverheadBytes)
-	}
-	if in.NetNS != nil {
-		rt.NetPool.Put(in.NetNS)
-		in.NetNS = nil
-	}
-	if in.Sandbox != nil {
-		if recycleSandbox {
-			rt.Factory.Clean(p, in.Sandbox)
-			rt.SBPool.Put(in.Sandbox)
-		}
-		in.Sandbox = nil
+	if sb != nil && recycleSandbox {
+		rt.Factory.Clean(p, sb)
+		rt.SBPool.Put(sb)
 	}
 }
 

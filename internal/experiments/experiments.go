@@ -133,9 +133,6 @@ func (o Options) rack(profiles []workload.FunctionProfile, tweak func(*faas.Conf
 	return c
 }
 
-// DefaultOptions returns paper-scale options.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1.0} }
-
 func (o Options) normalize() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1

@@ -33,21 +33,10 @@ func (p *Pool) BatchFetchLatency(rng *rand.Rand, pages int) time.Duration {
 	switch p.kind {
 	case CXL:
 		return time.Duration(pages) * p.lat.CXLDirectAccess
-	case RDMA:
-		per := float64(p.lat.RDMAFetch)
-		per *= 1 + p.lat.RDMAContentionFactor*float64(p.outstanding)
-		if p.outstanding >= p.lat.RDMAContentionThreshold &&
-			rng.Float64() < p.lat.RDMACliffProbability {
-			per *= p.lat.RDMACliffFactor
-			p.cliffs++
-		}
-		return time.Duration(per) + stream
+	case RDMA, Tmpfs:
+		return time.Duration(p.roundTrip(rng)) + stream
 	case NAS:
 		return p.lat.NASFetch + stream
-	case Tmpfs:
-		per := float64(p.lat.TmpfsFetch)
-		per *= 1 + p.lat.TmpfsContentionFactor*float64(p.outstanding)
-		return time.Duration(per) + stream
 	default:
 		return 0
 	}

@@ -295,10 +295,6 @@ func (p *Pool) Cliffs() int64 { return p.cliffs }
 // pool's message-based traffic (RDMA/NAS/Tmpfs, or CXL bulk copies).
 func (p *Pool) PagesFetched() int64 { return p.pagesFetched }
 
-// PagesDirect returns the total pages touched via direct byte-
-// addressable loads (CXL), which move no data to the node.
-func (p *Pool) PagesDirect() int64 { return p.pagesDirect }
-
 // BatchFetches returns doorbell-style batched fetches served (the
 // prefetch path; a subset of Fetches).
 func (p *Pool) BatchFetches() int64 { return p.batchFetches }
@@ -335,24 +331,28 @@ func (p *Pool) FetchLatency(rng *rand.Rand, pages int) time.Duration {
 		// CXL never "fetches": direct access. Callers should use
 		// DirectAccessCost; treat a fetch as a bulk copy at stable latency.
 		return time.Duration(pages) * p.lat.CXLDirectAccess
-	case RDMA:
-		per := float64(p.lat.RDMAFetch)
-		per *= 1 + p.lat.RDMAContentionFactor*float64(p.outstanding)
-		if p.outstanding >= p.lat.RDMAContentionThreshold &&
-			rng.Float64() < p.lat.RDMACliffProbability {
-			per *= p.lat.RDMACliffFactor
-			p.cliffs++
-		}
-		return time.Duration(per * float64(pages))
+	case RDMA, Tmpfs:
+		return time.Duration(p.roundTrip(rng) * float64(pages))
 	case NAS:
 		return time.Duration(pages) * p.lat.NASFetch
-	case Tmpfs:
-		per := float64(p.lat.TmpfsFetch)
-		per *= 1 + p.lat.TmpfsContentionFactor*float64(p.outstanding)
-		return time.Duration(per * float64(pages))
 	default:
 		return 0
 	}
+}
+
+// roundTrip prices one fetch round trip on an RDMA or tmpfs pool,
+// inflated by the fetches outstanding; on a loaded RDMA pool it samples
+// the tail cliff from rng. Demand and batched fetches both pay it.
+func (p *Pool) roundTrip(rng *rand.Rand) float64 {
+	if p.kind == Tmpfs {
+		return float64(p.lat.TmpfsFetch) * (1 + p.lat.TmpfsContentionFactor*float64(p.outstanding))
+	}
+	per := float64(p.lat.RDMAFetch) * (1 + p.lat.RDMAContentionFactor*float64(p.outstanding))
+	if p.outstanding >= p.lat.RDMAContentionThreshold && rng.Float64() < p.lat.RDMACliffProbability {
+		per *= p.lat.RDMACliffFactor
+		p.cliffs++
+	}
+	return per
 }
 
 // DirectAccessCost returns the extra execution latency for actively using

@@ -116,9 +116,6 @@ func New(cache *mem.PromotionCache, cfg Config) *Prefetcher {
 		plans: make(map[*pagetable.WorkingSetLog]*plan), versions: make(map[string]int)}
 }
 
-// Cache returns the node's promotion cache (nil when promotion is off).
-func (pf *Prefetcher) Cache() *mem.PromotionCache { return pf.cache }
-
 // planFor returns log's plan, compiling it on the log's first replay on
 // this node. A run's promotion key is function/region#first: the
 // template's working set is rack-stable, so the key names the same pages

@@ -47,9 +47,6 @@ func (r *Resource) InUse() int { return r.inUse }
 // Queued returns the number of waiting processes.
 func (r *Resource) Queued() int { return len(r.queue) - r.head }
 
-// Utilization returns inUse/capacity.
-func (r *Resource) Utilization() float64 { return float64(r.inUse) / float64(r.capacity) }
-
 // Acquire blocks p until n units are available, then holds them.
 // n must be in [1, capacity].
 func (r *Resource) Acquire(p *Proc, n int) {

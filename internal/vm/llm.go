@@ -10,7 +10,6 @@ import (
 // latencies, making agent execution deterministic across runs. The
 // server tracks aggregate token traffic for the cost analysis.
 type LLMServer struct {
-	requests  sim.Counter
 	inTokens  sim.Counter
 	outTokens sim.Counter
 }
@@ -23,16 +22,12 @@ func NewLLMServer() *LLMServer {
 // Serve replays one recorded LLM call: the caller blocks for the
 // recorded response latency while the server tallies token usage.
 func (s *LLMServer) Serve(p *sim.Proc, step agent.Step) {
-	s.requests.Inc()
 	s.inTokens.IncBy(int64(step.InTokens))
 	s.outTokens.IncBy(int64(step.OutTokens))
 	if step.Wait > 0 {
 		p.Sleep(step.Wait)
 	}
 }
-
-// Requests returns the number of calls served.
-func (s *LLMServer) Requests() int64 { return s.requests.Value() }
 
 // Tokens returns total input and output tokens served.
 func (s *LLMServer) Tokens() (in, out int64) {
